@@ -24,7 +24,14 @@ from .errors import (
     OracleInfeasibleError,
     SummationCapError,
 )
-from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector, next_prime
+from .lattice import (
+    KorobovParam,
+    LatticeRule,
+    is_prime,
+    korobov_vector,
+    next_prime,
+    primitive_root,
+)
 from .qmc import (
     FourierPolynomial,
     convergence_study,
@@ -93,6 +100,7 @@ __all__ = [
     "m_lambda",
     "mean_pow_error",
     "next_prime",
+    "primitive_root",
     "product_bound",
     "product_cosine",
     "qmc_apply",

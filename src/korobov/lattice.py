@@ -56,6 +56,31 @@ def next_prime(m: int) -> int:
     return n
 
 
+def primitive_root(n: int) -> int:
+    """Smallest generator of the multiplicative group mod the prime ``n``.
+
+    gamma generates the group iff gamma**((n-1)/q) != 1 (mod n) for every
+    prime factor q of n - 1, found here by trial division.
+    """
+    if not is_prime(n):
+        raise ValueError(f"primitive_root requires a prime, got {n}")
+    factors = []
+    rest = n - 1
+    q = 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    gamma = 1
+    while any(pow(gamma, (n - 1) // q, n) == 1 for q in factors):
+        gamma += 1
+    return gamma
+
+
 @dataclass(frozen=True)
 class LatticeRule:
     """Prime modulus ``n`` and generating vector ``g`` with 0 <= g_j < n."""

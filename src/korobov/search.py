@@ -1,15 +1,19 @@
 """Exhaustive generating-vector searches and family averages.
 
-The Korobov search scans all N scalar generators; the general search scans
+The Korobov search scans all N scalar generators through
+:meth:`ThetaTable.eval_korobov`, O(N^2 d / 4) as products of contiguous
+slices of a primitive-root-permuted theta table; the general search scans
 all N^d vectors of a tiny instance.  Both select the lambda = 1 error
 minimizer with a deterministic tie rule (ties within max truncation bound
 plus a fixed slack resolve to the smallest scalar / lexicographically
 smallest vector), so results do not depend on chunking or thread count.
+Korobov generators g and N - g give the same rule up to a reflection and
+get bitwise equal errors: ``ties`` counts both members of each pair, and
+the smaller g wins.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +21,11 @@ import numpy as np
 from .errors import CapExceededError
 from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
 from .space import DEFAULT_TOL, WeightModel
-from .wce import ErrorEstimate, theta_table
+from .wce import CHUNK_CELLS, ErrorEstimate, _map_chunks, theta_table
 
 TIE_SLACK = 1e-13
 
 GENERAL_SEARCH_CAP = 10**6
-
-# Roughly bounds the scratch memory of one evaluation chunk.
-_CHUNK_CELLS = 2**21
 
 
 def _require_prime(n: int) -> None:
@@ -50,15 +51,6 @@ class SearchResult:
         }
 
 
-def _korobov_block(n: int, d: int, gs: np.ndarray) -> np.ndarray:
-    """Vectors (1, g, g^2, ..., g^(d-1)) mod n for a block of scalars."""
-    out = np.empty((gs.size, d), dtype=np.int64)
-    out[:, 0] = 1 % n
-    for j in range(1, d):
-        out[:, j] = out[:, j - 1] * gs % n
-    return out
-
-
 def _general_block(n: int, d: int, idx: np.ndarray) -> np.ndarray:
     """Decode lexicographic indices into vectors (g_1 most significant)."""
     out = np.empty((idx.size, d), dtype=np.int64)
@@ -69,24 +61,45 @@ def _general_block(n: int, d: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_all(table, n: int, d: int, count: int, block_fn, threads: int) -> np.ndarray:
-    chunk = max(1, _CHUNK_CELLS // max(n, 1))
-    starts = range(0, count, chunk)
+def _eval_all(table, threads: int) -> np.ndarray:
+    """Errors of all N^d vectors in lexicographic order."""
+    n, d = table.n, table.d
 
-    def run(start: int) -> tuple[int, np.ndarray]:
-        ids = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        return start, table.eval_vectors(block_fn(ids))
+    def run(lo: int, hi: int) -> np.ndarray:
+        return table.eval_vectors(_general_block(n, d, np.arange(lo, hi, dtype=np.int64)))
 
-    e2 = np.empty(count, dtype=np.float64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for start, vals in pool.map(run, starts):
-                e2[start : start + vals.size] = vals
+    return _map_chunks(run, n**d, max(1, CHUNK_CELLS // n), threads)
+
+
+def family_errors(
+    n: int,
+    d: int,
+    model: WeightModel,
+    lam: float = 1.0,
+    tol: float = DEFAULT_TOL,
+    family: str = "korobov",
+    threads: int = 1,
+) -> tuple[np.ndarray, float]:
+    """Squared errors at weights lam * a_j of every member of a family, in
+    enumeration order (scalar g, or lexicographic vectors), with their
+    shared truncation bound."""
+    _require_prime(n)
+    if family not in ("korobov", "general"):
+        raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
+    if family == "general" and n**d > GENERAL_SEARCH_CAP:
+        raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
+    table = theta_table(model, n, d, lam, tol)
+    if family == "korobov":
+        e2 = table.eval_korobov(threads)
     else:
-        for start in starts:
-            s, vals = run(start)
-            e2[s : s + vals.size] = vals
-    return e2
+        e2 = _eval_all(table, threads)
+    return e2, table.product_bound
+
+
+def _best(e2: np.ndarray, bound: float) -> tuple[int, int]:
+    """Index of the selected minimizer and the size of its tie set."""
+    tied = np.flatnonzero(e2 <= float(np.min(e2)) + (bound + TIE_SLACK))
+    return int(tied[0]), int(tied.size)
 
 
 def search_korobov(
@@ -101,18 +114,13 @@ def search_korobov(
     g = 0 participates like any other candidate.  For d = 1 every scalar
     expands to the vector (1), so all candidates tie and g = 0 wins.
     """
-    _require_prime(n)
-    table = theta_table(model, n, d, 1.0, tol)
-    e2 = _eval_all(table, n, d, n, lambda ids: _korobov_block(n, d, ids), threads)
-    tie_tol = table.product_bound + TIE_SLACK
-    best_val = float(np.min(e2))
-    tied = np.flatnonzero(e2 <= best_val + tie_tol)
-    g_best = int(tied[0])
+    e2, bound = family_errors(n, d, model, 1.0, tol, "korobov", threads)
+    g_best, ties = _best(e2, bound)
     return SearchResult(
         best_rule=korobov_vector(KorobovParam(n=n, g=g_best, d=d)),
-        best_e2=ErrorEstimate(float(e2[g_best]), table.product_bound, "theta_product"),
+        best_e2=ErrorEstimate(float(e2[g_best]), bound, "theta_product"),
         evaluated=n,
-        ties=int(tied.size),
+        ties=ties,
     )
 
 
@@ -124,22 +132,14 @@ def search_general(
     threads: int = 1,
 ) -> SearchResult:
     """Exhaustive search over all of {0, ..., n-1}^d (tiny instances only)."""
-    _require_prime(n)
-    count = n**d
-    if count > GENERAL_SEARCH_CAP:
-        raise CapExceededError(f"general search space {count} exceeds cap {GENERAL_SEARCH_CAP}")
-    table = theta_table(model, n, d, 1.0, tol)
-    e2 = _eval_all(table, n, d, count, lambda ids: _general_block(n, d, ids), threads)
-    tie_tol = table.product_bound + TIE_SLACK
-    best_val = float(np.min(e2))
-    tied = np.flatnonzero(e2 <= best_val + tie_tol)
-    best_idx = int(tied[0])
+    e2, bound = family_errors(n, d, model, 1.0, tol, "general", threads)
+    best_idx, ties = _best(e2, bound)
     g_best = tuple(int(v) for v in _general_block(n, d, np.array([best_idx]))[0])
     return SearchResult(
         best_rule=LatticeRule(n=n, g=g_best),
-        best_e2=ErrorEstimate(float(e2[best_idx]), table.product_bound, "theta_product"),
-        evaluated=count,
-        ties=int(tied.size),
+        best_e2=ErrorEstimate(float(e2[best_idx]), bound, "theta_product"),
+        evaluated=e2.size,
+        ties=ties,
     )
 
 
@@ -153,18 +153,7 @@ def candidate_errors(
 ) -> tuple[np.ndarray, float]:
     """All candidate squared errors in enumeration order, with their shared
     truncation bound.  Backs the per-candidate CSV export."""
-    _require_prime(n)
-    table = theta_table(model, n, d, 1.0, tol)
-    if family == "korobov":
-        e2 = _eval_all(table, n, d, n, lambda ids: _korobov_block(n, d, ids), threads)
-    elif family == "general":
-        count = n**d
-        if count > GENERAL_SEARCH_CAP:
-            raise CapExceededError(f"general search space {count} exceeds cap {GENERAL_SEARCH_CAP}")
-        e2 = _eval_all(table, n, d, count, lambda ids: _general_block(n, d, ids), threads)
-    else:
-        raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
-    return e2, table.product_bound
+    return family_errors(n, d, model, 1.0, tol, family, threads)
 
 
 def mean_pow_error(
@@ -181,15 +170,4 @@ def mean_pow_error(
     The averaged quantity is the dual-lattice sum at weights lam * a_j (the
     Jensen majorant of e^(2*lam)), not (e^2)**lam.
     """
-    _require_prime(n)
-    if family not in ("korobov", "general"):
-        raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
-    table = theta_table(model, n, d, lam, tol)
-    if family == "korobov":
-        e2 = _eval_all(table, n, d, n, lambda ids: _korobov_block(n, d, ids), threads)
-    else:
-        count = n**d
-        if count > GENERAL_SEARCH_CAP:
-            raise CapExceededError(f"general family size {count} exceeds cap {GENERAL_SEARCH_CAP}")
-        e2 = _eval_all(table, n, d, count, lambda ids: _general_block(n, d, ids), threads)
-    return float(np.mean(e2))
+    return float(np.mean(family_errors(n, d, model, lam, tol, family, threads)[0]))

@@ -74,6 +74,21 @@ def test_search_candidate_csv(model_path, tmp_path):
     assert "." in lines[3].split(",")[1]
 
 
+def test_search_outputs_thread_invariant(model_path, tmp_path):
+    # N = 1009 spans several evaluation chunks, so every thread count splits work
+    for fmt in ("csv", "json"):
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"s{threads}.{fmt}"
+            code = run_cli(
+                ["search", "--model", model_path, "--n", "1009", "--d", "3",
+                 "--format", fmt, "--threads", threads, "--out", str(out)]
+            )
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+
 def test_bound_report(model_path, tmp_path):
     out = tmp_path / "bound.json"
     assert run_cli(["bound", "--model", model_path, "--n", "13", "--d", "2", "--out", str(out)]) == 0

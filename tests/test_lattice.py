@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korobov import KorobovParam, LatticeRule, is_prime, korobov_vector, next_prime
+from korobov import KorobovParam, LatticeRule, is_prime, korobov_vector, next_prime, primitive_root
 
 from conftest import trial_division_is_prime
 
@@ -65,6 +65,26 @@ def test_is_prime_matches_trial_division():
     # strong pseudoprimes to small witness sets are still rejected
     for n in (3215031751, 3825123056546413051):
         assert not is_prime(n)
+
+
+def _multiplicative_order(x, n):
+    power, order = x % n, 1
+    while power != 1:
+        power = power * x % n
+        order += 1
+    return order
+
+
+def test_primitive_root_order_brute_force():
+    for n in range(2, 2000):
+        if not trial_division_is_prime(n):
+            continue
+        gamma = primitive_root(n)
+        assert 1 <= gamma < n
+        assert _multiplicative_order(gamma, n) == n - 1
+        assert all(_multiplicative_order(x, n) < n - 1 for x in range(2, gamma))
+    with pytest.raises(ValueError):
+        primitive_root(1001)
 
 
 def test_rule_validation():

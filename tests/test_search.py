@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from korobov import (
+    DEFAULT_TOL,
     CapExceededError,
     KorobovParam,
     LatticeRule,
@@ -12,6 +15,7 @@ from korobov import (
     search_korobov,
     wce2_theta_product,
 )
+from korobov.wce import theta_table
 
 from conftest import make_model
 
@@ -117,3 +121,41 @@ def test_search_deterministic_and_thread_invariant(linear_model):
     g1 = search_general(7, 2, linear_model)
     g2 = search_general(7, 2, linear_model, threads=2)
     assert g1 == g2
+
+
+KERNEL_MODELS = {
+    "linear": make_model(a=("linear", 1.0)),
+    "slow_decay": make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5)),
+}
+
+
+def _oracle_korobov_errors(table):
+    """Every Korobov candidate through the general-vector evaluator."""
+    vectors = np.array(
+        [korobov_vector(KorobovParam(table.n, g, table.d)).g for g in range(table.n)],
+        dtype=np.int64,
+    )
+    return table.eval_vectors(vectors)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_eval_korobov_matches_eval_vectors(name):
+    model = KERNEL_MODELS[name]
+    for n in (2, 3, 5, 7, 13, 101, 1009):
+        for d in range(1, 6):
+            for lam in (1.0, 0.5):
+                table = theta_table(model, n, d, lam, DEFAULT_TOL)
+                fast = table.eval_korobov()
+                tol = 1e-15 * math.prod(table.majors[s] for s in table.coord_slot)
+                assert np.max(np.abs(fast - _oracle_korobov_errors(table))) <= tol, (n, d, lam)
+                # g and N - g share one evaluation, so they tie bitwise
+                assert all(fast[g] == fast[n - g] for g in range(1, n)), (n, d, lam)
+
+
+def test_mean_pow_error_korobov_matches_oracle():
+    model = KERNEL_MODELS["slow_decay"]
+    for n, d in ((13, 3), (101, 4)):
+        table = theta_table(model, n, d, 0.5, DEFAULT_TOL)
+        tol = 1e-15 * math.prod(table.majors[s] for s in table.coord_slot)
+        oracle = float(np.mean(_oracle_korobov_errors(table)))
+        assert mean_pow_error(n, d, 0.5, model, family="korobov") == pytest.approx(oracle, abs=tol)
