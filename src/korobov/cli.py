@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: wce, search, bound, nofe, tract, integrate, convergence.
-Outputs are JSON or CSV, written atomically (temp file + rename), and embed
-the resolved configuration plus a schema version string.  Identical inputs
-produce byte-identical outputs, independent of --threads (execution knobs
-are therefore not part of the echoed configuration).
+Every subcommand takes --model, --tol and --out; ``search`` also takes
+--threads, and ``search``, ``tract`` and ``convergence`` take --format
+(json or csv; the others always write JSON).  Outputs are written
+atomically (temp file + rename) and embed the resolved configuration plus a
+schema version string.  Identical inputs produce byte-identical outputs,
+independent of --threads (execution knobs are therefore not part of the
+echoed configuration).
 
 Exit codes: 0 success, 2 configuration error, 3 size cap exceeded,
 4 numerical certificate failure.  Errors are reported as one JSON object
@@ -19,12 +22,14 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import bounds, qmc, search, tract, wce
 from .errors import CapExceededError, OracleInfeasibleError, SummationCapError
 from .lattice import KorobovParam, LatticeRule, korobov_vector
 from .space import DEFAULT_TOL, WeightModel, a_lambda
 
-SCHEMA = "korobov/1"
+SCHEMA = "korobov/2"
 
 EXIT_CONFIG = 2
 EXIT_CAP = 3
@@ -104,7 +109,7 @@ def _parse_float_list(raw: str, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a comma-separated number list") from exc
 
 
-def _rule_from_args(args, model_d: int | None = None) -> LatticeRule:
+def _rule_from_args(args) -> LatticeRule:
     if args.n is None:
         raise ConfigError("--n is required")
     if args.g is not None:
@@ -139,7 +144,6 @@ def _cmd_wce(args) -> None:
         "lambda": args.lam,
         "method": args.method,
         "tol": args.tol,
-        "seed": args.seed,
     }
     result = {"n": rule.n, "g": list(rule.g), **est.to_dict()}
     _emit_json(args, config, result)
@@ -156,23 +160,18 @@ def _cmd_search(args) -> None:
         "d": args.d,
         "variant": args.variant,
         "tol": args.tol,
-        "seed": args.seed,
     }
     if args.format == "csv":
         e2, bound = search.candidate_errors(
             args.n, args.d, model, args.tol, args.variant, args.threads
         )
 
-        def label(i: int) -> str:
-            if args.variant == "korobov":
-                return str(i)
-            digits = []
-            for _ in range(args.d):
-                digits.append(i % args.n)
-                i //= args.n
-            return ";".join(str(v) for v in reversed(digits))
-
-        rows = [[label(i), float(v), bound] for i, v in enumerate(e2)]
+        if args.variant == "korobov":
+            labels = range(e2.size)
+        else:
+            vectors = search._general_block(args.n, args.d, np.arange(e2.size)).tolist()
+            labels = (";".join(map(str, g)) for g in vectors)
+        rows = [[label, float(v), bound] for label, v in zip(labels, e2)]
         _emit_csv(args, config, ["g", "e2", "trunc_bound"], rows)
         return
     fn = search.search_korobov if args.variant == "korobov" else search.search_general
@@ -192,7 +191,6 @@ def _cmd_bound(args) -> None:
         "variant": args.variant,
         "lambda": args.lam,
         "tol": args.tol,
-        "seed": args.seed,
     }
     if args.lam is not None:
         report = bounds.BoundReport(
@@ -222,7 +220,6 @@ def _cmd_nofe(args) -> None:
         "d": args.d,
         "variant": args.variant,
         "tol": args.tol,
-        "seed": args.seed,
     }
     result = {
         "epsilon": args.epsilon,
@@ -241,7 +238,6 @@ def _cmd_tract(args) -> None:
         "model": model.to_dict(),
         "mode": args.mode,
         "tol": args.tol,
-        "seed": args.seed,
     }
     if args.mode == "alg":
         config["d_max"] = args.d_max
@@ -304,7 +300,6 @@ def _cmd_integrate(args) -> None:
         "poly": poly.to_dict(),
         "rule": rule.to_dict(),
         "tol": args.tol,
-        "seed": args.seed,
     }
     if args.model is not None:
         model = _load_model(args.model)
@@ -335,7 +330,6 @@ def _cmd_convergence(args) -> None:
         "d": args.d,
         "primes": primes,
         "tol": args.tol,
-        "seed": args.seed,
     }
     table = [[r["n"], r["e"], r["n_e"], r["n2_e"], r["n4_e"], r["bound"]] for r in rows]
     if args.format == "json":
@@ -358,10 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--model", help="path to a weight-model JSON file")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("wce", help="worst-case error of one rule")
     common(p)
@@ -382,6 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("bound", help="existence bound on the minimal error")
@@ -401,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tract", help="tractability traces and classification")
     common(p)
-    p.set_defaults(format="csv")  # traces are CSV; the alg report is always JSON
+    # traces are CSV by default; the alg report is always JSON
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--mode", choices=("wt", "st", "alg"), default="wt")
     p.add_argument("--d-list", dest="d_list")
     p.add_argument("--eps-list", dest="eps_list")
@@ -419,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="error decay along ascending primes")
     common(p)
-    p.set_defaults(format="csv")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--d", type=int)
     p.add_argument("--primes", help="explicit comma-separated prime list")
     p.add_argument("--primes-up-to", type=int, dest="primes_up_to")

@@ -324,6 +324,23 @@ def theta_terms(
     return np.exp(-c * h**b), tail
 
 
+def _theta_certificate(w: np.ndarray, tail: float) -> tuple[float, float]:
+    """Per-evaluation truncation bound tau = 2 * tail of a theta series built
+    from ``theta_terms`` output, and its majorant theta(0) + tau."""
+    tau = 2.0 * tail
+    return tau, 1.0 + 2.0 * float(np.sum(w)) + tau
+
+
+def _product_bound(certs) -> float:
+    """First-order propagation of per-factor ``(tau, major)`` certificates
+    through a product: sum_j tau_j * prod_{i != j} major_i."""
+    majors = [major for _, major in certs]
+    return sum(
+        tau * math.prod(m for i, m in enumerate(majors) if i != j)
+        for j, (tau, _) in enumerate(certs)
+    )
+
+
 def theta(
     t: float,
     j: int,
@@ -385,20 +402,14 @@ def kernel_with_bound(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> tup
     """
     if len(x) != len(y):
         raise ValueError("points must have equal dimension")
-    vals, taus, majors = [], [], []
+    vals, certs = [], []
     for j in range(1, len(x) + 1):
         t = (float(x[j - 1]) - float(y[j - 1])) % 1.0
         w, tail = theta_terms(j, model, 1.0, tol)
         h = np.arange(1, w.size + 1, dtype=np.float64)
         vals.append(1.0 + 2.0 * float(w @ np.cos((2.0 * math.pi * t) * h)))
-        taus.append(2.0 * tail)
-        majors.append(1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail)
-    value = math.prod(vals)
-    bound = sum(
-        tau * math.prod(m for i, m in enumerate(majors) if i != jdx)
-        for jdx, tau in enumerate(taus)
-    )
-    return value, bound
+        certs.append(_theta_certificate(w, tail))
+    return math.prod(vals), _product_bound(certs)
 
 
 def kernel(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> float:

@@ -14,8 +14,11 @@ which by character orthogonality also equals
 ``wce2_theta_product`` is the O(N d) workhorse and
 ``ThetaTable.eval_korobov`` its whole-family form for all N Korobov
 generators at once; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
-slower oracles used for cross-validation.
-Every evaluator reports its certified truncation bound alongside the value.
+slower oracles used for cross-validation.  One dual-lattice enumerator
+serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
+(heaviest dual frequency).  Every evaluator reports its certified
+truncation bound alongside the value; the two product forms share one
+first-order product bound over the per-coordinate theta certificates.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
 from .lattice import LatticeRule, primitive_root
-from .space import DEFAULT_TOL, WeightModel, theta_terms
+from .space import DEFAULT_TOL, WeightModel, _product_bound, _theta_certificate, theta_terms
 
 # Work budget for dual-lattice enumeration (nodes visited plus candidate
 # frequencies scored); override with the KOROBOV_MAX_ENUM environment variable.
@@ -120,16 +123,14 @@ class ThetaTable:
                 vals = 1.0 + 2.0 * np.real(np.fft.fft(_fold_terms(w, n)))
                 slots[key] = len(self.values)
                 self.values.append(vals)
-                self.taus.append(2.0 * tail)
-                self.majors.append(1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail)
+                tau, major = _theta_certificate(w, tail)
+                self.taus.append(tau)
+                self.majors.append(major)
             coord_slot.append(slots[key])
         self.coord_slot = tuple(coord_slot)
-        # First-order propagation of per-factor certificates through the
-        # d-fold product, uniform in k.
-        self.product_bound = sum(
-            self.taus[self.coord_slot[j]]
-            * math.prod(self.majors[self.coord_slot[i]] for i in range(d) if i != j)
-            for j in range(d)
+        # one certificate for every k
+        self.product_bound = _product_bound(
+            [(self.taus[s], self.majors[s]) for s in self.coord_slot]
         )
 
     def eval_vectors(self, vectors: np.ndarray) -> np.ndarray:
@@ -256,23 +257,23 @@ def _region_volume(t_cut: float, lam: float, weights: list[tuple[float, float]])
     return math.exp(log_vol - math.lgamma(1.0 + inv_sum))
 
 
-def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, tol: float):
+def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, tol: float, t_min: float = 0.0):
     """Region threshold, tail certificate, coordinate order, and work estimate
     for one dual enumeration.
 
     The cut T makes the mass outside {h : sum_j lam*a_j*|h_j|**b_j <= T},
     bounded by omega**(T/2) * prod_j theta_j(0) at weights lam/2, fall
-    below ``tol``.  The congruence is solved in the coordinate with the
+    below ``tol``; T is at least lam * a_1 (so |h| = 1 is in range) and at
+    least ``t_min``.  The congruence is solved in the coordinate with the
     widest range, so the estimated work is the prefix region size plus
     1/N-th of the full region size.
     """
     n, d = rule.n, rule.d
     half_prod = 1.0
     for j in range(1, d + 1):
-        w, tail = theta_terms(j, model, lam / 2.0, min(tol, 1e-6))
-        half_prod *= 1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail
+        half_prod *= _theta_certificate(*theta_terms(j, model, lam / 2.0, min(tol, 1e-6)))[1]
     t_cut = 2.0 * math.log(half_prod / tol) / math.log(1.0 / model.omega)
-    t_cut = max(t_cut, lam * model.a_j(1))  # keep at least |h| = 1 in range
+    t_cut = max(t_cut, lam * model.a_j(1), t_min)
     tail_bound = model.omega ** (t_cut / 2.0) * half_prod
 
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
@@ -295,65 +296,55 @@ def dual_enum_work_estimate(
     return _enum_plan(rule, model, lam, tol)[4]
 
 
-def wce2_dual_enum(
-    rule: LatticeRule,
-    model: WeightModel,
-    lam: float = 1.0,
-    tol: float = DEFAULT_TOL,
-) -> ErrorEstimate:
-    """Squared worst-case error by summing rho over the dual lattice.
+def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
+    """Visit every nonzero dual h in the region of ``plan``, a block at a time.
 
-    Enumerates, by recursive coordinate descent, all nonzero h in the
-    truncation region with h . g == 0 (mod N), summing rho at weights
-    lam * a_j; the omitted mass is certified below ``tol``.  Intended as a
-    small-instance oracle; infeasibly large regions raise
-    :class:`OracleInfeasibleError`.
+    Recursive coordinate descent over ``order[:-1]``; the congruence
+    h . g == 0 (mod N) is solved in the last coordinate of ``order``, whose
+    admissible values form one array ``hs`` per prefix.  Each block goes to
+    ``leaf(h, exponent, hs)``: h holds the prefix values at their coordinate
+    positions (0 at the solved one), exponent is their sum of
+    lam*a_j*|h_j|**b_j.  Nodes visited plus values solved count against the
+    work cap; :class:`OracleInfeasibleError` when it is exceeded.
     """
     n, d = rule.n, rule.d
-    log_omega_inv = math.log(1.0 / model.omega)
-    t_cut, tail_bound, weights, order, est = _enum_plan(rule, model, lam, tol)
+    t_cut, _, weights, order, est = plan
     budget = enum_cap()
     if est > 4.0 * budget:
         raise OracleInfeasibleError(
             f"estimated enumeration work {est:.3g} exceeds the cap {budget}"
         )
-
     a_solve, b_solve = weights[order[-1]]
     g_solve = rule.g[order[-1]] % n
     g_inv = pow(g_solve, -1, n) if g_solve != 0 else None
-    leaf_sums: list[float] = []
+    prefix = [0] * d
     work = 0
-
-    def solve_leaf(exponent: float, dot_mod: int, prefix_zero: bool) -> None:
-        nonlocal work
-        limit = _range_limit(t_cut - exponent, lam, a_solve, b_solve)
-        if limit < 0:
-            return
-        if g_inv is None:
-            if dot_mod % n != 0:
-                return
-            hs = np.arange(-limit, limit + 1, dtype=np.int64)
-        else:
-            r = (-dot_mod * g_inv) % n
-            lo = -((limit + r) // n)
-            hi = (limit - r) // n
-            if lo > hi:
-                return
-            hs = r + n * np.arange(lo, hi + 1, dtype=np.int64)
-        if prefix_zero:
-            hs = hs[hs != 0]
-        if hs.size == 0:
-            return
-        work += hs.size
-        if work > budget:
-            raise OracleInfeasibleError(f"enumeration work exceeded the cap {budget}")
-        expo = exponent + lam * a_solve * np.abs(hs).astype(np.float64) ** b_solve
-        leaf_sums.append(float(np.sum(np.exp(-log_omega_inv * expo))))
 
     def descend(pos: int, exponent: float, dot_mod: int, prefix_zero: bool) -> None:
         nonlocal work
         if pos == d - 1:
-            solve_leaf(exponent, dot_mod, prefix_zero)
+            limit = _range_limit(t_cut - exponent, lam, a_solve, b_solve)
+            if limit < 0:
+                return
+            if g_inv is None:
+                if dot_mod % n != 0:
+                    return
+                hs = np.arange(-limit, limit + 1, dtype=np.int64)
+            else:
+                r = (-dot_mod * g_inv) % n
+                lo = -((limit + r) // n)
+                hi = (limit - r) // n
+                if lo > hi:
+                    return
+                hs = r + n * np.arange(lo, hi + 1, dtype=np.int64)
+            if prefix_zero:
+                hs = hs[hs != 0]
+            if hs.size == 0:
+                return
+            work += hs.size
+            if work > budget:
+                raise OracleInfeasibleError(f"enumeration work exceeded the cap {budget}")
+            leaf(prefix, exponent, hs)
             return
         idx = order[pos]
         a, b = weights[idx]
@@ -363,6 +354,7 @@ def wce2_dual_enum(
             work += 1
             if work > budget:
                 raise OracleInfeasibleError(f"enumeration work exceeded the cap {budget}")
+            prefix[idx] = h
             descend(
                 pos + 1,
                 exponent + lam * a * float(abs(h)) ** b,
@@ -371,9 +363,33 @@ def wce2_dual_enum(
             )
 
     descend(0, 0.0, 0, True)
-    return ErrorEstimate(
-        value=math.fsum(leaf_sums), trunc_bound=tail_bound, method="dual_enum"
-    )
+
+
+def wce2_dual_enum(
+    rule: LatticeRule,
+    model: WeightModel,
+    lam: float = 1.0,
+    tol: float = DEFAULT_TOL,
+) -> ErrorEstimate:
+    """Squared worst-case error by summing rho over the dual lattice.
+
+    Enumerates all nonzero h in the truncation region with
+    h . g == 0 (mod N), summing rho at weights lam * a_j; the omitted mass
+    is certified below ``tol``.  Intended as a small-instance oracle;
+    infeasibly large regions raise :class:`OracleInfeasibleError`.
+    """
+    plan = _enum_plan(rule, model, lam, tol)
+    _, tail_bound, weights, order, _ = plan
+    a_solve, b_solve = weights[order[-1]]
+    log_omega_inv = math.log(1.0 / model.omega)
+    leaf_sums: list[float] = []
+
+    def add(prefix, exponent: float, hs: np.ndarray) -> None:
+        expo = exponent + lam * a_solve * np.abs(hs).astype(np.float64) ** b_solve
+        leaf_sums.append(float(np.sum(np.exp(-log_omega_inv * expo))))
+
+    _enumerate_dual(rule, lam, plan, add)
+    return ErrorEstimate(math.fsum(leaf_sums), tail_bound, "dual_enum")
 
 
 def dominant_dual_frequency(
@@ -384,50 +400,29 @@ def dominant_dual_frequency(
     """Nonzero dual frequency with maximal rho, ties to the lexicographically
     smallest vector.
 
-    Found by bounded enumeration of the same truncation region used by
-    :func:`wce2_dual_enum`; the maximizer is inside the region because the
-    mass outside it is below the region threshold.
+    Found by enumerating the truncation region of :func:`wce2_dual_enum`,
+    widened to contain the dual vector N * e_1; the maximizer is inside the
+    region because the mass outside it is below the region threshold.
+    Candidates are ranked by their exponent summed in coordinate order, so
+    the choice does not depend on the enumeration order.
     """
-    n, d = rule.n, rule.d
-    log_omega_inv = math.log(1.0 / model.omega)
-    half_prod = 1.0
-    for j in range(1, d + 1):
-        w, tail = theta_terms(j, model, 0.5, min(tol, 1e-6))
-        half_prod *= 1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail
-    t_cut = 2.0 * math.log(half_prod / tol) / log_omega_inv
-    t_cut = max(t_cut, model.a_j(1) * float(n) ** model.b_j(1) + 1.0)  # h = N e_1 is dual
+    t_min = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0  # h = N e_1 is dual
+    plan = _enum_plan(rule, model, 1.0, tol, t_min)
+    _, _, weights, order, _ = plan
+    solve = order[-1]
+    best: tuple[float, tuple[int, ...]] = (math.inf, ())
 
-    weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
-    budget = enum_cap()
-    best: tuple[float, tuple[int, ...]] | None = None
-    work = 0
-    prefix = [0] * d
+    def score(prefix, exponent: float, hs: np.ndarray) -> None:
+        nonlocal best
+        for v in hs.tolist():
+            h = tuple(v if i == solve else x for i, x in enumerate(prefix))
+            expo = 0.0
+            for (a, b), hj in zip(weights, h):
+                expo += a * float(abs(hj)) ** b
+            best = min(best, (expo, h))
 
-    def descend(pos: int, exponent: float, dot_mod: int, prefix_zero: bool) -> None:
-        nonlocal work, best
-        if pos == d:
-            if prefix_zero or dot_mod % n != 0:
-                return
-            key = (exponent, tuple(prefix))
-            if best is None or key[0] < best[0] or (key[0] == best[0] and key[1] < best[1]):
-                best = key
-            return
-        a, b = weights[pos]
-        limit = _range_limit(t_cut - exponent, 1.0, a, b)
-        for h in range(-limit, limit + 1):
-            work += 1
-            if work > budget:
-                raise OracleInfeasibleError(f"enumeration work exceeded the cap {budget}")
-            prefix[pos] = h
-            descend(
-                pos + 1,
-                exponent + a * float(abs(h)) ** b,
-                (dot_mod + h * (rule.g[pos] % n)) % n,
-                prefix_zero and h == 0,
-            )
-
-    descend(0, 0.0, 0, True)
-    assert best is not None, "the dual lattice always contains N * e_1"
+    _enumerate_dual(rule, 1.0, plan, score)
+    assert best[1], "the dual lattice always contains N * e_1"
     return best[1]
 
 
@@ -450,9 +445,7 @@ def wce2_kernel_double_sum(
     n, d = rule.n, rule.d
     if n * n > DOUBLE_SUM_PAIR_CAP:
         raise CapExceededError(f"kernel double sum needs {n * n} pairs, cap is {DOUBLE_SUM_PAIR_CAP}")
-    factors = []
-    taus = []
-    majors = []
+    factors, certs = [], []
     for j in range(1, d + 1):
         w, tail = theta_terms(j, model, 1.0, tol)
         # theta at every fraction r/N by direct per-term summation; angles
@@ -466,12 +459,7 @@ def wce2_kernel_double_sum(
             angles = 2.0 * math.pi / n * (r[:, None] * hm[None, :] % n)
             vals[start : start + r.size] = 1.0 + 2.0 * np.sum(np.cos(angles) * w[None, :], axis=1)
         factors.append(vals)
-        taus.append(2.0 * tail)
-        majors.append(1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail)
-    bound = sum(
-        tau * math.prod(m for i, m in enumerate(majors) if i != jdx)
-        for jdx, tau in enumerate(taus)
-    )
+        certs.append(_theta_certificate(w, tail))
     k = np.arange(n, dtype=np.int64)
     total = 0.0
     chunk = max(1, DOUBLE_SUM_PAIR_CAP // (8 * n))
@@ -481,6 +469,4 @@ def wce2_kernel_double_sum(
         for j in range(d):
             acc *= factors[j][rows * rule.g[j] % n]
         total += float(np.sum(acc))
-    return ErrorEstimate(
-        value=total / float(n) ** 2 - 1.0, trunc_bound=bound, method="kernel_double_sum"
-    )
+    return ErrorEstimate(total / float(n) ** 2 - 1.0, _product_bound(certs), "kernel_double_sum")

@@ -8,6 +8,7 @@ these, then compare the implementation against them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,22 @@ def brute_dual_e2(n, g, model, lam=1.0, box=60):
     for j in range(d):
         expo += lam * model.a_j(j + 1) * np.abs(h[:, j]).astype(float) ** model.b_j(j + 1)
     return float(np.sum(model.omega**expo))
+
+
+def brute_dominant_frequency(n, g, model, box):
+    """Box-enumerated nonzero dual h in [-box, box]^d maximizing rho, i.e.
+    minimizing sum_j a_j * |h_j|**b_j summed in coordinate order; ties go to
+    the lexicographically smallest h (the first one met in product order)."""
+    best = None
+    for h in itertools.product(range(-box, box + 1), repeat=len(g)):
+        if sum(hj * gj for hj, gj in zip(h, g)) % n != 0 or not any(h):
+            continue
+        expo = 0.0
+        for j, hj in enumerate(h, start=1):
+            expo += model.a_j(j) * float(abs(hj)) ** model.b_j(j)
+        if best is None or expo < best[0]:
+            best = (expo, h)
+    return best[1]
 
 
 def trial_division_is_prime(n: int) -> bool:

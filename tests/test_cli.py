@@ -30,7 +30,7 @@ def test_wce_emits_required_keys(model_path, tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == "korobov/1"
+    assert payload["schema"] == "korobov/2"
     assert payload["config"]["model"] == MODEL
     result = payload["result"]
     for key in ("n", "g", "e2", "e", "trunc_bound", "method"):
@@ -66,7 +66,7 @@ def test_search_candidate_csv(model_path, tmp_path):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "# schema: korobov/1"
+    assert lines[0] == "# schema: korobov/2"
     assert lines[1].startswith("# config: ")
     assert lines[2] == "g,e2,trunc_bound"
     assert len(lines) == 3 + 5
@@ -178,9 +178,24 @@ def test_exit_code_certificate_failure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "certificate"
 
 
-def test_unknown_flag_exits_two(model_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["search", "--frobnicate", "1"], id="search-frobnicate"),
+        # flags that only search (--threads) or search/tract/convergence (--format)
+        # read, and --seed, which nothing read, are not accepted elsewhere
+        pytest.param(["wce", "--n", "13", "--g", "1,5", "--seed", "1"], id="wce-seed"),
+        pytest.param(["bound", "--n", "13", "--d", "2", "--format", "csv"], id="bound-format"),
+        pytest.param(["nofe", "--epsilon", "0.1", "--d", "2", "--threads", "2"], id="nofe-threads"),
+        pytest.param(
+            ["integrate", "--poly", "p.json", "--rule", "r.json", "--format", "csv"],
+            id="integrate-format",
+        ),
+    ],
+)
+def test_unknown_flag_exits_two(model_path, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["search", "--model", model_path, "--frobnicate", "1"])
+        main([argv[0], "--model", model_path, *argv[1:]])
     assert exc.value.code == 2
 
 
@@ -191,4 +206,4 @@ def test_console_entry_point(model_path):
         text=True,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["schema"] == "korobov/1"
+    assert json.loads(proc.stdout)["schema"] == "korobov/2"

@@ -15,7 +15,11 @@ from korobov import (
     wce2_theta_product,
 )
 
+from korobov.space import kernel_with_bound
+from korobov.wce import theta_table
+
 from conftest import brute_dual_e2, make_model
+from conftest import brute_dominant_frequency
 
 EVALUATORS = (wce2_dual_enum, wce2_theta_product, wce2_kernel_double_sum)
 
@@ -171,3 +175,32 @@ def test_dominant_dual_frequency_is_maximal():
         if all(v == 0 for v in h) or (h[0] + 5 * h[1]) % 13 != 0:
             continue
         assert rho(h, model) <= best + 1e-15
+    # exact agreement with box enumeration, tie rule included: d = 1, 2, 3,
+    # b = 1/2 and 2, shared weights (many ties), and a zero generator
+    # component in the solved coordinate (no inverse mod N)
+    cases = [
+        (model, LatticeRule(13, (1, 5))),
+        (make_model(omega=0.5, b=("constant", 2.0)), LatticeRule(7, (3,))),
+        (make_model(omega=0.3, a=("linear", 1.0), b=("constant", 0.5)), LatticeRule(13, (1, 5))),
+        (make_model(omega=0.5, b=("constant", 2.0)), LatticeRule(13, (1, 5))),
+        (make_model(omega=0.5), LatticeRule(7, (1, 3, 2))),
+        (make_model(omega=0.3, a=("linear", 1.0), b=("constant", 0.5)), LatticeRule(5, (1, 2, 3))),
+        (make_model(omega=0.5), LatticeRule(7, (0, 1, 3))),
+        (make_model(omega=0.5, a=("linear", 1.0)), LatticeRule(5, (0, 2))),
+    ]
+    for m, r in cases:
+        # any h outside [-N, N]^d has an exponent above that of N * e_1
+        assert dominant_dual_frequency(r, m, tol=1e-8) == brute_dominant_frequency(r.n, r.g, m, r.n)
+
+
+@pytest.mark.parametrize("a", [("constant", 1.0), ("linear", 1.0)], ids=["constant", "linear"])
+def test_product_certificate_is_shared(a):
+    # kernel, theta table and kernel double sum report one first-order bound
+    model = make_model(omega=0.4, a=a, b=("constant", 0.5))
+    n, d, tol = 13, 3, 1e-12
+    rule = LatticeRule(n, (1, 5, 12))
+    from_kernel = kernel_with_bound((0.1, 0.2, 0.7), (0.4, 0.9, 0.3), model, tol)[1]
+    from_table = theta_table(model, n, d, 1.0, tol).product_bound
+    from_double_sum = wce2_kernel_double_sum(rule, model, tol).trunc_bound
+    assert from_kernel > 0.0
+    assert from_kernel == from_table == from_double_sum
