@@ -98,8 +98,8 @@ def error_bound(
     return math.inf if log_val > 700.0 else math.exp(log_val)
 
 
-def _minimize_lambda(fn, refine_iters: int = 32):
-    """Minimize fn over the lambda grid plus golden-section refinement.
+def _minimize_lambda(fn):
+    """Minimize fn over the lambda grid plus 32 golden-section steps.
 
     fn may raise SummationCapError for lambdas it cannot certify; those
     grid points are skipped (the remaining ones still give a valid upper
@@ -123,7 +123,7 @@ def _minimize_lambda(fn, refine_iters: int = 32):
     idx = LAMBDA_GRID.index(lam_mid)
     hi = LAMBDA_GRID[idx - 1] if idx > 0 else lam_mid
     lo = LAMBDA_GRID[idx + 1] if idx + 1 < len(LAMBDA_GRID) else lam_mid
-    for _ in range(refine_iters):
+    for _ in range(32):
         if hi - lo < 1e-12:
             break
         m1 = hi - _GOLDEN * (hi - lo)

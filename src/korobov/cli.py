@@ -9,9 +9,15 @@ schema version string.  Identical inputs produce byte-identical outputs,
 independent of --threads (execution knobs are therefore not part of the
 echoed configuration).
 
-Exit codes: 0 success, 2 configuration error, 3 size cap exceeded,
-4 numerical certificate failure.  Errors are reported as one JSON object
-on stderr.
+The parser declares the whole argument contract: required flags, the
+exclusive pairs --g/--g-scalar and --primes/--primes-up-to, and the
+combinations it rejects (``_check_combinations``), among them every tract
+flag that the chosen --mode does not read.  A flag is honoured or
+rejected, never accepted and then ignored.  Handlers only compute.
+
+Exit codes: 0 success, 2 configuration error (argument errors included),
+3 size cap exceeded, 4 numerical certificate failure.  Errors are reported
+as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import bounds, qmc, search, tract, wce
 from .errors import CapExceededError, OracleInfeasibleError, SummationCapError
-from .lattice import KorobovParam, LatticeRule, korobov_vector
+from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
 from .space import DEFAULT_TOL, WeightModel, a_lambda
 
 SCHEMA = "korobov/2"
@@ -34,6 +40,17 @@ SCHEMA = "korobov/2"
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATE = 4
+
+# The tract modes that read each mode-specific flag; the others reject it.
+_TRACT_FLAG_MODES = {
+    "format": ("wt", "st"),
+    "d_list": ("wt", "st"),
+    "eps_list": ("wt", "st"),
+    "source": ("wt", "st"),
+    "s": ("st",),
+    "t": ("st",),
+    "d_max": ("alg",),
+}
 
 
 class ConfigError(ValueError):
@@ -55,9 +72,7 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _load_model(path: str | None) -> WeightModel:
-    if path is None:
-        raise ConfigError("--model is required for this command")
+def _load_model(path: str) -> WeightModel:
     try:
         return WeightModel.from_dict(_load_json(path))
     except ValueError as exc:
@@ -80,87 +95,51 @@ def _atomic_write(path: str | None, text: str) -> None:
         raise
 
 
-def _emit_json(args, config: dict, result) -> None:
-    payload = {"schema": SCHEMA, "config": config, "result": result}
-    _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(args, config: dict, result, header: list[str] | None = None) -> None:
+    """Write the JSON payload, or, given a ``header``, ``result`` (a list of
+    dicts keyed by the header's columns) as CSV."""
+    if header is None:
+        payload = {"schema": SCHEMA, "config": config, "result": result}
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    else:
+        lines = [
+            f"# schema: {SCHEMA}",
+            f"# config: {json.dumps(config, sort_keys=True)}",
+            ",".join(header),
+        ]
+        lines.extend(",".join(_fmt(row[col]) for col in header) for row in result)
+        text = "\n".join(lines)
+    _atomic_write(args.out, text + "\n")
 
 
-def _emit_csv(args, config: dict, header: list[str], rows: list[list]) -> None:
-    lines = [
-        f"# schema: {SCHEMA}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
-        ",".join(header),
-    ]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    _atomic_write(args.out, "\n".join(lines) + "\n")
-
-
-def _parse_int_list(raw: str, name: str) -> list[int]:
+def _parse_list(raw: str, kind: type, name: str) -> list:
     try:
-        return [int(part) for part in raw.split(",") if part != ""]
+        return [kind(part) for part in raw.split(",") if part != ""]
     except ValueError as exc:
-        raise ConfigError(f"{name} must be a comma-separated integer list") from exc
+        raise ConfigError(f"{name} must be a comma-separated {kind.__name__} list") from exc
 
 
-def _parse_float_list(raw: str, name: str) -> list[float]:
-    try:
-        return [float(part) for part in raw.split(",") if part != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a comma-separated number list") from exc
+# ---------------------------------------------------------------------------
+# Subcommand handlers: each adds its own keys to the echoed configuration,
+# which main starts with command, tol and (when given) model.
+# ---------------------------------------------------------------------------
 
-
-def _rule_from_args(args) -> LatticeRule:
-    if args.n is None:
-        raise ConfigError("--n is required")
+def _cmd_wce(args, model: WeightModel, config: dict) -> None:
     if args.g is not None:
-        return LatticeRule(n=args.n, g=tuple(_parse_int_list(args.g, "--g")))
-    if args.g_scalar is not None:
-        if args.d is None:
-            raise ConfigError("--g-scalar needs --d")
-        return korobov_vector(KorobovParam(n=args.n, g=args.g_scalar, d=args.d))
-    raise ConfigError("provide either --g or --g-scalar")
+        rule = LatticeRule(n=args.n, g=tuple(_parse_list(args.g, int, "--g")))
+    else:
+        rule = korobov_vector(KorobovParam(n=args.n, g=args.g_scalar, d=args.d))
+    config.update({"n": rule.n, "g": list(rule.g), "lambda": args.lam, "method": args.method})
+    evaluate = getattr(wce, f"wce2_{args.method}")
+    if args.method == "kernel_double_sum":  # lambda = 1 only
+        est = evaluate(rule, model, args.tol)
+    else:
+        est = evaluate(rule, model, args.lam, args.tol)
+    _emit(args, config, {"n": rule.n, "g": list(rule.g), **est.to_dict()})
 
 
-# ---------------------------------------------------------------------------
-# Subcommand handlers
-# ---------------------------------------------------------------------------
-
-def _cmd_wce(args) -> None:
-    model = _load_model(args.model)
-    rule = _rule_from_args(args)
-    evaluators = {
-        "theta_product": lambda: wce.wce2_theta_product(rule, model, args.lam, args.tol),
-        "dual_enum": lambda: wce.wce2_dual_enum(rule, model, args.lam, args.tol),
-        "kernel_double_sum": lambda: wce.wce2_kernel_double_sum(rule, model, args.tol),
-    }
-    if args.method not in evaluators:
-        raise ConfigError(f"unknown method {args.method!r}")
-    est = evaluators[args.method]()
-    config = {
-        "command": "wce",
-        "model": model.to_dict(),
-        "n": rule.n,
-        "g": list(rule.g),
-        "lambda": args.lam,
-        "method": args.method,
-        "tol": args.tol,
-    }
-    result = {"n": rule.n, "g": list(rule.g), **est.to_dict()}
-    _emit_json(args, config, result)
-
-
-def _cmd_search(args) -> None:
-    model = _load_model(args.model)
-    if args.n is None or args.d is None:
-        raise ConfigError("--n and --d are required")
-    config = {
-        "command": "search",
-        "model": model.to_dict(),
-        "n": args.n,
-        "d": args.d,
-        "variant": args.variant,
-        "tol": args.tol,
-    }
+def _cmd_search(args, model: WeightModel, config: dict) -> None:
+    config.update({"n": args.n, "d": args.d, "variant": args.variant})
     if args.format == "csv":
         e2, bound = search.candidate_errors(
             args.n, args.d, model, args.tol, args.variant, args.threads
@@ -171,27 +150,16 @@ def _cmd_search(args) -> None:
         else:
             vectors = search._general_block(args.n, args.d, np.arange(e2.size)).tolist()
             labels = (";".join(map(str, g)) for g in vectors)
-        rows = [[label, float(v), bound] for label, v in zip(labels, e2)]
-        _emit_csv(args, config, ["g", "e2", "trunc_bound"], rows)
+        rows = [{"g": label, "e2": float(v), "trunc_bound": bound} for label, v in zip(labels, e2)]
+        _emit(args, config, rows, ["g", "e2", "trunc_bound"])
         return
     fn = search.search_korobov if args.variant == "korobov" else search.search_general
     res = fn(args.n, args.d, model, args.tol, threads=args.threads)
-    _emit_json(args, config, res.to_dict())
+    _emit(args, config, res.to_dict())
 
 
-def _cmd_bound(args) -> None:
-    model = _load_model(args.model)
-    if args.n is None or args.d is None:
-        raise ConfigError("--n and --d are required")
-    config = {
-        "command": "bound",
-        "model": model.to_dict(),
-        "n": args.n,
-        "d": args.d,
-        "variant": args.variant,
-        "lambda": args.lam,
-        "tol": args.tol,
-    }
+def _cmd_bound(args, model: WeightModel, config: dict) -> None:
+    config.update({"n": args.n, "d": args.d, "variant": args.variant, "lambda": args.lam})
     if args.lam is not None:
         report = bounds.BoundReport(
             lam=args.lam,
@@ -202,25 +170,15 @@ def _cmd_bound(args) -> None:
         )
     else:
         report = bounds.error_bound_min(args.n, args.d, model, args.variant, args.tol)
-    _emit_json(args, config, report.to_dict())
+    _emit(args, config, report.to_dict())
 
 
-def _cmd_nofe(args) -> None:
-    model = _load_model(args.model)
-    if args.epsilon is None or args.d is None:
-        raise ConfigError("--epsilon and --d are required")
+def _cmd_nofe(args, model: WeightModel, config: dict) -> None:
+    config.update({"epsilon": args.epsilon, "d": args.d, "variant": args.variant})
     n_bound, lam_star = bounds.info_complexity_bound(
         args.epsilon, args.d, model, args.variant, args.tol
     )
     n_upper = bounds.empirical_info_complexity(args.epsilon, args.d, model, args.tol)
-    config = {
-        "command": "nofe",
-        "model": model.to_dict(),
-        "epsilon": args.epsilon,
-        "d": args.d,
-        "variant": args.variant,
-        "tol": args.tol,
-    }
     result = {
         "epsilon": args.epsilon,
         "d": args.d,
@@ -228,52 +186,33 @@ def _cmd_nofe(args) -> None:
         "n_bound": n_bound,
         "lambda_star": lam_star,
     }
-    _emit_json(args, config, result)
+    _emit(args, config, result)
 
 
-def _cmd_tract(args) -> None:
-    model = _load_model(args.model)
-    config = {
-        "command": "tract",
-        "model": model.to_dict(),
-        "mode": args.mode,
-        "tol": args.tol,
-    }
+def _cmd_tract(args, model: WeightModel, config: dict) -> None:
+    config["mode"] = args.mode
     if args.mode == "alg":
-        config["d_max"] = args.d_max
-        report = tract.alg_classify(model, args.d_max, args.tol)
+        config["d_max"] = 1024 if args.d_max is None else args.d_max
+        report = tract.alg_classify(model, config["d_max"], args.tol)
         report["partial_sums"] = {
             repr(lam): rows for lam, rows in report["partial_sums"].items()
         }
-        _emit_json(args, config, report)
+        _emit(args, config, report)
         return
-    if args.d_list is None or args.eps_list is None:
-        raise ConfigError("--d-list and --eps-list are required for trace modes")
-    d_list = _parse_int_list(args.d_list, "--d-list")
-    eps_list = _parse_float_list(args.eps_list, "--eps-list")
-    config.update({"d_list": d_list, "eps_list": eps_list, "source": args.source})
-    if args.mode == "wt":
-        trace = tract.wt_ratio_trace(d_list, eps_list, model, args.source, args.tol)
-    elif args.mode == "st":
-        config.update({"s": args.s, "t": args.t})
-        trace = tract.st_ratio_trace(
-            args.s, args.t, d_list, eps_list, model, args.source, args.tol
-        )
-    else:
-        raise ConfigError(f"unknown tract mode {args.mode!r}")
-    rows = [
-        [r["d"], r["epsilon"], r["n"], r["ratio"], r["mode"], r["source"]]
-        for r in trace.rows()
-    ]
-    if args.format == "json":
-        _emit_json(args, config, trace.rows())
-    else:
-        _emit_csv(args, config, ["d", "epsilon", "n", "ratio", "mode", "source"], rows)
+    d_list = _parse_list(args.d_list, int, "--d-list")
+    eps_list = _parse_list(args.eps_list, float, "--eps-list")
+    source = "bound" if args.source is None else args.source
+    config.update({"d_list": d_list, "eps_list": eps_list, "source": source})
+    s = 1.0 if args.s is None else args.s
+    t = 1.0 if args.t is None else args.t
+    if args.mode == "st":
+        config.update({"s": s, "t": t})
+    trace = tract.st_ratio_trace(s, t, d_list, eps_list, model, source, args.tol)
+    header = None if args.format == "json" else ["d", "epsilon", "n", "ratio", "mode", "source"]
+    _emit(args, config, trace.rows(), header)
 
 
-def _cmd_integrate(args) -> None:
-    if args.poly is None or args.rule is None:
-        raise ConfigError("--poly and --rule are required")
+def _cmd_integrate(args, model: WeightModel | None, config: dict) -> None:
     try:
         poly = qmc.FourierPolynomial.from_dict(_load_json(args.poly))
         rule_data = _load_json(args.rule)
@@ -283,6 +222,7 @@ def _cmd_integrate(args) -> None:
             rule = LatticeRule.from_dict(rule_data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    config.update({"poly": poly.to_dict(), "rule": rule.to_dict()})
     q = qmc.qmc_apply(poly, rule)
     exact = poly.integral()
     err = qmc.exact_qmc_error(poly, rule)
@@ -295,131 +235,125 @@ def _cmd_integrate(args) -> None:
         "error_im": err.imag,
         "error_abs": abs(err),
     }
-    config = {
-        "command": "integrate",
-        "poly": poly.to_dict(),
-        "rule": rule.to_dict(),
-        "tol": args.tol,
-    }
-    if args.model is not None:
-        model = _load_model(args.model)
-        config["model"] = model.to_dict()
+    if model is not None:
         result["vs_wce"] = qmc.error_vs_wce(poly, rule, model, args.tol)
-    _emit_json(args, config, result)
+    _emit(args, config, result)
 
 
-def _cmd_convergence(args) -> None:
-    from .lattice import is_prime
-
-    model = _load_model(args.model)
-    if args.d is None:
-        raise ConfigError("--d is required")
+def _cmd_convergence(args, model: WeightModel, config: dict) -> None:
     if args.primes is not None:
-        primes = _parse_int_list(args.primes, "--primes")
+        primes = _parse_list(args.primes, int, "--primes")
         bad = [p for p in primes if not is_prime(p)]
         if bad:
             raise ConfigError(f"values {bad} are not prime")
-    elif args.primes_up_to is not None:
+    else:
         primes = [p for p in range(2, args.primes_up_to + 1) if is_prime(p)]
-    else:
-        raise ConfigError("provide --primes or --primes-up-to")
+    config.update({"d": args.d, "primes": primes})
     rows = qmc.convergence_study(args.d, model, primes, args.tol)
-    config = {
-        "command": "convergence",
-        "model": model.to_dict(),
-        "d": args.d,
-        "primes": primes,
-        "tol": args.tol,
-    }
-    table = [[r["n"], r["e"], r["n_e"], r["n2_e"], r["n4_e"], r["bound"]] for r in rows]
-    if args.format == "json":
-        _emit_json(args, config, rows)
-    else:
-        _emit_csv(args, config, ["n", "e", "n_e", "n2_e", "n4_e", "bound"], table)
+    header = None if args.format == "json" else ["n", "e", "n_e", "n2_e", "n4_e", "bound"]
+    _emit(args, config, rows, header)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are configuration errors: one JSON object, exit 2."""
+
+    def error(self, message: str):
+        sys.exit(_fail(EXIT_CONFIG, "config", f"{self.prog}: {message}"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="korobov",
         description="Lattice rules for integration of analytic periodic functions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", help="path to a weight-model JSON file")
+    def add(name: str, fn, summary: str, model: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--model", required=model, help="path to a weight-model JSON file")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("wce", help="worst-case error of one rule")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--g", help="comma-separated generating vector")
-    p.add_argument("--g-scalar", type=int, dest="g_scalar")
-    p.add_argument("--d", type=int)
+    p = add("wce", _cmd_wce, "worst-case error of one rule")
+    p.add_argument("--n", type=int, required=True)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--g", help="comma-separated generating vector")
+    g.add_argument("--g-scalar", type=int, dest="g_scalar", help="Korobov parameter; needs --d")
+    p.add_argument("--d", type=int, help="dimension of --g-scalar")
     p.add_argument("--lambda", type=float, default=1.0, dest="lam")
     p.add_argument(
         "--method",
         default="theta_product",
         choices=("theta_product", "dual_enum", "kernel_double_sum"),
     )
-    p.set_defaults(fn=_cmd_wce)
 
-    p = sub.add_parser("search", help="exhaustive generating-vector search")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    p = add("search", _cmd_search, "exhaustive generating-vector search")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("bound", help="existence bound on the minimal error")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
+    p = add("bound", _cmd_bound, "existence bound on the minimal error")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", type=float, default=None, dest="lam")
     p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
-    p.set_defaults(fn=_cmd_bound)
 
-    p = sub.add_parser("nofe", help="information-complexity bound and empirical value")
-    common(p)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--d", type=int)
+    p = add("nofe", _cmd_nofe, "information-complexity bound and empirical value")
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--d", type=int, required=True)
     p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
-    p.set_defaults(fn=_cmd_nofe)
 
-    p = sub.add_parser("tract", help="tractability traces and classification")
-    common(p)
-    # traces are CSV by default; the alg report is always JSON
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    # mode-specific flags default to None so that _check_combinations can
+    # tell a given flag from an absent one; _cmd_tract fills in the defaults
+    p = add("tract", _cmd_tract, "tractability traces and classification")
     p.add_argument("--mode", choices=("wt", "st", "alg"), default="wt")
-    p.add_argument("--d-list", dest="d_list")
-    p.add_argument("--eps-list", dest="eps_list")
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--source", choices=("bound", "empirical"), default="bound")
-    p.add_argument("--d-max", type=int, default=1024, dest="d_max")
-    p.set_defaults(fn=_cmd_tract)
+    p.add_argument("--format", choices=("json", "csv"), help="wt/st (default csv)")
+    p.add_argument("--d-list", dest="d_list", help="wt/st, required")
+    p.add_argument("--eps-list", dest="eps_list", help="wt/st, required")
+    p.add_argument("--source", choices=("bound", "empirical"), help="wt/st (default bound)")
+    p.add_argument("--s", type=float, help="st (default 1)")
+    p.add_argument("--t", type=float, help="st (default 1)")
+    p.add_argument("--d-max", type=int, dest="d_max", help="alg (default 1024)")
 
-    p = sub.add_parser("integrate", help="apply a rule to a Fourier polynomial")
-    common(p)
-    p.add_argument("--poly", help="path to a polynomial JSON file")
-    p.add_argument("--rule", help="path to a rule JSON file")
-    p.set_defaults(fn=_cmd_integrate)
+    p = add("integrate", _cmd_integrate, "apply a rule to a Fourier polynomial", model=False)
+    p.add_argument("--poly", required=True, help="path to a polynomial JSON file")
+    p.add_argument("--rule", required=True, help="path to a rule JSON file")
 
-    p = sub.add_parser("convergence", help="error decay along ascending primes")
-    common(p)
+    p = add("convergence", _cmd_convergence, "error decay along ascending primes")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--d", type=int)
-    p.add_argument("--primes", help="explicit comma-separated prime list")
-    p.add_argument("--primes-up-to", type=int, dest="primes_up_to")
-    p.set_defaults(fn=_cmd_convergence)
+    p.add_argument("--d", type=int, required=True)
+    primes = p.add_mutually_exclusive_group(required=True)
+    primes.add_argument("--primes", help="explicit comma-separated prime list")
+    primes.add_argument("--primes-up-to", type=int, dest="primes_up_to")
 
     return parser
+
+
+def _check_combinations(parser: argparse.ArgumentParser, args) -> None:
+    """Reject the flag combinations that argparse cannot declare."""
+    if args.command == "wce":
+        if (args.g is None) == (args.d is None):
+            parser.error("wce --d goes with --g-scalar (required there) and not with --g")
+        if args.method == "kernel_double_sum" and args.lam != 1.0:
+            parser.error("wce --method kernel_double_sum evaluates lambda = 1 only")
+    elif args.command == "tract":
+        unread = [
+            f"--{name.replace('_', '-')}"
+            for name, modes in _TRACT_FLAG_MODES.items()
+            if args.mode not in modes and getattr(args, name) is not None
+        ]
+        if unread:
+            parser.error(f"tract --mode {args.mode} does not read {', '.join(unread)}")
+        if args.mode != "alg" and (args.d_list is None or args.eps_list is None):
+            parser.error(f"tract --mode {args.mode} requires --d-list and --eps-list")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -428,12 +362,17 @@ def _fail(code: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _check_combinations(parser, args)
+    config = {"command": args.command, "tol": args.tol}
+    model = None
     try:
-        args.fn(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except (ValueError, KeyError, TypeError) as exc:
+        if args.model is not None:
+            model = _load_model(args.model)
+            config["model"] = model.to_dict()
+        args.fn(args, model, config)
+    except (ValueError, KeyError, TypeError) as exc:  # ConfigError included
         return _fail(EXIT_CONFIG, "config", str(exc))
     except (CapExceededError, OracleInfeasibleError) as exc:
         return _fail(EXIT_CAP, "cap_exceeded", str(exc))

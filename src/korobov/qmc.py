@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import error_bound_min
 from .lattice import LatticeRule
+from .search import search_korobov
 from .space import DEFAULT_TOL, WeightModel, rho
-from .wce import dominant_dual_frequency, wce2_theta_product
+from .wce import dominant_dual_frequency, dual_enum_work_estimate, wce2_dual_enum, wce2_theta_product
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class FourierPolynomial:
     real_symmetric: bool = False
 
     @classmethod
-    def from_terms(cls, terms: dict, d: int | None = None, real_symmetric: bool = False):
+    def from_terms(cls, terms: dict, real_symmetric: bool = False):
         items = []
         for h, c in terms.items():
             h = tuple(int(v) for v in h)
@@ -43,11 +45,8 @@ class FourierPolynomial:
         dims = {len(h) for h, _ in items}
         if len(dims) != 1:
             raise ValueError("all frequency vectors must share one dimension")
-        dim = dims.pop()
-        if d is not None and d != dim:
-            raise ValueError(f"declared dimension {d} does not match terms ({dim})")
         items.sort(key=lambda pair: pair[0])
-        poly = cls(terms=tuple(items), d=dim, real_symmetric=real_symmetric)
+        poly = cls(terms=tuple(items), d=dims.pop(), real_symmetric=real_symmetric)
         if real_symmetric:
             lookup = dict(poly.terms)
             for h, c in poly.terms:
@@ -177,17 +176,16 @@ def random_sparse(
     model: WeightModel,
     n_terms: int,
     rng: np.random.Generator,
-    max_abs: int = 6,
     real_symmetric: bool = True,
 ) -> FourierPolynomial:
-    """Random sparse polynomial with frequencies in a small box, unit norm.
+    """Random sparse polynomial with frequencies in [-6, 6]^d, unit norm.
 
     With ``real_symmetric`` the drawn terms are mirrored so the function is
     real-valued.  The draw is fully determined by the generator state.
     """
     terms: dict[tuple[int, ...], complex] = {}
     for _ in range(n_terms):
-        h = tuple(int(v) for v in rng.integers(-max_abs, max_abs + 1, size=d))
+        h = tuple(int(v) for v in rng.integers(-6, 7, size=d))
         c = complex(rng.normal(), rng.normal())
         if real_symmetric:
             neg = tuple(-v for v in h)
@@ -234,10 +232,6 @@ def convergence_study(
     every dual point leaves the truncation region, with the certificate
     still reported in the estimate).
     """
-    from .bounds import error_bound_min
-    from .search import search_korobov
-    from .wce import dual_enum_work_estimate, wce2_dual_enum
-
     primes = list(primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise ValueError("primes must be strictly ascending")

@@ -163,11 +163,10 @@ def mean_pow_error(
     model: WeightModel,
     tol: float = DEFAULT_TOL,
     family: str = "korobov",
-    threads: int = 1,
 ) -> float:
     """Exact empirical mean over the family of the lambda-scaled dual sums.
 
     The averaged quantity is the dual-lattice sum at weights lam * a_j (the
     Jensen majorant of e^(2*lam)), not (e^2)**lam.
     """
-    return float(np.mean(family_errors(n, d, model, lam, tol, family, threads)[0]))
+    return float(np.mean(family_errors(n, d, model, lam, tol, family, 1)[0]))

@@ -271,7 +271,7 @@ def series_tail_bound(c: float, b: float, horizon: int) -> float:
         return _tail_bound_b_ge1(c, b, horizon)
     return _tail_bound_b_lt1(c, b, horizon)
 
-def truncation_horizon(c: float, b: float, tol: float, cap: int = SUM_TERM_CAP) -> tuple[int, float]:
+def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
     """Smallest practical horizon H with a certified tail below ``tol``.
 
     Returns ``(H, tail_bound)``.  Raises :class:`SummationCapError` when no
@@ -286,9 +286,9 @@ def truncation_horizon(c: float, b: float, tol: float, cap: int = SUM_TERM_CAP) 
         else:
             horizon = math.ceil((math.log(1.0 / target) / c) ** (1.0 / b))
             horizon = max(horizon, 1)
-        if horizon > cap:
+        if horizon > SUM_TERM_CAP:
             raise SummationCapError(
-                f"series needs more than {cap} terms to certify tail < {tol}"
+                f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
             )
         return horizon, series_tail_bound(c, b, horizon)
     horizon = 16
@@ -296,11 +296,11 @@ def truncation_horizon(c: float, b: float, tol: float, cap: int = SUM_TERM_CAP) 
         bound = series_tail_bound(c, b, horizon)
         if bound <= tol:
             return horizon, bound
-        if horizon >= cap:
+        if horizon >= SUM_TERM_CAP:
             raise SummationCapError(
-                f"series needs more than {cap} terms to certify tail < {tol}"
+                f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
             )
-        horizon = min(horizon * 2, cap)
+        horizon = min(horizon * 2, SUM_TERM_CAP)
 
 
 def theta_terms(

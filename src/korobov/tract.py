@@ -63,14 +63,14 @@ class TractTrace:
         ]
 
 
-def _log_n_value(eps: float, d: int, model: WeightModel, source: str, variant: str, tol: float, n_cap: int) -> tuple[float, float]:
+def _log_n_value(eps: float, d: int, model: WeightModel, source: str, tol: float) -> tuple[float, float]:
     """(log N, N) for one grid cell; N is the inf sentinel past 2**62."""
     if source == "bound":
-        log_n = log_info_complexity_bound(eps, d, model, variant, tol)[0]
+        log_n = log_info_complexity_bound(eps, d, model, "korobov", tol)[0]
         n_val = math.inf if log_n > _OVERFLOW_LOG else float(math.ceil(math.exp(log_n)))
         return log_n, n_val
     if source == "empirical":
-        n_val = empirical_info_complexity(eps, d, model, tol, n_cap)
+        n_val = empirical_info_complexity(eps, d, model, tol)
         return math.log(n_val), float(n_val)
     raise ValueError(f"source must be 'bound' or 'empirical', got {source!r}")
 
@@ -83,8 +83,6 @@ def st_ratio_trace(
     model: WeightModel,
     source: str = "bound",
     tol: float = DEFAULT_TOL,
-    variant: str = "korobov",
-    n_cap: int = 100_000,
 ) -> TractTrace:
     """Ratios log N / (d**s + log(1/eps)**t) over the (d, eps) grid.
 
@@ -103,7 +101,7 @@ def st_ratio_trace(
         for eps in sorted(set(float(v) for v in eps_list)):
             if not (0.0 < eps < 1.0):
                 raise ValueError(f"eps must lie in (0, 1), got {eps}")
-            log_n, n_val = _log_n_value(eps, d, model, source, variant, tol, n_cap)
+            log_n, n_val = _log_n_value(eps, d, model, source, tol)
             denom = float(d) ** s + math.log(1.0 / eps) ** t
             records.append(
                 TraceRecord(d=d, epsilon=eps, n_value=n_val, ratio=log_n / denom)
@@ -118,11 +116,9 @@ def wt_ratio_trace(
     model: WeightModel,
     source: str = "bound",
     tol: float = DEFAULT_TOL,
-    variant: str = "korobov",
-    n_cap: int = 100_000,
 ) -> TractTrace:
     """Weak-tractability ratios log N / (d + log(1/eps))."""
-    return st_ratio_trace(1.0, 1.0, d_list, eps_list, model, source, tol, variant, n_cap)
+    return st_ratio_trace(1.0, 1.0, d_list, eps_list, model, source, tol)
 
 
 def _a_log_limit(model: WeightModel) -> float:

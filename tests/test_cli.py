@@ -1,11 +1,27 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from korobov import LatticeRule, qmc_apply, FourierPolynomial, search_korobov, wce2_theta_product
+from korobov import (
+    KorobovParam,
+    a_lambda,
+    candidate_errors,
+    error_bound,
+    exact_qmc_error,
+    korobov_vector,
+    product_bound,
+    st_ratio_trace,
+    wce2_dual_enum,
+    wce2_kernel_double_sum,
+)
+from korobov import cli
 from korobov.cli import main
+from korobov.qmc import convergence_study
 
 from conftest import make_model
 
@@ -207,3 +223,182 @@ def test_console_entry_point(model_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "korobov/2"
+
+
+# ---------------------------------------------------------------------------
+# CLI paths checked against the matching library call
+# ---------------------------------------------------------------------------
+
+LINEAR = make_model(a=("linear", 1.0))
+
+
+def read_csv_rows(path):
+    lines = path.read_text().splitlines()
+    return lines[2].split(","), [line.split(",") for line in lines[3:]]
+
+
+@pytest.mark.parametrize(
+    "method, fn",
+    [("dual_enum", wce2_dual_enum), ("kernel_double_sum", wce2_kernel_double_sum)],
+)
+def test_wce_methods_match_library(model_path, tmp_path, method, fn):
+    out = tmp_path / "wce.json"
+    argv = ["wce", "--model", model_path, "--n", "13", "--g", "1,5", "--method", method, "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["method"] == method
+    assert payload["result"] == {"n": 13, "g": [1, 5], **fn(LatticeRule(13, (1, 5)), LINEAR).to_dict()}
+
+
+def test_bound_fixed_lambda_matches_library(model_path, tmp_path):
+    out = tmp_path / "bound.json"
+    argv = ["bound", "--model", model_path, "--n", "13", "--d", "2", "--lambda", "0.5", "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["lambda"] == 0.5
+    assert payload["result"] == {
+        "lambda": 0.5,
+        "a_lambda": a_lambda(0.5, LINEAR),
+        "product_term": product_bound(2, 0.5, LINEAR),
+        "bound_value": error_bound(13, 2, 0.5, LINEAR, "korobov"),
+        "variant": "korobov",
+    }
+
+
+def test_tract_st_csv_matches_library(model_path, tmp_path):
+    out = tmp_path / "st.csv"
+    argv = ["tract", "--model", model_path, "--mode", "st", "--s", "2",
+            "--d-list", "4,8", "--eps-list", "1e-3,0.1", "--out", str(out)]
+    assert run_cli(argv) == 0
+    header, rows = read_csv_rows(out)
+    assert header == ["d", "epsilon", "n", "ratio", "mode", "source"]
+    expected = st_ratio_trace(2.0, 1.0, [4, 8], [1e-3, 0.1], LINEAR, "bound").rows()
+    assert len(rows) == len(expected) == 4
+    for row, rec in zip(rows, expected):
+        assert (int(row[0]), float(row[1]), float(row[2]), float(row[3])) == (
+            rec["d"], rec["epsilon"], rec["n"], rec["ratio"]
+        )
+        # the mode label is written unquoted, so its comma splits the cell
+        assert ",".join(row[4:]) == "exp_st_wt(s=2,t=1),bound"
+
+
+def test_tract_json_matches_library(model_path, tmp_path):
+    out = tmp_path / "wt.json"
+    argv = ["tract", "--model", model_path, "--mode", "wt", "--format", "json",
+            "--d-list", "1,2", "--eps-list", "0.5,0.3", "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["d_list"] == [1, 2]
+    assert payload["result"] == st_ratio_trace(1.0, 1.0, [1, 2], [0.5, 0.3], LINEAR).rows()
+
+
+def test_convergence_explicit_primes_json(model_path, tmp_path):
+    out = tmp_path / "conv.json"
+    argv = ["convergence", "--model", model_path, "--d", "2", "--primes", "5,7,11",
+            "--format", "json", "--out", str(out)]
+    assert run_cli(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["primes"] == [5, 7, 11]
+    assert payload["result"] == convergence_study(2, LINEAR, [5, 7, 11])
+
+
+def test_convergence_rejects_non_prime(model_path, capsys):
+    code = run_cli(["convergence", "--model", model_path, "--d", "2", "--primes", "5,9,11"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "config"
+    assert "[9]" in err["message"]
+
+
+def test_integrate_korobov_scalar_rule(model_path, tmp_path):
+    poly = {"terms": [{"h": [1, 5], "re": 0.25, "im": 0.0}, {"h": [0, 0], "re": 1.0, "im": 0.0}]}
+    pp, rp = tmp_path / "poly.json", tmp_path / "rule.json"
+    pp.write_text(json.dumps(poly))
+    rp.write_text(json.dumps({"n": 13, "g_scalar": 5, "d": 2}))
+    out = tmp_path / "int.json"
+    assert run_cli(["integrate", "--poly", str(pp), "--rule", str(rp), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    rule = korobov_vector(KorobovParam(n=13, g=5, d=2))
+    assert payload["config"]["rule"] == rule.to_dict() == {"n": 13, "g": [1, 5]}
+    assert "model" not in payload["config"]
+    f = FourierPolynomial.from_dict(poly)
+    assert payload["result"]["q_re"] == qmc_apply(f, rule).real
+    # h = (1, 5) lies in the dual lattice (1 + 25 = 26 = 0 mod 13): its
+    # coefficient is the whole error
+    assert payload["result"]["error_abs"] == abs(exact_qmc_error(f, rule)) == 0.25
+
+
+def test_search_general_csv_labels(model_path, tmp_path):
+    out = tmp_path / "general.csv"
+    argv = ["search", "--model", model_path, "--n", "5", "--d", "2", "--variant", "general",
+            "--format", "csv", "--out", str(out)]
+    assert run_cli(argv) == 0
+    header, rows = read_csv_rows(out)
+    assert header == ["g", "e2", "trunc_bound"]
+    e2, bound = candidate_errors(5, 2, LINEAR, family="general")
+    assert [row[0] for row in rows] == [f"{a};{b}" for a in range(5) for b in range(5)]
+    assert [float(row[1]) for row in rows] == e2.tolist()
+    assert {float(row[2]) for row in rows} == {bound}
+
+
+# ---------------------------------------------------------------------------
+# The parser's contract: flags that would be ignored, missing or unknown
+# flags and bad choices all exit 2 with one JSON config error
+# ---------------------------------------------------------------------------
+
+TRACE = ["--d-list", "4", "--eps-list", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["tract", "--mode", "alg", "--format", "csv"], id="tract-alg-format"),
+        pytest.param(["tract", "--mode", "alg", "--d-list", "4"], id="tract-alg-d-list"),
+        pytest.param(["tract", "--mode", "alg", "--eps-list", "0.1"], id="tract-alg-eps-list"),
+        pytest.param(["tract", "--mode", "alg", "--s", "2"], id="tract-alg-s"),
+        pytest.param(["tract", "--mode", "alg", "--t", "2"], id="tract-alg-t"),
+        pytest.param(["tract", "--mode", "alg", "--source", "empirical"], id="tract-alg-source"),
+        pytest.param(["tract", "--mode", "wt", "--s", "2", *TRACE], id="tract-wt-s"),
+        pytest.param(["tract", "--mode", "wt", "--t", "2", *TRACE], id="tract-wt-t"),
+        pytest.param(["tract", "--mode", "wt", "--d-max", "64", *TRACE], id="tract-wt-d-max"),
+        pytest.param(["tract", "--mode", "st", "--d-max", "64", *TRACE], id="tract-st-d-max"),
+        pytest.param(["wce", "--n", "13", "--g", "1,5", "--d", "2"], id="wce-g-with-d"),
+        pytest.param(
+            ["wce", "--n", "13", "--g", "1,5", "--method", "kernel_double_sum", "--lambda", "0.5"],
+            id="wce-kernel-lambda",
+        ),
+        pytest.param(["wce", "--n", "13", "--g", "1,5", "--g-scalar", "5", "--d", "2"], id="wce-g-and-g-scalar"),
+        pytest.param(
+            ["convergence", "--d", "1", "--primes", "5,7", "--primes-up-to", "23"],
+            id="convergence-primes-and-up-to",
+        ),
+        pytest.param(["wce", "--n", "13", "--g-scalar", "5"], id="wce-g-scalar-without-d"),
+        pytest.param(["tract", "--mode", "st", "--d-list", "4"], id="tract-st-without-eps-list"),
+        pytest.param(["search", "--n", "13"], id="search-missing-d"),
+        pytest.param(["search", "--n", "13", "--d", "2", "--frobnicate", "1"], id="search-unknown-flag"),
+        pytest.param(["convergence", "--d", "1", "--primes", "5", "--format", "xml"], id="convergence-bad-format"),
+    ],
+)
+def test_rejected_flags_exit_two_with_json(model_path, argv, capsys):
+    try:
+        code = main([argv[0], "--model", model_path, *argv[1:]])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "config"
+
+
+def test_readme_command_lines_parse():
+    """Every ``korobov ...`` line of README's Command line block is valid."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("korobov ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line.replace("[", " ").replace("]", " "))[1:]
+        parser = cli._build_parser()
+        args = parser.parse_args(argv)
+        cli._check_combinations(parser, args)
