@@ -41,9 +41,9 @@ for rec in trace_c.records:
     print(f"  d={rec.d:3d}  ratio={rec.ratio:.4f}")
 
 # Empirical information complexity (smallest feasible prime) sits below the
-# closed-form bound.
-for eps in (0.5, 0.2):
-    n_emp = empirical_info_complexity(eps, 2, growing)
+# closed-form bound.  One ascending scan over the primes answers both eps.
+eps_list = [0.5, 0.2]
+for eps, n_emp in zip(eps_list, empirical_info_complexity(eps_list, 2, growing)):
     n_bnd, lam = info_complexity_bound(eps, 2, growing, "korobov")
     print(f"\neps={eps}: empirical N = {n_emp}, bound = {n_bnd} (lambda* = {lam:.4f})")
 

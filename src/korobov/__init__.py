@@ -42,7 +42,7 @@ from .qmc import (
     qmc_apply,
     random_sparse,
 )
-from .search import SearchResult, candidate_errors, mean_pow_error, search_general, search_korobov
+from .search import SearchResult, mean_pow_error, search_general, search_korobov
 from .space import (
     DEFAULT_TOL,
     WeightFamily,
@@ -82,7 +82,6 @@ __all__ = [
     "WeightModel",
     "a_lambda",
     "alg_classify",
-    "candidate_errors",
     "convergence_study",
     "dominant_dual_frequency",
     "dual_enum_work_estimate",

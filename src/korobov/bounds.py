@@ -13,7 +13,8 @@ Bertrand's postulate, the information-complexity bound
 
 with c_d = 1 (general) or c_d = d (Korobov).  All products are evaluated in
 log space; values beyond 2**62 come back as a float('inf') sentinel instead
-of saturating silently.
+of saturating silently.  The empirical information complexity walks the
+primes once for a whole list of eps, so a trace scans once per (model, d).
 """
 
 from __future__ import annotations
@@ -40,6 +41,18 @@ VARIANTS = ("general", "korobov")
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
+def _check_eps(eps: float) -> None:
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
+def _exp_or_inf(log_val: float, count: bool = False) -> float:
+    """exp(log_val), rounded up for counts; the float('inf') sentinel past 2**62."""
+    if log_val > _OVERFLOW_LOG:
+        return math.inf
+    return math.ceil(math.exp(log_val)) if count else math.exp(log_val)
 
 
 @dataclass(frozen=True)
@@ -73,8 +86,7 @@ def log_product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAU
 
 def product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """prod_{j<=d} (1 + 2*A_lam*omega**(lam*a_j)); inf sentinel on overflow."""
-    log_val = log_product_bound(d, lam, model, tol)
-    return math.inf if log_val > _OVERFLOW_LOG else math.exp(log_val)
+    return _exp_or_inf(log_product_bound(d, lam, model, tol))
 
 
 def error_bound(
@@ -93,9 +105,33 @@ def error_bound(
     (1), whose error equals the general minimum by scalar invariance).
     """
     _check_variant(variant)
+    return _error_bound(n, d, lam, variant, log_product_bound(d, lam, model, tol))
+
+
+def _error_bound(n: int, d: int, lam: float, variant: str, log_product: float) -> float:
     c = 1.0 if variant == "general" or d == 1 else float(d - 1)
-    log_val = (math.log(c / n) + log_product_bound(d, lam, model, tol)) / (2.0 * lam)
+    log_val = (math.log(c / n) + log_product) / (2.0 * lam)
     return math.inf if log_val > 700.0 else math.exp(log_val)
+
+
+def bound_report(
+    n: int,
+    d: int,
+    lam: float,
+    model: WeightModel,
+    variant: str = "korobov",
+    tol: float = DEFAULT_TOL,
+) -> BoundReport:
+    """The existence bound at one lambda, with A_lam and the product term."""
+    _check_variant(variant)
+    log_product = log_product_bound(d, lam, model, tol)
+    return BoundReport(
+        lam=lam,
+        a_lam=a_lambda(lam, model, tol),
+        product_term=_exp_or_inf(log_product),
+        bound_value=_error_bound(n, d, lam, variant, log_product),
+        variant=variant,
+    )
 
 
 def _minimize_lambda(fn):
@@ -145,21 +181,19 @@ def error_bound_min(
     variant: str = "korobov",
     tol: float = DEFAULT_TOL,
 ) -> BoundReport:
-    """Smallest error bound over the lambda grid, with its lambda."""
-    _check_variant(variant)
+    """Smallest error bound over the lambda grid, reported at its lambda."""
     value, lam = _minimize_lambda(lambda l: error_bound(n, d, l, model, variant, tol))
     if math.isfinite(value):
-        a_lam = a_lambda(lam, model, tol)
-        product = product_bound(d, lam, model, tol)
-    else:
-        a_lam = math.inf
-        product = math.inf
+        return bound_report(n, d, lam, model, variant, tol)
     return BoundReport(
-        lam=lam, a_lam=a_lam, product_term=product, bound_value=value, variant=variant
+        lam=lam, a_lam=math.inf, product_term=math.inf, bound_value=value, variant=variant
     )
 
 
 def _log_m(eps: float, d: int, lam: float, model: WeightModel, variant: str, tol: float) -> float:
+    """log of c_d * eps**(-2*lam) * product term, after the input checks."""
+    _check_eps(eps)
+    _check_variant(variant)
     c_d = 1.0 if variant == "general" else float(d)
     return (
         math.log(c_d)
@@ -182,13 +216,7 @@ def m_lambda(
     postulate) admits a rule with error <= eps.  Returns a float('inf')
     sentinel when the value would exceed 2**62.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    _check_variant(variant)
-    log_m = _log_m(eps, d, lam, model, variant, tol)
-    if log_m > _OVERFLOW_LOG:
-        return math.inf
-    return math.ceil(math.exp(log_m))
+    return _exp_or_inf(_log_m(eps, d, lam, model, variant, tol), count=True)
 
 
 def log_info_complexity_bound(
@@ -203,9 +231,6 @@ def log_info_complexity_bound(
     Stays finite where the exponentiated count would overflow the 2**62
     sentinel threshold; ratio diagnostics are computed from this form.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    _check_variant(variant)
 
     def log_bound(lam: float) -> float:
         return math.log(4.0) + _log_m(eps, d, lam, model, variant, tol)
@@ -226,9 +251,7 @@ def info_complexity_bound(
     float('inf') sentinel when it would exceed 2**62.
     """
     log_val, lam = log_info_complexity_bound(eps, d, model, variant, tol)
-    if log_val > _OVERFLOW_LOG:
-        return math.inf, lam
-    return math.ceil(math.exp(log_val)), lam
+    return _exp_or_inf(log_val, count=True), lam
 
 
 def info_complexity_bound_expform(
@@ -244,34 +267,39 @@ def info_complexity_bound_expform(
     always dominates the product-form bound at the same lambda (general
     variant); useful for growth-rate classification.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _check_eps(eps)
     a_lam = a_lambda(lam, model, tol)
     s = math.fsum(model.omega ** (lam * model.a_j(j)) for j in range(1, d + 1))
-    log_val = math.log(4.0) + 2.0 * lam * math.log(1.0 / eps) + 2.0 * a_lam * s
-    return math.inf if log_val > _OVERFLOW_LOG else math.exp(log_val)
+    return _exp_or_inf(math.log(4.0) + 2.0 * lam * math.log(1.0 / eps) + 2.0 * a_lam * s)
 
 
 def empirical_info_complexity(
-    eps: float,
+    eps_list: list[float],
     d: int,
     model: WeightModel,
     tol: float = DEFAULT_TOL,
     n_cap: int = 100_000,
-) -> int:
-    """Smallest prime N whose best Korobov rule reaches error <= eps.
+) -> list[int]:
+    """Smallest prime N whose best Korobov rule reaches error <= eps, for
+    each eps of ``eps_list`` in input order.
 
-    Scans primes in increasing order so the returned modulus is the true
-    minimum over all primes below the first feasible one (the error is not
+    One scan over the primes in increasing order answers every eps, and
+    searches each prime at most once.  The returned moduli are the true
+    minima over all primes below the first feasible ones (the error is not
     guaranteed monotone along primes, which rules out plain bisection).
-    The restriction to Korobov rules makes this an upper bound on the true
+    The restriction to Korobov rules makes each an upper bound on the true
     information complexity.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    for eps in eps_list:
+        _check_eps(eps)
+    pending = sorted(set(eps_list))
+    found: dict[float, int] = {}
     n = 2
-    while n <= n_cap:
-        if search_korobov(n, d, model, tol).best_e2.e <= eps:
-            return n
+    while pending:
+        if n > n_cap:
+            raise CapExceededError(f"no feasible prime modulus below the cap {n_cap}")
+        e = search_korobov(n, d, model, tol).best_e2.e
+        while pending and e <= pending[-1]:
+            found[pending.pop()] = n
         n = next_prime(n + 1)
-    raise CapExceededError(f"no feasible prime modulus below the cap {n_cap}")
+    return [found[eps] for eps in eps_list]

@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: wce, search, bound, nofe, tract, integrate, convergence.
-Every subcommand takes --model, --tol and --out; ``search`` also takes
+Every subcommand takes --model, --tol and --out (``integrate`` reads --tol
+only with --model, which it makes optional); ``search`` also takes
 --threads, and ``search``, ``tract`` and ``convergence`` take --format
 (json or csv; the others always write JSON).  Outputs are written
 atomically (temp file + rename) and embed the resolved configuration plus a
@@ -23,6 +24,8 @@ as one JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -33,7 +36,7 @@ import numpy as np
 from . import bounds, qmc, search, tract, wce
 from .errors import CapExceededError, OracleInfeasibleError, SummationCapError
 from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
-from .space import DEFAULT_TOL, WeightModel, a_lambda
+from .space import DEFAULT_TOL, WeightModel
 
 SCHEMA = "korobov/2"
 
@@ -97,19 +100,18 @@ def _atomic_write(path: str | None, text: str) -> None:
 
 def _emit(args, config: dict, result, header: list[str] | None = None) -> None:
     """Write the JSON payload, or, given a ``header``, ``result`` (a list of
-    dicts keyed by the header's columns) as CSV."""
+    dicts keyed by the header's columns) as CSV.  Only CSV cells that hold
+    a comma, a quote or a line break are quoted."""
     if header is None:
         payload = {"schema": SCHEMA, "config": config, "result": result}
-        text = json.dumps(payload, sort_keys=True, indent=2)
-    else:
-        lines = [
-            f"# schema: {SCHEMA}",
-            f"# config: {json.dumps(config, sort_keys=True)}",
-            ",".join(header),
-        ]
-        lines.extend(",".join(_fmt(row[col]) for col in header) for row in result)
-        text = "\n".join(lines)
-    _atomic_write(args.out, text + "\n")
+        _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return
+    text = io.StringIO()
+    text.write(f"# schema: {SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(row[col]) for col in header] for row in result)
+    _atomic_write(args.out, text.getvalue())
 
 
 def _parse_list(raw: str, kind: type, name: str) -> list:
@@ -141,10 +143,9 @@ def _cmd_wce(args, model: WeightModel, config: dict) -> None:
 def _cmd_search(args, model: WeightModel, config: dict) -> None:
     config.update({"n": args.n, "d": args.d, "variant": args.variant})
     if args.format == "csv":
-        e2, bound = search.candidate_errors(
-            args.n, args.d, model, args.tol, args.variant, args.threads
+        e2, bound = search.family_errors(
+            args.n, args.d, model, 1.0, args.tol, args.variant, args.threads
         )
-
         if args.variant == "korobov":
             labels = range(e2.size)
         else:
@@ -161,13 +162,7 @@ def _cmd_search(args, model: WeightModel, config: dict) -> None:
 def _cmd_bound(args, model: WeightModel, config: dict) -> None:
     config.update({"n": args.n, "d": args.d, "variant": args.variant, "lambda": args.lam})
     if args.lam is not None:
-        report = bounds.BoundReport(
-            lam=args.lam,
-            a_lam=a_lambda(args.lam, model, args.tol),
-            product_term=bounds.product_bound(args.d, args.lam, model, args.tol),
-            bound_value=bounds.error_bound(args.n, args.d, args.lam, model, args.variant, args.tol),
-            variant=args.variant,
-        )
+        report = bounds.bound_report(args.n, args.d, args.lam, model, args.variant, args.tol)
     else:
         report = bounds.error_bound_min(args.n, args.d, model, args.variant, args.tol)
     _emit(args, config, report.to_dict())
@@ -178,7 +173,7 @@ def _cmd_nofe(args, model: WeightModel, config: dict) -> None:
     n_bound, lam_star = bounds.info_complexity_bound(
         args.epsilon, args.d, model, args.variant, args.tol
     )
-    n_upper = bounds.empirical_info_complexity(args.epsilon, args.d, model, args.tol)
+    [n_upper] = bounds.empirical_info_complexity([args.epsilon], args.d, model, args.tol)
     result = {
         "epsilon": args.epsilon,
         "d": args.d,
@@ -275,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, fn, summary: str, model: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=model, help="path to a weight-model JSON file")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        # None where --model is optional: an absent --tol must show there
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL if model else None)
         p.add_argument("--out", help="output path (default: stdout)")
         p.set_defaults(fn=fn)
         return p
@@ -354,6 +350,8 @@ def _check_combinations(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"tract --mode {args.mode} does not read {', '.join(unread)}")
         if args.mode != "alg" and (args.d_list is None or args.eps_list is None):
             parser.error(f"tract --mode {args.mode} requires --d-list and --eps-list")
+    elif args.command == "integrate" and args.model is None and args.tol is not None:
+        parser.error("integrate --tol sets the tolerance of the vs_wce check and needs --model")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -365,6 +363,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _check_combinations(parser, args)
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
     config = {"command": args.command, "tol": args.tol}
     model = None
     try:

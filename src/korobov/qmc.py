@@ -176,39 +176,35 @@ def random_sparse(
     model: WeightModel,
     n_terms: int,
     rng: np.random.Generator,
-    real_symmetric: bool = True,
 ) -> FourierPolynomial:
-    """Random sparse polynomial with frequencies in [-6, 6]^d, unit norm.
+    """Random real sparse polynomial with frequencies in [-6, 6]^d, unit norm.
 
-    With ``real_symmetric`` the drawn terms are mirrored so the function is
+    The drawn terms are mirrored (conjugate-symmetric), so the function is
     real-valued.  The draw is fully determined by the generator state.
     """
     terms: dict[tuple[int, ...], complex] = {}
     for _ in range(n_terms):
         h = tuple(int(v) for v in rng.integers(-6, 7, size=d))
         c = complex(rng.normal(), rng.normal())
-        if real_symmetric:
-            neg = tuple(-v for v in h)
-            if all(v == 0 for v in h):
-                c = complex(c.real, 0.0)
-            terms[h] = terms.get(h, 0j) + c / 2.0
-            terms[neg] = terms.get(neg, 0j) + c.conjugate() / 2.0
-        else:
-            terms[h] = terms.get(h, 0j) + c
-    poly = FourierPolynomial.from_terms(terms, real_symmetric=real_symmetric)
+        neg = tuple(-v for v in h)
+        if all(v == 0 for v in h):
+            c = complex(c.real, 0.0)
+        terms[h] = terms.get(h, 0j) + c / 2.0
+        terms[neg] = terms.get(neg, 0j) + c.conjugate() / 2.0
+    poly = FourierPolynomial.from_terms(terms, real_symmetric=True)
     nrm = poly.norm(model)
     scaled = {h: c / nrm for h, c in poly.terms}
-    return FourierPolynomial.from_terms(scaled, real_symmetric=real_symmetric)
+    return FourierPolynomial.from_terms(scaled, real_symmetric=True)
 
 
-def dual_witness(rule: LatticeRule, model: WeightModel, tol: float = 1e-8) -> FourierPolynomial:
+def dual_witness(rule: LatticeRule, model: WeightModel) -> FourierPolynomial:
     """Unit-norm single-term polynomial at the heaviest dual frequency.
 
     Its realized quadrature error is sqrt(rho(h*)), the single largest
     contribution to the squared worst-case error, so it nearly saturates
-    the bound e(rule) * ||f||.
+    the bound e(rule) * ||f||.  h* is found at dual-sum tolerance 1e-8.
     """
-    h_star = dominant_dual_frequency(rule, model, tol)
+    h_star = dominant_dual_frequency(rule, model, 1e-8)
     coeff = math.sqrt(rho(h_star, model))
     return FourierPolynomial.from_terms({h_star: coeff})
 

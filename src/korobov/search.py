@@ -143,19 +143,6 @@ def search_general(
     )
 
 
-def candidate_errors(
-    n: int,
-    d: int,
-    model: WeightModel,
-    tol: float = DEFAULT_TOL,
-    family: str = "korobov",
-    threads: int = 1,
-) -> tuple[np.ndarray, float]:
-    """All candidate squared errors in enumeration order, with their shared
-    truncation bound.  Backs the per-candidate CSV export."""
-    return family_errors(n, d, model, 1.0, tol, family, threads)
-
-
 def mean_pow_error(
     n: int,
     d: int,

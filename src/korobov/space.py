@@ -341,20 +341,14 @@ def _product_bound(certs) -> float:
     )
 
 
-def theta(
-    t: float,
-    j: int,
-    model: WeightModel,
-    lam: float = 1.0,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def theta(t: float, j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """One-dimensional kernel factor at point difference ``t`` in [0, 1).
 
-    theta(t) = 1 + 2 * sum_{h >= 1} omega**(lam * a_j * h**b_j) * cos(2*pi*h*t),
+    theta(t) = 1 + 2 * sum_{h >= 1} omega**(a_j * h**b_j) * cos(2*pi*h*t),
     evaluated with absolute truncation error <= tol.  The series is even in
     h, so the value is real, maximal at t = 0, and symmetric about t = 1/2.
     """
-    w, _ = theta_terms(j, model, lam, tol)
+    w, _ = theta_terms(j, model, 1.0, tol)
     h = np.arange(1, w.size + 1, dtype=np.float64)
     return 1.0 + 2.0 * float(w @ np.cos((2.0 * math.pi * t) * h))
 
@@ -379,18 +373,16 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     return float(np.sum(np.exp(-c * (h**b - 1.0))))
 
 
-def rho(h, model: WeightModel, lam: float = 1.0) -> float:
-    """Fourier mass omega**(sum_j lam * a_j * |h_j|**b_j) of frequency h.
+def rho(h, model: WeightModel) -> float:
+    """Fourier mass omega**(sum_j a_j * |h_j|**b_j) of frequency h.
 
     Equals 1 for h = 0 and lies in (0, 1] always; even in each coordinate
     and multiplicative across coordinates.
     """
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     exponent = 0.0
     for idx, hj in enumerate(h):
         exponent += model.a_j(idx + 1) * abs(float(hj)) ** model.b_j(idx + 1)
-    return model.omega ** (lam * exponent)
+    return model.omega ** exponent
 
 
 def kernel_with_bound(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[float, float]:

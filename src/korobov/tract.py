@@ -3,11 +3,12 @@
 Weak-tractability evidence is collected as traces of
 log N(eps, d) / (d + log(1/eps)) over explicit (d, eps) grids, either from
 the closed-form information-complexity bound or from the empirical Korobov
-scan.  The (s, t) generalization replaces the denominator by
-d**s + (log(1/eps))**t.  The classifier reports the limit A of a_j / log j
-(symbolically, per weight family), the resulting bound on the eps-exponent
-of strong polynomial tractability, and a finite-range growth classification
-of the partial sums S_lam(d) = sum_{j<=d} omega**(lam * a_j).
+scan, which walks the primes once per d for the whole eps grid.  The (s, t)
+generalization replaces the denominator by d**s + (log(1/eps))**t.  The
+classifier reports the limit A of a_j / log j (symbolically, per weight
+family), the resulting bound on the eps-exponent of strong polynomial
+tractability, and a finite-range growth classification of the partial sums
+S_lam(d) = sum_{j<=d} omega**(lam * a_j).
 
 All asymptotic statements are recast as monotonicity checks on finite
 grids; the reports carry an explicit disclaimer that finite data cannot
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .bounds import (
-    _OVERFLOW_LOG,
     LAMBDA_GRID,
+    _exp_or_inf,
     empirical_info_complexity,
     log_info_complexity_bound,
 )
@@ -63,18 +64,6 @@ class TractTrace:
         ]
 
 
-def _log_n_value(eps: float, d: int, model: WeightModel, source: str, tol: float) -> tuple[float, float]:
-    """(log N, N) for one grid cell; N is the inf sentinel past 2**62."""
-    if source == "bound":
-        log_n = log_info_complexity_bound(eps, d, model, "korobov", tol)[0]
-        n_val = math.inf if log_n > _OVERFLOW_LOG else float(math.ceil(math.exp(log_n)))
-        return log_n, n_val
-    if source == "empirical":
-        n_val = empirical_info_complexity(eps, d, model, tol)
-        return math.log(n_val), float(n_val)
-    raise ValueError(f"source must be 'bound' or 'empirical', got {source!r}")
-
-
 def st_ratio_trace(
     s: float,
     t: float,
@@ -88,20 +77,28 @@ def st_ratio_trace(
 
     Requires t >= 1 (the eps-direction cannot be dampened below the first
     power without losing the bound).  s = t = 1 recovers the plain
-    weak-tractability ratio.
+    weak-tractability ratio.  The bound source reports N as the inf
+    sentinel past 2**62 and keeps its ratio finite; the empirical source
+    runs one prime scan per d for the whole eps grid.
     """
     if not (s > 0.0):
         raise ValueError(f"s must be positive, got {s}")
     if t < 1.0:
         raise ValueError(f"t must be >= 1, got {t}")
+    if source not in ("bound", "empirical"):
+        raise ValueError(f"source must be 'bound' or 'empirical', got {source!r}")
+    eps_grid = sorted(set(float(v) for v in eps_list))
     records = []
     for d in sorted(set(int(v) for v in d_list)):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
-        for eps in sorted(set(float(v) for v in eps_list)):
-            if not (0.0 < eps < 1.0):
-                raise ValueError(f"eps must lie in (0, 1), got {eps}")
-            log_n, n_val = _log_n_value(eps, d, model, source, tol)
+        if source == "bound":
+            log_ns = [log_info_complexity_bound(e, d, model, "korobov", tol)[0] for e in eps_grid]
+            n_vals = [float(_exp_or_inf(log_n, count=True)) for log_n in log_ns]
+        else:
+            n_vals = [float(n) for n in empirical_info_complexity(eps_grid, d, model, tol)]
+            log_ns = [math.log(n) for n in n_vals]
+        for eps, log_n, n_val in zip(eps_grid, log_ns, n_vals):
             denom = float(d) ** s + math.log(1.0 / eps) ** t
             records.append(
                 TraceRecord(d=d, epsilon=eps, n_value=n_val, ratio=log_n / denom)

@@ -19,6 +19,8 @@ from korobov import (
     LatticeRule,
 )
 
+from korobov.bounds import bound_report
+
 from conftest import make_model
 
 
@@ -62,6 +64,12 @@ def test_error_bound_min_no_worse_than_lambda_one(linear_model):
     rep = error_bound_min(13, 2, linear_model, "korobov")
     assert rep.bound_value <= error_bound(13, 2, 1.0, linear_model, "korobov") + 1e-12
     assert 0.0 < rep.lam <= 1.0
+
+
+def test_error_bound_min_is_the_report_at_its_lambda(linear_model):
+    rep = error_bound_min(13, 3, linear_model, "korobov")
+    assert rep == bound_report(13, 3, rep.lam, linear_model, "korobov")
+    assert rep.bound_value == error_bound(13, 3, rep.lam, linear_model, "korobov")
 
 
 def test_error_bound_nonincreasing_in_n(linear_model):
@@ -114,7 +122,7 @@ def test_bound_chain(linear_model):
         for d in (1, 2):
             bound, lam_star = info_complexity_bound(eps, d, linear_model, "korobov")
             m = m_lambda(eps, d, lam_star, linear_model, "korobov")
-            emp = empirical_info_complexity(eps, d, linear_model)
+            [emp] = empirical_info_complexity([eps], d, linear_model)
             assert emp <= 2 * m <= bound
 
 
@@ -124,18 +132,30 @@ def test_empirical_info_complexity_small_cases(unit_model):
     e3 = wce2_theta_product(LatticeRule(3, (1,)), unit_model).e
     assert e2 == pytest.approx(0.8164965809277260, abs=1e-12)
     assert e3 == pytest.approx(0.5345224838248488, abs=1e-12)
-    assert empirical_info_complexity(0.9, 1, unit_model) == 2
-    assert empirical_info_complexity(0.6, 1, unit_model) == 3
+    assert empirical_info_complexity([0.9], 1, unit_model) == [2]
+    assert empirical_info_complexity([0.6], 1, unit_model) == [3]
 
 
 def test_empirical_monotone_in_eps(linear_model):
-    ns = [empirical_info_complexity(eps, 2, linear_model) for eps in (0.7, 0.4, 0.2)]
+    ns = empirical_info_complexity([0.7, 0.4, 0.2], 2, linear_model)
     assert ns == sorted(ns)
+
+
+def test_empirical_list_matches_singletons(linear_model):
+    # one scan answers the list in input order, duplicates included
+    eps_list = [0.2, 0.7, 0.4, 0.7]
+    singles = [empirical_info_complexity([eps], 2, linear_model)[0] for eps in eps_list]
+    assert empirical_info_complexity(eps_list, 2, linear_model) == singles
+
+
+def test_empirical_rejects_bad_eps_before_scanning(linear_model):
+    with pytest.raises(ValueError, match="got 1.5"):
+        empirical_info_complexity([0.5, 1.5], 2, linear_model)
 
 
 def test_empirical_cap():
     with pytest.raises(CapExceededError):
-        empirical_info_complexity(1e-3, 2, make_model(), n_cap=5)
+        empirical_info_complexity([1e-3], 2, make_model(), n_cap=5)
 
 
 def test_expform_dominates_product_form(linear_model):

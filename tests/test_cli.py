@@ -1,3 +1,4 @@
+import csv
 import json
 import shlex
 import subprocess
@@ -8,9 +9,9 @@ import pytest
 
 from korobov import LatticeRule, qmc_apply, FourierPolynomial, search_korobov, wce2_theta_product
 from korobov import (
+    DEFAULT_TOL,
     KorobovParam,
     a_lambda,
-    candidate_errors,
     error_bound,
     exact_qmc_error,
     korobov_vector,
@@ -22,6 +23,7 @@ from korobov import (
 from korobov import cli
 from korobov.cli import main
 from korobov.qmc import convergence_study
+from korobov.search import family_errors
 
 from conftest import make_model
 
@@ -155,6 +157,26 @@ def test_integrate_matches_library(model_path, tmp_path):
     assert result["vs_wce"]["ratio"] <= 1.0 + 1e-9
 
 
+def test_integrate_tol_needs_model(model_path, tmp_path, capsys):
+    poly = {"terms": [{"h": [0, 0], "re": 1.0, "im": 0.0}]}
+    pp, rp = tmp_path / "poly.json", tmp_path / "rule.json"
+    pp.write_text(json.dumps(poly))
+    rp.write_text(json.dumps({"n": 5, "g": [1, 2]}))
+    base = ["integrate", "--poly", str(pp), "--rule", str(rp)]
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--tol", "1e-12"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in json.loads(captured.err)["error"]["message"]
+    # without --tol the echoed tolerance stays the default; with --model it is read
+    out = tmp_path / "int.json"
+    assert run_cli([*base, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tol"] == DEFAULT_TOL
+    assert run_cli([*base, "--model", model_path, "--tol", "1e-12", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tol"] == 1e-12
+
+
 def test_convergence_csv(model_path, tmp_path):
     out = tmp_path / "conv.csv"
     code = run_cli(
@@ -270,7 +292,7 @@ def test_tract_st_csv_matches_library(model_path, tmp_path):
     argv = ["tract", "--model", model_path, "--mode", "st", "--s", "2",
             "--d-list", "4,8", "--eps-list", "1e-3,0.1", "--out", str(out)]
     assert run_cli(argv) == 0
-    header, rows = read_csv_rows(out)
+    header, *rows = csv.reader(out.read_text().splitlines()[2:])
     assert header == ["d", "epsilon", "n", "ratio", "mode", "source"]
     expected = st_ratio_trace(2.0, 1.0, [4, 8], [1e-3, 0.1], LINEAR, "bound").rows()
     assert len(rows) == len(expected) == 4
@@ -278,8 +300,8 @@ def test_tract_st_csv_matches_library(model_path, tmp_path):
         assert (int(row[0]), float(row[1]), float(row[2]), float(row[3])) == (
             rec["d"], rec["epsilon"], rec["n"], rec["ratio"]
         )
-        # the mode label is written unquoted, so its comma splits the cell
-        assert ",".join(row[4:]) == "exp_st_wt(s=2,t=1),bound"
+        # the mode label holds a comma, so its cell is quoted and reads back whole
+        assert row[4:] == ["exp_st_wt(s=2,t=1)", "bound"]
 
 
 def test_tract_json_matches_library(model_path, tmp_path):
@@ -335,7 +357,7 @@ def test_search_general_csv_labels(model_path, tmp_path):
     assert run_cli(argv) == 0
     header, rows = read_csv_rows(out)
     assert header == ["g", "e2", "trunc_bound"]
-    e2, bound = candidate_errors(5, 2, LINEAR, family="general")
+    e2, bound = family_errors(5, 2, LINEAR, family="general")
     assert [row[0] for row in rows] == [f"{a};{b}" for a in range(5) for b in range(5)]
     assert [float(row[1]) for row in rows] == e2.tolist()
     assert {float(row[2]) for row in rows} == {bound}

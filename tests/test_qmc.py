@@ -76,7 +76,7 @@ def test_real_corpus_real_values():
     model = make_model()
     rule = LatticeRule(7, (1, 3))
     for _ in range(10):
-        f = random_sparse(2, model, 8, rng, real_symmetric=True)
+        f = random_sparse(2, model, 8, rng)
         assert abs(qmc_apply(f, rule).imag) <= 1e-12
 
 

@@ -4,7 +4,9 @@ import pathlib
 
 import pytest
 
-from korobov import alg_classify, st_ratio_trace, wt_ratio_trace
+import korobov.bounds
+from korobov import alg_classify, info_complexity_bound, is_prime, st_ratio_trace, wt_ratio_trace
+from korobov.bounds import log_info_complexity_bound
 
 from conftest import make_model
 
@@ -39,6 +41,44 @@ def test_empirical_below_bound_per_record(linear_model):
     for re, rb in zip(emp.records, bnd.records):
         assert (re.d, re.epsilon) == (rb.d, rb.epsilon)
         assert re.n_value <= rb.n_value
+
+
+def test_empirical_trace_scans_each_prime_once_per_d(linear_model, monkeypatch):
+    searched = []
+    search = korobov.bounds.search_korobov
+
+    def counting(n, d, *args, **kwargs):
+        searched.append((d, n))
+        return search(n, d, *args, **kwargs)
+
+    monkeypatch.setattr(korobov.bounds, "search_korobov", counting)
+    eps_grid = [1e-2, 1e-3, 1e-4, 1e-5]
+    trace = wt_ratio_trace([2, 3], eps_grid, linear_model, source="empirical")
+    expected_n = {
+        (2, 1e-5): 331, (2, 1e-4): 211, (2, 1e-3): 131, (2, 1e-2): 67,
+        (3, 1e-5): 1621, (3, 1e-4): 937, (3, 1e-3): 443, (3, 1e-2): 167,
+    }
+    assert {(r.d, r.epsilon): r.n_value for r in trace.records} == expected_n
+    for r in trace.records:
+        assert r.ratio == math.log(r.n_value) / (r.d + math.log(1.0 / r.epsilon))
+    # one ascending scan per d, up to that d's largest answer: 67 + 257 primes
+    for d, largest in ((2, 331), (3, 1621)):
+        assert [n for dd, n in searched if dd == d] == [
+            n for n in range(2, largest + 1) if is_prime(n)
+        ]
+    assert len(searched) == 324
+
+
+def test_bound_source_overflow_sentinel():
+    # constant weights: the product term grows geometrically in d
+    model = make_model()
+    assert info_complexity_bound(1e-3, 64, model)[0] == math.inf
+    log_n = log_info_complexity_bound(1e-3, 64, model)[0]
+    assert log_n > 62.0 * math.log(2.0)
+    [rec] = wt_ratio_trace([64], [1e-3], model, source="bound").records
+    assert rec.n_value == math.inf
+    assert rec.ratio == log_n / (64 + math.log(1e3))
+    assert 0.0 < rec.ratio < math.inf
 
 
 def test_t_below_one_rejected(linear_model):
