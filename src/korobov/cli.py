@@ -2,13 +2,13 @@
 
 Subcommands: wce, search, bound, nofe, tract, integrate, convergence.
 Every subcommand takes --model, --tol and --out (``integrate`` reads --tol
-only with --model, which it makes optional); ``search`` also takes
---threads, and ``search``, ``tract`` and ``convergence`` take --format
-(json or csv; the others always write JSON).  Outputs are written
-atomically (temp file + rename) and embed the resolved configuration plus a
-schema version string.  Identical inputs produce byte-identical outputs,
-independent of --threads (execution knobs are therefore not part of the
-echoed configuration).
+only with --model, which it makes optional, and ``tract --mode alg`` does
+not read --tol); ``search`` also takes --threads, and ``search``,
+``tract`` and ``convergence`` take --format (json or csv; the others always
+write JSON).  Outputs are written atomically (temp file + rename) and embed
+the resolved configuration plus a schema version string.  Identical inputs
+produce byte-identical outputs, independent of --threads (execution knobs
+are therefore not part of the echoed configuration).
 
 The parser declares the whole argument contract: required flags, the
 exclusive pairs --g/--g-scalar and --primes/--primes-up-to, and the
@@ -34,7 +34,7 @@ import tempfile
 import numpy as np
 
 from . import bounds, qmc, search, tract, wce
-from .errors import CapExceededError, OracleInfeasibleError, SummationCapError
+from .errors import CapExceededError, SummationCapError
 from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
 from .space import DEFAULT_TOL, WeightModel
 
@@ -44,8 +44,9 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_CERTIFICATE = 4
 
-# The tract modes that read each mode-specific flag; the others reject it.
+# The tract modes that read each flag not every mode reads; the others reject it.
 _TRACT_FLAG_MODES = {
+    "tol": ("wt", "st"),
     "format": ("wt", "st"),
     "d_list": ("wt", "st"),
     "eps_list": ("wt", "st"),
@@ -188,7 +189,7 @@ def _cmd_tract(args, model: WeightModel, config: dict) -> None:
     config["mode"] = args.mode
     if args.mode == "alg":
         config["d_max"] = 1024 if args.d_max is None else args.d_max
-        report = tract.alg_classify(model, config["d_max"], args.tol)
+        report = tract.alg_classify(model, config["d_max"])
         report["partial_sums"] = {
             repr(lam): rows for lam, rows in report["partial_sums"].items()
         }
@@ -270,8 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, fn, summary: str, model: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=model, help="path to a weight-model JSON file")
-        # None where --model is optional: an absent --tol must show there
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL if model else None)
+        p.add_argument("--tol", type=float)
         p.add_argument("--out", help="output path (default: stdout)")
         p.set_defaults(fn=fn)
         return p
@@ -307,8 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
 
-    # mode-specific flags default to None so that _check_combinations can
-    # tell a given flag from an absent one; _cmd_tract fills in the defaults
+    # mode-specific flags (--tol included) default to None so that
+    # _check_combinations can tell a given flag from an absent one;
+    # _cmd_tract and main fill in the defaults
     p = add("tract", _cmd_tract, "tractability traces and classification")
     p.add_argument("--mode", choices=("wt", "st", "alg"), default="wt")
     p.add_argument("--format", choices=("json", "csv"), help="wt/st (default csv)")
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
         args.fn(args, model, config)
     except (ValueError, KeyError, TypeError) as exc:  # ConfigError included
         return _fail(EXIT_CONFIG, "config", str(exc))
-    except (CapExceededError, OracleInfeasibleError) as exc:
+    except CapExceededError as exc:
         return _fail(EXIT_CAP, "cap_exceeded", str(exc))
     except SummationCapError as exc:
         return _fail(EXIT_CERTIFICATE, "certificate", str(exc))

@@ -14,10 +14,11 @@ class SummationCapError(KorobovError):
     """
 
 
-class OracleInfeasibleError(KorobovError):
-    """The dual-lattice enumeration region is too large for the oracle."""
-
-
 class CapExceededError(KorobovError):
-    """An explicit size cap was exceeded (search space, pair count, or a
-    prime scan that found no feasible modulus below its cap)."""
+    """An explicit size cap was exceeded (search space, pair count,
+    enumeration work, or a prime scan that found no feasible modulus below
+    its cap)."""
+
+
+class OracleInfeasibleError(CapExceededError):
+    """The dual-lattice enumeration region is too large for the oracle."""

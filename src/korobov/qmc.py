@@ -202,9 +202,10 @@ def dual_witness(rule: LatticeRule, model: WeightModel) -> FourierPolynomial:
 
     Its realized quadrature error is sqrt(rho(h*)), the single largest
     contribution to the squared worst-case error, so it nearly saturates
-    the bound e(rule) * ||f||.  h* is found at dual-sum tolerance 1e-8.
+    the bound e(rule) * ||f||.  h* is exact: it is the heaviest of the dual
+    vectors at least as heavy as N * e_1.
     """
-    h_star = dominant_dual_frequency(rule, model, 1e-8)
+    h_star = dominant_dual_frequency(rule, model)
     coeff = math.sqrt(rho(h_star, model))
     return FourierPolynomial.from_terms({h_star: coeff})
 

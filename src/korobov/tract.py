@@ -8,7 +8,8 @@ generalization replaces the denominator by d**s + (log(1/eps))**t.  The
 classifier reports the limit A of a_j / log j (symbolically, per weight
 family), the resulting bound on the eps-exponent of strong polynomial
 tractability, and a finite-range growth classification of the partial sums
-S_lam(d) = sum_{j<=d} omega**(lam * a_j).
+S_lam(d) = sum_{j<=d} omega**(lam * a_j); these are finite sums of the
+weight sequence, so the classifier takes no tolerance.
 
 All asymptotic statements are recast as monotonicity checks on finite
 grids; the reports carry an explicit disclaimer that finite data cannot
@@ -181,7 +182,7 @@ def _empirical_growth(s_values: list[tuple[int, float]]) -> str:
     return "logarithmic" if t_est <= 1.3 else "polylog"
 
 
-def alg_classify(model: WeightModel, d_max: int = 1024, tol: float = DEFAULT_TOL) -> dict:
+def alg_classify(model: WeightModel, d_max: int = 1024) -> dict:
     """Algebraic-tractability report for the model's weight sequence.
 
     Contains the symbolic limit A of a_j / log j, the bound

@@ -24,7 +24,6 @@ first-order product bound over the per-coordinate theta certificates.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,8 +36,8 @@ from .lattice import LatticeRule, primitive_root
 from .space import DEFAULT_TOL, WeightModel, _product_bound, _theta_certificate, theta_terms
 
 # Work budget for dual-lattice enumeration (nodes visited plus candidate
-# frequencies scored); override with the KOROBOV_MAX_ENUM environment variable.
-DEFAULT_ENUM_CAP = 10**8
+# frequencies scored).
+ENUM_CAP = 10**8
 
 # Pair cap for the kernel double sum.
 DOUBLE_SUM_PAIR_CAP = 10**8
@@ -46,11 +45,6 @@ DOUBLE_SUM_PAIR_CAP = 10**8
 # Cells per evaluation chunk: 512 KiB of float64, so a chunk's accumulator and
 # operand stay in a core's L2 cache (faster than 2**21 for both families).
 CHUNK_CELLS = 2**16
-
-
-def enum_cap() -> int:
-    raw = os.environ.get("KOROBOV_MAX_ENUM")
-    return int(raw) if raw else DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -102,19 +96,19 @@ class ThetaTable:
     """Per-coordinate theta values at t = r/N for r = 0..N-1.
 
     Coordinates sharing the same (a_j, b_j) share one table slot.  Each slot
-    stores the certified per-evaluation truncation bound ``tau`` and the
-    upper majorant theta_j(0) + tau used in product error propagation.
+    stores the upper majorant theta_j(0) + tau, tau its certified
+    per-evaluation truncation bound; ``product_bound`` propagates both
+    through the product over coordinates.
     Read-only after construction, hence safe to share across workers.
     """
 
     def __init__(self, model: WeightModel, n: int, d: int, lam: float, tol: float):
         self.n = n
         self.d = d
-        self.lam = lam
         slots: dict[tuple[float, float], int] = {}
         self.values: list[np.ndarray] = []
-        self.taus: list[float] = []
         self.majors: list[float] = []
+        taus: list[float] = []
         coord_slot = []
         for j in range(1, d + 1):
             key = (model.a_j(j), model.b_j(j))
@@ -124,13 +118,13 @@ class ThetaTable:
                 slots[key] = len(self.values)
                 self.values.append(vals)
                 tau, major = _theta_certificate(w, tail)
-                self.taus.append(tau)
+                taus.append(tau)
                 self.majors.append(major)
             coord_slot.append(slots[key])
         self.coord_slot = tuple(coord_slot)
         # one certificate for every k
         self.product_bound = _product_bound(
-            [(self.taus[s], self.majors[s]) for s in self.coord_slot]
+            [(taus[s], self.majors[s]) for s in self.coord_slot]
         )
 
     def eval_vectors(self, vectors: np.ndarray) -> np.ndarray:
@@ -257,25 +251,31 @@ def _region_volume(t_cut: float, lam: float, weights: list[tuple[float, float]])
     return math.exp(log_vol - math.lgamma(1.0 + inv_sum))
 
 
-def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, tol: float, t_min: float = 0.0):
-    """Region threshold, tail certificate, coordinate order, and work estimate
-    for one dual enumeration.
+def _enum_cut(model: WeightModel, d: int, lam: float, tol: float) -> tuple[float, float]:
+    """Region threshold T of the dual sum at tolerance ``tol``, with its tail
+    certificate.
 
-    The cut T makes the mass outside {h : sum_j lam*a_j*|h_j|**b_j <= T},
-    bounded by omega**(T/2) * prod_j theta_j(0) at weights lam/2, fall
-    below ``tol``; T is at least lam * a_1 (so |h| = 1 is in range) and at
-    least ``t_min``.  The congruence is solved in the coordinate with the
-    widest range, so the estimated work is the prefix region size plus
-    1/N-th of the full region size.
+    T makes the mass outside {h : sum_j lam*a_j*|h_j|**b_j <= T}, bounded
+    by omega**(T/2) * prod_j theta_j(0) at weights lam/2, fall below
+    ``tol``; T is at least lam * a_1, so |h| = 1 is in range.
     """
-    n, d = rule.n, rule.d
     half_prod = 1.0
     for j in range(1, d + 1):
         half_prod *= _theta_certificate(*theta_terms(j, model, lam / 2.0, min(tol, 1e-6)))[1]
     t_cut = 2.0 * math.log(half_prod / tol) / math.log(1.0 / model.omega)
-    t_cut = max(t_cut, lam * model.a_j(1), t_min)
-    tail_bound = model.omega ** (t_cut / 2.0) * half_prod
+    t_cut = max(t_cut, lam * model.a_j(1))
+    return t_cut, model.omega ** (t_cut / 2.0) * half_prod
 
+
+def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, t_cut: float):
+    """Coordinate order and work estimate for enumerating the dual h in
+    {h : sum_j lam*a_j*|h_j|**b_j <= t_cut}.
+
+    The congruence is solved in the coordinate with the widest range, so
+    the estimated work is the prefix region size plus 1/N-th of the full
+    region size.
+    """
+    n, d = rule.n, rule.d
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
     solve_idx = max(
         range(d), key=lambda i: _range_limit(t_cut, lam, weights[i][0], weights[i][1])
@@ -283,7 +283,7 @@ def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, tol: float, t_
     order = [i for i in range(d) if i != solve_idx] + [solve_idx]
     est = _region_volume(t_cut, lam, [weights[i] for i in order[:-1]])
     est += _region_volume(t_cut, lam, weights) / n + 3.0**d
-    return t_cut, tail_bound, weights, order, est
+    return t_cut, weights, order, est
 
 
 def dual_enum_work_estimate(
@@ -293,7 +293,8 @@ def dual_enum_work_estimate(
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Estimated enumeration work of :func:`wce2_dual_enum` at this tolerance."""
-    return _enum_plan(rule, model, lam, tol)[4]
+    t_cut, _ = _enum_cut(model, rule.d, lam, tol)
+    return _enum_plan(rule, model, lam, t_cut)[3]
 
 
 def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
@@ -305,11 +306,11 @@ def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
     ``leaf(h, exponent, hs)``: h holds the prefix values at their coordinate
     positions (0 at the solved one), exponent is their sum of
     lam*a_j*|h_j|**b_j.  Nodes visited plus values solved count against the
-    work cap; :class:`OracleInfeasibleError` when it is exceeded.
+    work cap ``ENUM_CAP``; :class:`OracleInfeasibleError` when it is exceeded.
     """
     n, d = rule.n, rule.d
-    t_cut, _, weights, order, est = plan
-    budget = enum_cap()
+    t_cut, weights, order, est = plan
+    budget = ENUM_CAP
     if est > 4.0 * budget:
         raise OracleInfeasibleError(
             f"estimated enumeration work {est:.3g} exceeds the cap {budget}"
@@ -378,8 +379,9 @@ def wce2_dual_enum(
     is certified below ``tol``.  Intended as a small-instance oracle;
     infeasibly large regions raise :class:`OracleInfeasibleError`.
     """
-    plan = _enum_plan(rule, model, lam, tol)
-    _, tail_bound, weights, order, _ = plan
+    t_cut, tail_bound = _enum_cut(model, rule.d, lam, tol)
+    plan = _enum_plan(rule, model, lam, t_cut)
+    _, weights, order, _ = plan
     a_solve, b_solve = weights[order[-1]]
     log_omega_inv = math.log(1.0 / model.omega)
     leaf_sums: list[float] = []
@@ -392,23 +394,20 @@ def wce2_dual_enum(
     return ErrorEstimate(math.fsum(leaf_sums), tail_bound, "dual_enum")
 
 
-def dominant_dual_frequency(
-    rule: LatticeRule,
-    model: WeightModel,
-    tol: float = DEFAULT_TOL,
-) -> tuple[int, ...]:
+def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int, ...]:
     """Nonzero dual frequency with maximal rho, ties to the lexicographically
     smallest vector.
 
-    Found by enumerating the truncation region of :func:`wce2_dual_enum`,
-    widened to contain the dual vector N * e_1; the maximizer is inside the
-    region because the mass outside it is below the region threshold.
-    Candidates are ranked by their exponent summed in coordinate order, so
-    the choice does not depend on the enumeration order.
+    N * e_1 is always dual, so the maximizer h* has exponent
+    E(h*) = sum_j a_j*|h*_j|**b_j <= a_1 * N**b_1: enumerating
+    {h : E(h) <= a_1 * N**b_1 + 1} finds h* and every vector tied with it
+    (the + 1 absorbs rounding in the range limits).  Candidates are ranked
+    by their exponent summed in coordinate order, so the choice does not
+    depend on the enumeration order.
     """
-    t_min = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0  # h = N e_1 is dual
-    plan = _enum_plan(rule, model, 1.0, tol, t_min)
-    _, _, weights, order, _ = plan
+    t_cut = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0
+    plan = _enum_plan(rule, model, 1.0, t_cut)
+    _, weights, order, _ = plan
     solve = order[-1]
     best: tuple[float, tuple[int, ...]] = (math.inf, ())
 

@@ -72,6 +72,22 @@ def test_error_bound_min_is_the_report_at_its_lambda(linear_model):
     assert rep.bound_value == error_bound(13, 3, rep.lam, linear_model, "korobov")
 
 
+@pytest.mark.parametrize(
+    "model, d",
+    [
+        # no lambda can certify A_lam: every probe raises SummationCapError
+        (make_model(omega=0.99, a=("constant", 0.01), b=("constant", 0.2)), 2),
+        # the product term of 2000 unit-weight coordinates overflows every bound
+        (make_model(), 2000),
+    ],
+    ids=["summation-cap", "overflow"],
+)
+def test_error_bound_min_all_infinite(model, d):
+    rep = error_bound_min(13, d, model, "korobov")
+    assert rep.lam == 1.0
+    assert rep.a_lam == rep.product_term == rep.bound_value == math.inf
+
+
 def test_error_bound_nonincreasing_in_n(linear_model):
     vals = [error_bound(n, 2, 0.5, linear_model, "korobov") for n in (5, 13, 31, 101)]
     assert vals == sorted(vals, reverse=True)

@@ -205,6 +205,15 @@ def test_exit_code_cap_exceeded(model_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
+def test_exit_code_cap_exceeded_by_kernel_double_sum(model_path, capsys):
+    # 10007**2 pairs exceed the double sum's cap of 1e8
+    code = run_cli(
+        ["wce", "--model", model_path, "--n", "10007", "--g", "1,5", "--method", "kernel_double_sum"]
+    )
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
+
+
 def test_exit_code_certificate_failure(tmp_path, capsys):
     # omega near 1 with slow fractional-power decay cannot be certified
     pathological = tmp_path / "p.json"
@@ -380,6 +389,7 @@ TRACE = ["--d-list", "4", "--eps-list", "0.1"]
         pytest.param(["tract", "--mode", "alg", "--s", "2"], id="tract-alg-s"),
         pytest.param(["tract", "--mode", "alg", "--t", "2"], id="tract-alg-t"),
         pytest.param(["tract", "--mode", "alg", "--source", "empirical"], id="tract-alg-source"),
+        pytest.param(["tract", "--mode", "alg", "--tol", "1e-3"], id="tract-alg-tol"),
         pytest.param(["tract", "--mode", "wt", "--s", "2", *TRACE], id="tract-wt-s"),
         pytest.param(["tract", "--mode", "wt", "--t", "2", *TRACE], id="tract-wt-t"),
         pytest.param(["tract", "--mode", "wt", "--d-max", "64", *TRACE], id="tract-wt-d-max"),

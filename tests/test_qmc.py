@@ -16,7 +16,7 @@ from korobov import (
     rho,
 )
 
-from conftest import make_model
+from conftest import brute_dominant_frequency, make_model
 
 
 def test_constant_integrand_exact():
@@ -107,6 +107,16 @@ def test_witness_nearly_saturates_bound():
         assert rep["realized"] == pytest.approx(math.sqrt(rho(h_star, model)), rel=1e-12)
         assert rep["ratio"] <= 1.0 + 1e-9
     assert max(ratios) >= 0.5
+
+
+def test_witness_on_slow_decay_rule():
+    # omega = 0.9, b = 1/2: the dual sum's truncation region is far too large
+    # to enumerate, but the region up to N * e_1 holds the heaviest frequency
+    model = make_model(omega=0.9, b=("constant", 0.5))
+    rule = LatticeRule(13, (1, 5, 8))
+    [(h_star, _)] = dual_witness(rule, model).terms
+    assert h_star == (0, -1, -1)
+    assert h_star == brute_dominant_frequency(rule.n, rule.g, model, rule.n)
 
 
 def test_dimension_mismatch_raises():

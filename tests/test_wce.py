@@ -15,6 +15,7 @@ from korobov import (
     wce2_theta_product,
 )
 
+import korobov.wce
 from korobov.space import kernel_with_bound
 from korobov.wce import theta_table
 
@@ -139,11 +140,22 @@ def test_dual_enum_infeasible_raises():
         wce2_dual_enum(rule, model, 1.0, 1e-10)
 
 
-def test_enum_cap_env_override(monkeypatch):
+def test_enum_cap_raises(monkeypatch):
     model = make_model(a=("linear", 1.0))
     rule = LatticeRule(7, (1, 3))
-    monkeypatch.setenv("KOROBOV_MAX_ENUM", "10")
-    with pytest.raises(OracleInfeasibleError):
+    monkeypatch.setattr(korobov.wce, "ENUM_CAP", 10)
+    with pytest.raises(OracleInfeasibleError, match="^estimated enumeration work"):
+        wce2_dual_enum(rule, model)
+
+
+def test_enum_cap_raises_mid_walk(monkeypatch):
+    # the estimate (1575) passes the up-front check against 4 * cap, but the
+    # walk itself needs 1571 steps
+    model = make_model(a=("linear", 1.0))
+    rule = LatticeRule(7, (1, 3))
+    monkeypatch.setattr(korobov.wce, "ENUM_CAP", 1000)
+    assert 1000 < korobov.wce.dual_enum_work_estimate(rule, model) <= 4000
+    with pytest.raises(OracleInfeasibleError, match="^enumeration work exceeded"):
         wce2_dual_enum(rule, model)
 
 
@@ -157,17 +169,17 @@ def test_error_estimate_flags_zero_region():
 
 
 def test_dominant_dual_frequency_simple(unit_model):
-    h = dominant_dual_frequency(LatticeRule(2, (1,)), unit_model, tol=1e-8)
+    h = dominant_dual_frequency(LatticeRule(2, (1,)), unit_model)
     assert abs(h[0]) == 2
     assert rho(h, unit_model) == pytest.approx(0.25)
     # deterministic repeat
-    assert h == dominant_dual_frequency(LatticeRule(2, (1,)), unit_model, tol=1e-8)
+    assert h == dominant_dual_frequency(LatticeRule(2, (1,)), unit_model)
 
 
 def test_dominant_dual_frequency_is_maximal():
     model = make_model(omega=0.3, a=("linear", 1.0))
     rule = LatticeRule(13, (1, 5))
-    h_star = dominant_dual_frequency(rule, model, tol=1e-8)
+    h_star = dominant_dual_frequency(rule, model)
     best = rho(h_star, model)
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -190,7 +202,7 @@ def test_dominant_dual_frequency_is_maximal():
     ]
     for m, r in cases:
         # any h outside [-N, N]^d has an exponent above that of N * e_1
-        assert dominant_dual_frequency(r, m, tol=1e-8) == brute_dominant_frequency(r.n, r.g, m, r.n)
+        assert dominant_dual_frequency(r, m) == brute_dominant_frequency(r.n, r.g, m, r.n)
 
 
 @pytest.mark.parametrize("a", [("constant", 1.0), ("linear", 1.0)], ids=["constant", "linear"])
