@@ -35,6 +35,9 @@ _OVERFLOW_LOG = 62.0 * math.log(2.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Largest prime modulus the empirical information-complexity scan searches.
+SCAN_N_CAP = 100_000
+
 VARIANTS = ("general", "korobov")
 
 
@@ -278,7 +281,6 @@ def empirical_info_complexity(
     d: int,
     model: WeightModel,
     tol: float = DEFAULT_TOL,
-    n_cap: int = 100_000,
 ) -> list[int]:
     """Smallest prime N whose best Korobov rule reaches error <= eps, for
     each eps of ``eps_list`` in input order.
@@ -288,7 +290,8 @@ def empirical_info_complexity(
     minima over all primes below the first feasible ones (the error is not
     guaranteed monotone along primes, which rules out plain bisection).
     The restriction to Korobov rules makes each an upper bound on the true
-    information complexity.
+    information complexity.  A scan that passes ``SCAN_N_CAP`` without
+    answering every eps raises :class:`CapExceededError`.
     """
     for eps in eps_list:
         _check_eps(eps)
@@ -296,8 +299,8 @@ def empirical_info_complexity(
     found: dict[float, int] = {}
     n = 2
     while pending:
-        if n > n_cap:
-            raise CapExceededError(f"no feasible prime modulus below the cap {n_cap}")
+        if n > SCAN_N_CAP:
+            raise CapExceededError(f"no feasible prime modulus below the cap {SCAN_N_CAP}")
         e = search_korobov(n, d, model, tol).best_e2.e
         while pending and e <= pending[-1]:
             found[pending.pop()] = n

@@ -6,9 +6,10 @@ only with --model, which it makes optional, and ``tract --mode alg`` does
 not read --tol); ``search`` also takes --threads, and ``search``,
 ``tract`` and ``convergence`` take --format (json or csv; the others always
 write JSON).  Outputs are written atomically (temp file + rename) and embed
-the resolved configuration plus a schema version string.  Identical inputs
-produce byte-identical outputs, independent of --threads (execution knobs
-are therefore not part of the echoed configuration).
+the resolved configuration (tol only where it is read) plus a schema
+version string.  Identical inputs produce byte-identical outputs,
+independent of --threads (execution knobs are therefore not part of the
+echoed configuration).
 
 The parser declares the whole argument contract: required flags, the
 exclusive pairs --g/--g-scalar and --primes/--primes-up-to, and the
@@ -124,7 +125,8 @@ def _parse_list(raw: str, kind: type, name: str) -> list:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each adds its own keys to the echoed configuration,
-# which main starts with command, tol and (when given) model.
+# which main starts with command, tol and (when given) model; the two runs
+# that read no tolerance drop tol.
 # ---------------------------------------------------------------------------
 
 def _cmd_wce(args, model: WeightModel, config: dict) -> None:
@@ -188,6 +190,7 @@ def _cmd_nofe(args, model: WeightModel, config: dict) -> None:
 def _cmd_tract(args, model: WeightModel, config: dict) -> None:
     config["mode"] = args.mode
     if args.mode == "alg":
+        del config["tol"]  # alg_classify reads no tolerance
         config["d_max"] = 1024 if args.d_max is None else args.d_max
         report = tract.alg_classify(model, config["d_max"])
         report["partial_sums"] = {
@@ -233,6 +236,8 @@ def _cmd_integrate(args, model: WeightModel | None, config: dict) -> None:
     }
     if model is not None:
         result["vs_wce"] = qmc.error_vs_wce(poly, rule, model, args.tol)
+    else:
+        del config["tol"]  # only vs_wce reads it
     _emit(args, config, result)
 
 

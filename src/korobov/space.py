@@ -17,9 +17,11 @@ and the per-coordinate Fourier mass is controlled by the tail constant
 
 All infinite sums are truncated with a rigorous tail certificate: the
 returned value differs from the exact series by at most the requested
-tolerance.  A hard cap of 10**7 terms per one-dimensional sum turns
-uncertifiable parameter ranges into an explicit error rather than a silent
-inaccuracy.
+tolerance.  The tail certificate of sum_{h > H} exp(-c * h**b) is closed
+form: a geometric series for b >= 1, and for b < 1, with y = H + 1,
+x = c * y**b > 1/b - 1, the bound e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).
+A hard cap of 10**7 terms per one-dimensional sum turns uncertifiable
+parameter ranges into an explicit error rather than a silent inaccuracy.
 """
 
 from __future__ import annotations
@@ -243,28 +245,24 @@ def _tail_bound_b_ge1(c: float, b: float, horizon: int) -> float:
     return math.exp(-c * float(horizon) ** b) * q / -math.expm1(-c)
 
 def _tail_bound_b_lt1(c: float, b: float, horizon: int) -> float:
-    # Dyadic blocks (H_m, 2*H_m], H_m = 2**m * H.  Within a block the
-    # increments of h**b are at least b * (2*H_m)**(b-1), giving a geometric
-    # bound; H_m * exp(-c*H_m**b) is a crude fallback.  Once consecutive
-    # crude bounds shrink by a factor >= 2 the remaining blocks are folded
-    # into a single geometric majorant.
-    total = 0.0
-    hm = float(horizon)
-    for _ in range(200):
-        lead = math.exp(-c * hm**b)
-        crude = hm * lead
-        slope = c * b * (2.0 * hm) ** (b - 1.0)
-        r = math.exp(-slope)
-        geom = lead * r / -math.expm1(-slope) if slope > 0 else math.inf
-        ratio = 2.0 * math.exp(-c * hm**b * (2.0**b - 1.0))
-        if ratio <= 0.5:
-            return total + min(geom, crude) / (1.0 - ratio)
-        total += min(geom, crude)
-        hm *= 2.0
-    return math.inf
+    # f(t) = exp(-c * t**b) decreases, so with y = H + 1 the tail is at most
+    # f(y) + int_y^inf f.  Substituting u = c * t**b, the integral equals
+    # Gamma(s, x) / (b * c**s) with s = 1/b > 1 and x = c * y**b, and
+    # Gamma(s, x) = x**(s-1) e^-x int_0^inf (1 + t/x)**(s-1) e^-t dt
+    #            <= x**(s-1) e^-x / (1 - (s-1)/x)   for x > s - 1,
+    # because 1 + t/x <= e^(t/x).  As x**(s-1) / c**s = y**(1-b) / c, the
+    # tail is at most e^-x * (1 + y**(1-b) / (b*c*(1 - (s-1)/x))).  For
+    # x <= s - 1 there is no bound here; the caller takes a larger horizon.
+    y = float(horizon + 1)
+    x = c * y**b
+    s = 1.0 / b
+    if x <= s - 1.0:
+        return math.inf
+    return math.exp(-x) * (1.0 + y ** (1.0 - b) / (b * c * (1.0 - (s - 1.0) / x)))
 
 def series_tail_bound(c: float, b: float, horizon: int) -> float:
-    """Rigorous upper bound on sum_{h > horizon} exp(-c * h**b)."""
+    """Rigorous upper bound on sum_{h > horizon} exp(-c * h**b); inf for
+    b < 1 when c * (horizon + 1)**b <= 1/b - 1."""
     if c <= 0.0 or b <= 0.0:
         raise ValueError("series parameters must satisfy c > 0 and b > 0")
     if b >= 1.0:

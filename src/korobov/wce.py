@@ -42,6 +42,10 @@ ENUM_CAP = 10**8
 # Pair cap for the kernel double sum.
 DOUBLE_SUM_PAIR_CAP = 10**8
 
+# Cell cap N * d of a theta table: 80 MB of float64 rows; a row's build
+# allocates a few temporaries of its size.
+THETA_TABLE_CELL_CAP = 10**7
+
 # Cells per evaluation chunk: 512 KiB of float64, so a chunk's accumulator and
 # operand stay in a core's L2 cache (faster than 2**21 for both families).
 CHUNK_CELLS = 2**16
@@ -95,37 +99,29 @@ def _fold_terms(w: np.ndarray, n: int) -> np.ndarray:
 class ThetaTable:
     """Per-coordinate theta values at t = r/N for r = 0..N-1.
 
-    Coordinates sharing the same (a_j, b_j) share one table slot.  Each slot
-    stores the upper majorant theta_j(0) + tau, tau its certified
-    per-evaluation truncation bound; ``product_bound`` propagates both
-    through the product over coordinates.
+    One row per coordinate j, with its upper majorant theta_j(0) + tau_j,
+    tau_j the row's certified per-evaluation truncation bound;
+    ``product_bound`` propagates both through the product over coordinates.
+    N * d is checked against ``THETA_TABLE_CELL_CAP`` before any allocation.
     Read-only after construction, hence safe to share across workers.
     """
 
     def __init__(self, model: WeightModel, n: int, d: int, lam: float, tol: float):
+        if n * d > THETA_TABLE_CELL_CAP:
+            raise CapExceededError(
+                f"theta table needs {n * d} cells, cap is {THETA_TABLE_CELL_CAP}"
+            )
         self.n = n
         self.d = d
-        slots: dict[tuple[float, float], int] = {}
         self.values: list[np.ndarray] = []
-        self.majors: list[float] = []
-        taus: list[float] = []
-        coord_slot = []
+        certs = []
         for j in range(1, d + 1):
-            key = (model.a_j(j), model.b_j(j))
-            if key not in slots:
-                w, tail = theta_terms(j, model, lam, tol)
-                vals = 1.0 + 2.0 * np.real(np.fft.fft(_fold_terms(w, n)))
-                slots[key] = len(self.values)
-                self.values.append(vals)
-                tau, major = _theta_certificate(w, tail)
-                taus.append(tau)
-                self.majors.append(major)
-            coord_slot.append(slots[key])
-        self.coord_slot = tuple(coord_slot)
+            w, tail = theta_terms(j, model, lam, tol)
+            self.values.append(1.0 + 2.0 * np.real(np.fft.fft(_fold_terms(w, n))))
+            certs.append(_theta_certificate(w, tail))
+        self.majors = [major for _, major in certs]
         # one certificate for every k
-        self.product_bound = _product_bound(
-            [(taus[s], self.majors[s]) for s in self.coord_slot]
-        )
+        self.product_bound = _product_bound(certs)
 
     def eval_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Squared errors for a block of generating vectors, shape (m, d).
@@ -137,7 +133,7 @@ class ThetaTable:
         acc = np.ones((vectors.shape[0], n), dtype=np.float64)
         for j in range(self.d):
             residues = vectors[:, j : j + 1] * k % n
-            acc *= self.values[self.coord_slot[j]][residues]
+            acc *= self.values[j][residues]
         return acc.mean(axis=1) - 1.0
 
     def eval_korobov(self, threads: int = 1) -> np.ndarray:
@@ -173,14 +169,13 @@ class ThetaTable:
         powers = np.array(powers, dtype=np.int64)
         doubled = [np.tile(vals[powers], 2) for vals in self.values]
         windows = [sliding_window_view(t, m) for t in doubled]
-        slots = self.coord_slot
-        k0 = math.prod(self.values[s][0] for s in slots)
+        k0 = math.prod(vals[0] for vals in self.values)
 
         def rows(lo: int, hi: int) -> np.ndarray:
             bs = np.arange(lo, hi, dtype=np.int64)
-            acc = windows[slots[1]][lo:hi] * doubled[slots[0]][:m]
+            acc = windows[1][lo:hi] * doubled[0][:m]
             for j in range(2, d):
-                acc *= windows[slots[j]][j * bs % m]
+                acc *= windows[j][j * bs % m]
             return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
 
         half = _map_chunks(rows, m, max(1, CHUNK_CELLS // m), threads)

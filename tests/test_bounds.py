@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import korobov.bounds
 from korobov import (
     LAMBDA_GRID,
     CapExceededError,
@@ -169,9 +170,10 @@ def test_empirical_rejects_bad_eps_before_scanning(linear_model):
         empirical_info_complexity([0.5, 1.5], 2, linear_model)
 
 
-def test_empirical_cap():
+def test_empirical_cap(monkeypatch):
+    monkeypatch.setattr(korobov.bounds, "SCAN_N_CAP", 5)
     with pytest.raises(CapExceededError):
-        empirical_info_complexity([1e-3], 2, make_model(), n_cap=5)
+        empirical_info_complexity([1e-3], 2, make_model())
 
 
 def test_expform_dominates_product_form(linear_model):

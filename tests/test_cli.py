@@ -9,7 +9,6 @@ import pytest
 
 from korobov import LatticeRule, qmc_apply, FourierPolynomial, search_korobov, wce2_theta_product
 from korobov import (
-    DEFAULT_TOL,
     KorobovParam,
     a_lambda,
     error_bound,
@@ -135,8 +134,9 @@ def test_tract_csv_and_alg_json(model_path, tmp_path):
     assert len(lines) == 3 + 4
     out2 = tmp_path / "alg.json"
     assert run_cli(["tract", "--model", model_path, "--mode", "alg", "--out", str(out2)]) == 0
-    report = json.loads(out2.read_text())["result"]
-    assert report["spt_eps_exponent_bound"] == 0.0  # linear weights
+    payload = json.loads(out2.read_text())
+    assert payload["result"]["spt_eps_exponent_bound"] == 0.0  # linear weights
+    assert "tol" not in payload["config"]  # the alg report reads no tolerance
 
 
 def test_integrate_matches_library(model_path, tmp_path):
@@ -169,10 +169,10 @@ def test_integrate_tol_needs_model(model_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in json.loads(captured.err)["error"]["message"]
-    # without --tol the echoed tolerance stays the default; with --model it is read
+    # without --model no tolerance is read, so none is echoed; with --model it is read
     out = tmp_path / "int.json"
     assert run_cli([*base, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["tol"] == DEFAULT_TOL
+    assert "tol" not in json.loads(out.read_text())["config"]
     assert run_cli([*base, "--model", model_path, "--tol", "1e-12", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["config"]["tol"] == 1e-12
 
@@ -201,6 +201,14 @@ def test_exit_code_cap_exceeded(model_path, capsys):
     code = run_cli(
         ["search", "--model", model_path, "--n", "101", "--d", "3", "--variant", "general"]
     )
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
+
+
+def test_exit_code_cap_exceeded_by_theta_table(model_path, capsys):
+    # N * d = 2**32 - 2 cells exceed the theta table's cap of 1e7, which is
+    # checked before any row is allocated (a row alone would take 17 GB)
+    code = run_cli(["wce", "--model", model_path, "--n", "2147483647", "--g", "1,2"])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 

@@ -15,7 +15,7 @@ from korobov import (
     rho,
     theta,
 )
-from korobov.space import theta_terms, truncation_horizon
+from korobov.space import series_tail_bound, theta_terms, truncation_horizon
 
 from conftest import brute_theta, make_model
 
@@ -135,6 +135,25 @@ def test_truncation_horizon_certificate_is_safe():
             math.exp(-c * h**b) for h in range(horizon + 1, horizon + 500_000)
         )
         assert actual_tail <= bound <= 1e-10
+
+
+def test_tail_bound_b_lt1_covers_mpmath_tail():
+    # the closed-form b < 1 bound against a 40-digit Euler-Maclaurin tail;
+    # where it returns inf it claims nothing (truncation_horizon then doubles H)
+    mpmath = pytest.importorskip("mpmath")
+    for b in (0.25, 0.5, 0.75):
+        for c in (0.05, 0.3, 1.0):
+            for horizon in (16, 64, 256):
+                bound = series_tail_bound(c, b, horizon)
+                if math.isinf(bound):
+                    continue
+                with mpmath.workdps(40):
+                    bm, cm = mpmath.mpf(b), mpmath.mpf(c)
+                    tail = mpmath.nsum(
+                        lambda h: mpmath.exp(-cm * h**bm), [horizon + 1, mpmath.inf],
+                        method="euler-maclaurin", steps=[200],
+                    )
+                assert bound >= tail, (b, c, horizon)
 
 
 # --- kernel ------------------------------------------------------------------
