@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import error_bound_min
+from .errors import CapExceededError
 from .lattice import LatticeRule
 from .search import search_korobov
 from .space import DEFAULT_TOL, WeightModel, rho
 from .wce import dominant_dual_frequency, dual_enum_work_estimate, wce2_dual_enum, wce2_theta_product
+
+# Cell cap N * (d + terms) of qmc_apply: 32 MB per complex128 array of that
+# size, and the evaluation holds about three at once.
+APPLY_CELL_CAP = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,16 @@ class FourierPolynomial:
 
 
 def qmc_apply(f: FourierPolynomial, rule: LatticeRule) -> complex:
-    """Equal-weight average of f over the rule's node set."""
+    """Equal-weight average of f over the rule's node set.
+
+    N * (d + terms) is checked against ``APPLY_CELL_CAP`` before the nodes
+    are built.
+    """
     if f.d != rule.d:
         raise ValueError(f"dimension mismatch: polynomial {f.d}, rule {rule.d}")
+    cells = rule.n * (rule.d + len(f.terms))
+    if cells > APPLY_CELL_CAP:
+        raise CapExceededError(f"applying the rule needs {cells} cells, cap is {APPLY_CELL_CAP}")
     return complex(np.mean(f.evaluate(rule.points())))
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import CapExceededError
 from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
-from .space import DEFAULT_TOL, WeightModel
-from .wce import CHUNK_CELLS, ErrorEstimate, _map_chunks, theta_table
+from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel
+from .wce import ErrorEstimate, _map_chunks, theta_table
 
 TIE_SLACK = 1e-13
 

@@ -33,7 +33,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
 from .lattice import LatticeRule, primitive_root
-from .space import DEFAULT_TOL, WeightModel, _product_bound, _theta_certificate, theta_terms
+from .space import (
+    CHUNK_CELLS,
+    DEFAULT_TOL,
+    WeightModel,
+    _product_bound,
+    _theta_certificate,
+    theta_terms,
+)
 
 # Work budget for dual-lattice enumeration (nodes visited plus candidate
 # frequencies scored).
@@ -45,10 +52,6 @@ DOUBLE_SUM_PAIR_CAP = 10**8
 # Cell cap N * d of a theta table: 80 MB of float64 rows; a row's build
 # allocates a few temporaries of its size.
 THETA_TABLE_CELL_CAP = 10**7
-
-# Cells per evaluation chunk: 512 KiB of float64, so a chunk's accumulator and
-# operand stay in a core's L2 cache (faster than 2**21 for both families).
-CHUNK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -252,14 +255,18 @@ def _enum_cut(model: WeightModel, d: int, lam: float, tol: float) -> tuple[float
 
     T makes the mass outside {h : sum_j lam*a_j*|h_j|**b_j <= T}, bounded
     by omega**(T/2) * prod_j theta_j(0) at weights lam/2, fall below
-    ``tol``; T is at least lam * a_1, so |h| = 1 is in range.
+    ``tol``; T is at least lam * a_1, so |h| = 1 is in range.  T is solved in
+    floating point and then stepped up an ulp at a time until the certificate
+    as evaluated is at most ``tol``.
     """
     half_prod = 1.0
     for j in range(1, d + 1):
         half_prod *= _theta_certificate(*theta_terms(j, model, lam / 2.0, min(tol, 1e-6)))[1]
     t_cut = 2.0 * math.log(half_prod / tol) / math.log(1.0 / model.omega)
     t_cut = max(t_cut, lam * model.a_j(1))
-    return t_cut, model.omega ** (t_cut / 2.0) * half_prod
+    while (tail := model.omega ** (t_cut / 2.0) * half_prod) > tol:
+        t_cut = math.nextafter(t_cut, math.inf)
+    return t_cut, tail
 
 
 def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, t_cut: float):

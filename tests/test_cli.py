@@ -213,6 +213,17 @@ def test_exit_code_cap_exceeded_by_theta_table(model_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
+def test_exit_code_cap_exceeded_by_integrate(tmp_path, capsys):
+    # N * (d + terms) = 3 * (2**31 - 1) cells exceed qmc_apply's cap of 2e6,
+    # which is checked before the (N, d) node array is built
+    pp, rp = tmp_path / "poly.json", tmp_path / "rule.json"
+    pp.write_text(json.dumps({"terms": [{"h": [1, 0], "re": 1.0, "im": 0.0}]}))
+    rp.write_text(json.dumps({"n": 2147483647, "g": [1, 2]}))
+    code = run_cli(["integrate", "--poly", str(pp), "--rule", str(rp)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
+
+
 def test_exit_code_cap_exceeded_by_kernel_double_sum(model_path, capsys):
     # 10007**2 pairs exceed the double sum's cap of 1e8
     code = run_cli(

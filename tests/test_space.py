@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from korobov import (
     rho,
     theta,
 )
-from korobov.space import series_tail_bound, theta_terms, truncation_horizon
+from korobov.space import CHUNK_CELLS, series_tail_bound, theta_terms, truncation_horizon
 
 from conftest import brute_theta, make_model
 
@@ -83,6 +84,40 @@ def test_a_lambda_at_least_one_and_monotone():
     # nonincreasing in a_star
     bigger_a = make_model(omega=0.7, a=("constant", 1.6), b=("constant", 1.5))
     assert a_lambda(1.0, bigger_a) <= a_lambda(1.0, model)
+
+
+# the bench's slow-decay model: omega = 0.9, logarithmic a, b = 1/2
+SLOW = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
+
+
+@pytest.mark.parametrize("lam, chunks", [(1.0, 8), (0.5, 32)])
+def test_a_lambda_chunked_sum_matches_whole_array_fsum(lam, chunks):
+    c = lam * SLOW.a_star * math.log(1.0 / SLOW.omega)
+    horizon, _ = truncation_horizon(c, 0.5, 1e-14 / math.exp(c))
+    assert horizon == chunks * CHUNK_CELLS
+    h = np.arange(1, horizon + 1, dtype=np.float64)
+    expected = math.fsum(np.exp(-c * (h**0.5 - 1.0)))
+    assert a_lambda(lam, SLOW) == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+
+def test_a_lambda_memory_is_one_chunk():
+    # the horizon at lambda = 1/4 is 2**23 terms, 64 MB per float64 array
+    a_lambda.cache_clear()
+    tracemalloc.start()
+    try:
+        a_lambda(0.25, SLOW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
+def test_a_lambda_rejects_bad_lambda_whatever_is_cached(lam):
+    a_lambda(1.0, SLOW)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            a_lambda(lam, SLOW)
 
 
 def test_a_lambda_cap_error_for_pathological_weights():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from korobov import (
     KorobovParam,
     rho,
     theta,
+    dual_enum_work_estimate,
     wce2_dual_enum,
     wce2_kernel_double_sum,
     wce2_theta_product,
@@ -157,6 +160,25 @@ def test_enum_cap_raises_mid_walk(monkeypatch):
     assert 1000 < korobov.wce.dual_enum_work_estimate(rule, model) <= 4000
     with pytest.raises(OracleInfeasibleError, match="^enumeration work exceeded"):
         wce2_dual_enum(rule, model)
+
+
+def test_dual_enum_certificate_honours_tol():
+    # T is solved in floating point; the reported certificate must still be
+    # at most tol, not tol plus a few ulps
+    grid = itertools.product(
+        (0.3, 0.5, 0.9), ("constant", "linear", "logarithmic"), (0.5, 1.0, 2.0),
+        (1, 2, 3, 4), (1e-14, 1e-11, 1e-8),
+    )
+    enumerated = 0
+    for omega, a_kind, b, d, tol in grid:
+        model = make_model(omega=omega, a=(a_kind, 1.0), b=("constant", b))
+        _, tail = korobov.wce._enum_cut(model, d, 1.0, tol)
+        assert tail <= tol, (omega, a_kind, b, d, tol)
+        rule = korobov_vector(KorobovParam(101, 7, d))
+        if dual_enum_work_estimate(rule, model, 1.0, tol) <= 2e4:
+            assert wce2_dual_enum(rule, model, 1.0, tol).trunc_bound == tail
+            enumerated += 1
+    assert enumerated >= 100, enumerated
 
 
 def test_error_estimate_flags_zero_region():
