@@ -135,20 +135,14 @@ def _cmd_wce(args, model: WeightModel, config: dict) -> None:
     else:
         rule = korobov_vector(KorobovParam(n=args.n, g=args.g_scalar, d=args.d))
     config.update({"n": rule.n, "g": list(rule.g), "lambda": args.lam, "method": args.method})
-    evaluate = getattr(wce, f"wce2_{args.method}")
-    if args.method == "kernel_double_sum":  # lambda = 1 only
-        est = evaluate(rule, model, args.tol)
-    else:
-        est = evaluate(rule, model, args.lam, args.tol)
+    est = getattr(wce, f"wce2_{args.method}")(rule, model.scaled(args.lam), tol=args.tol)
     _emit(args, config, {"n": rule.n, "g": list(rule.g), **est.to_dict()})
 
 
 def _cmd_search(args, model: WeightModel, config: dict) -> None:
     config.update({"n": args.n, "d": args.d, "variant": args.variant})
     if args.format == "csv":
-        e2, bound = search.family_errors(
-            args.n, args.d, model, 1.0, args.tol, args.variant, args.threads
-        )
+        e2, bound = search.family_errors(args.n, args.d, model, args.tol, args.variant, args.threads)
         if args.variant == "korobov":
             labels = range(e2.size)
         else:
@@ -344,8 +338,6 @@ def _check_combinations(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "wce":
         if (args.g is None) == (args.d is None):
             parser.error("wce --d goes with --g-scalar (required there) and not with --g")
-        if args.method == "kernel_double_sum" and args.lam != 1.0:
-            parser.error("wce --method kernel_double_sum evaluates lambda = 1 only")
     elif args.command == "tract":
         unread = [
             f"--{name.replace('_', '-')}"

@@ -9,7 +9,8 @@ plus a fixed slack resolve to the smallest scalar / lexicographically
 smallest vector), so results do not depend on chunking or thread count.
 Korobov generators g and N - g give the same rule up to a reflection and
 get bitwise equal errors: ``ties`` counts both members of each pair, and
-the smaller g wins.
+the smaller g wins.  Family means of the lambda-scaled dual sums
+(``mean_pow_error``) average the errors of the space at base omega**lam.
 """
 
 from __future__ import annotations
@@ -75,20 +76,19 @@ def family_errors(
     n: int,
     d: int,
     model: WeightModel,
-    lam: float = 1.0,
     tol: float = DEFAULT_TOL,
     family: str = "korobov",
     threads: int = 1,
 ) -> tuple[np.ndarray, float]:
-    """Squared errors at weights lam * a_j of every member of a family, in
-    enumeration order (scalar g, or lexicographic vectors), with their
-    shared truncation bound."""
+    """Squared errors of every member of a family, in enumeration order
+    (scalar g, or lexicographic vectors), with their shared truncation
+    bound."""
     _require_prime(n)
     if family not in ("korobov", "general"):
         raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
     if family == "general" and n**d > GENERAL_SEARCH_CAP:
         raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
-    table = theta_table(model, n, d, lam, tol)
+    table = theta_table(model, n, d, tol)
     if family == "korobov":
         e2 = table.eval_korobov(threads)
     else:
@@ -114,7 +114,7 @@ def search_korobov(
     g = 0 participates like any other candidate.  For d = 1 every scalar
     expands to the vector (1), so all candidates tie and g = 0 wins.
     """
-    e2, bound = family_errors(n, d, model, 1.0, tol, "korobov", threads)
+    e2, bound = family_errors(n, d, model, tol, "korobov", threads)
     g_best, ties = _best(e2, bound)
     return SearchResult(
         best_rule=korobov_vector(KorobovParam(n=n, g=g_best, d=d)),
@@ -132,7 +132,7 @@ def search_general(
     threads: int = 1,
 ) -> SearchResult:
     """Exhaustive search over all of {0, ..., n-1}^d (tiny instances only)."""
-    e2, bound = family_errors(n, d, model, 1.0, tol, "general", threads)
+    e2, bound = family_errors(n, d, model, tol, "general", threads)
     best_idx, ties = _best(e2, bound)
     g_best = tuple(int(v) for v in _general_block(n, d, np.array([best_idx]))[0])
     return SearchResult(
@@ -153,7 +153,7 @@ def mean_pow_error(
 ) -> float:
     """Exact empirical mean over the family of the lambda-scaled dual sums.
 
-    The averaged quantity is the dual-lattice sum at weights lam * a_j (the
-    Jensen majorant of e^(2*lam)), not (e^2)**lam.
+    The averaged quantity is the dual-lattice sum of the space at base
+    omega**lam (the Jensen majorant of e^(2*lam)), not (e^2)**lam.
     """
-    return float(np.mean(family_errors(n, d, model, lam, tol, family, 1)[0]))
+    return float(np.mean(family_errors(n, d, model.scaled(lam), tol, family, 1)[0]))

@@ -9,9 +9,14 @@ the Fourier mass
 so members of the space are one-periodic and analytic.  The reproducing
 kernel factorizes over coordinates into one-dimensional theta series
 
-    theta_j(t) = 1 + 2 * sum_{h >= 1} omega**(lam * a_j * h**b_j) * cos(2*pi*h*t),
+    theta_j(t) = 1 + 2 * sum_{h >= 1} omega**(a_j * h**b_j) * cos(2*pi*h*t).
 
-and the per-coordinate Fourier mass is controlled by the tail constant
+The lambda-scaled mass rho(h)**lam of the averaging bounds is the mass of
+the same space at base omega**lam (:meth:`WeightModel.scaled`), so every
+evaluator takes a space and a tolerance only.  ``theta_factors`` builds the
+d truncated theta series of a space together with their first-order
+product certificate; the product forms of ``wce`` all take their factors
+from it.  The per-coordinate Fourier mass is controlled by the tail constant
 
     a_lambda(lam) = sum_{h >= 1} omega**(lam * a_1 * (h**b_star - 1)).
 
@@ -30,6 +35,7 @@ because a lambda minimisation asks for the same lambda many times.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -217,6 +223,14 @@ class WeightModel:
         candidates.append(self.b.inf_from(len(self.prefix_b) + 1))
         return min(candidates)
 
+    def scaled(self, lam: float) -> "WeightModel":
+        """The same space at base omega**lam, whose Fourier mass is
+        rho(h)**lam: the lambda-scaled dual sums of the averaging bounds are
+        ordinary dual sums there.  Returns ``self`` at lam = 1."""
+        if not (0.0 < lam <= 1.0):
+            raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+        return self if lam == 1.0 else dataclasses.replace(self, omega=self.omega**lam)
+
     def to_dict(self) -> dict:
         out = {"omega": self.omega, "a": self.a.to_dict(), "b": self.b.to_dict()}
         if self.prefix_a:
@@ -311,42 +325,45 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
         horizon = min(horizon * 2, SUM_TERM_CAP)
 
 
-def theta_terms(
-    j: int,
-    model: WeightModel,
-    lam: float = 1.0,
-    tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, float]:
-    """Coefficients w_h = omega**(lam * a_j * h**b_j) for h = 1..H.
+def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Coefficients w_h = omega**(a_j * h**b_j) for h = 1..H.
 
     H is chosen so the truncation error of any theta evaluation built from
     these terms, namely 2 * sum_{h > H} w_h, is at most ``tol``.  Returns
     ``(weights, tail)`` with ``2 * tail <= tol``.
     """
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    c = lam * model.a_j(j) * math.log(1.0 / model.omega)
+    c = model.a_j(j) * math.log(1.0 / model.omega)
     b = model.b_j(j)
     horizon, tail = truncation_horizon(c, b, tol / 2.0)
     h = np.arange(1, horizon + 1, dtype=np.float64)
     return np.exp(-c * h**b), tail
 
 
-def _theta_certificate(w: np.ndarray, tail: float) -> tuple[float, float]:
-    """Per-evaluation truncation bound tau = 2 * tail of a theta series built
-    from ``theta_terms`` output, and its majorant theta(0) + tau."""
-    tau = 2.0 * tail
-    return tau, 1.0 + 2.0 * float(np.sum(w)) + tau
+def theta_factors(
+    model: WeightModel, d: int, tol: float = DEFAULT_TOL
+) -> tuple[list[np.ndarray], list[float], float]:
+    """The truncated theta series of coordinates 1..d and their certificate.
+
+    Returns ``(terms, majors, bound)``: the ``theta_terms`` weights of each
+    coordinate, the majorants theta_j(0) + tau_j (tau_j = 2 * tail_j, the
+    row's per-evaluation truncation bound), and the first-order bound
+    sum_j tau_j * prod_{i != j} major_i on the truncation error of any
+    product of one evaluation per coordinate.
+    """
+    terms, taus = [], []
+    for j in range(1, d + 1):
+        w, tail = theta_terms(j, model, tol)
+        terms.append(w)
+        taus.append(2.0 * tail)
+    majors = [1.0 + 2.0 * float(np.sum(w)) + tau for w, tau in zip(terms, taus)]
+    bound = sum(tau * math.prod(majors[:j] + majors[j + 1 :]) for j, tau in enumerate(taus))
+    return terms, majors, bound
 
 
-def _product_bound(certs) -> float:
-    """First-order propagation of per-factor ``(tau, major)`` certificates
-    through a product: sum_j tau_j * prod_{i != j} major_i."""
-    majors = [major for _, major in certs]
-    return sum(
-        tau * math.prod(m for i, m in enumerate(majors) if i != j)
-        for j, (tau, _) in enumerate(certs)
-    )
+def _theta_at(w: np.ndarray, t: float) -> float:
+    """1 + 2 * sum_h w_h * cos(2*pi*h*t), the theta series of ``w`` at t."""
+    h = np.arange(1, w.size + 1, dtype=np.float64)
+    return 1.0 + 2.0 * float(w @ np.cos((2.0 * math.pi * t) * h))
 
 
 def theta(t: float, j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
@@ -356,9 +373,7 @@ def theta(t: float, j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> flo
     evaluated with absolute truncation error <= tol.  The series is even in
     h, so the value is real, maximal at t = 0, and symmetric about t = 1/2.
     """
-    w, _ = theta_terms(j, model, 1.0, tol)
-    h = np.arange(1, w.size + 1, dtype=np.float64)
-    return 1.0 + 2.0 * float(w @ np.cos((2.0 * math.pi * t) * h))
+    return _theta_at(theta_terms(j, model, tol)[0], t)
 
 
 @lru_cache(maxsize=256)
@@ -412,19 +427,13 @@ def kernel_with_bound(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> tup
     """Kernel value K(x, y) together with a certified truncation bound.
 
     The kernel is the product over coordinates of theta at the fractional
-    difference.  The bound propagates the per-factor certificates through
-    the product using theta_j(0) majorants.
+    difference; the bound is the product certificate of ``theta_factors``.
     """
     if len(x) != len(y):
         raise ValueError("points must have equal dimension")
-    vals, certs = [], []
-    for j in range(1, len(x) + 1):
-        t = (float(x[j - 1]) - float(y[j - 1])) % 1.0
-        w, tail = theta_terms(j, model, 1.0, tol)
-        h = np.arange(1, w.size + 1, dtype=np.float64)
-        vals.append(1.0 + 2.0 * float(w @ np.cos((2.0 * math.pi * t) * h)))
-        certs.append(_theta_certificate(w, tail))
-    return math.prod(vals), _product_bound(certs)
+    terms, _, bound = theta_factors(model, len(x), tol)
+    vals = [_theta_at(w, (float(xj) - float(yj)) % 1.0) for w, xj, yj in zip(terms, x, y)]
+    return math.prod(vals), bound
 
 
 def kernel(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> float:

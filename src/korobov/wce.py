@@ -17,8 +17,13 @@ generators at once; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
 slower oracles used for cross-validation.  One dual-lattice enumerator
 serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
 (heaviest dual frequency).  Every evaluator reports its certified
-truncation bound alongside the value; the two product forms share one
-first-order product bound over the per-coordinate theta certificates.
+truncation bound alongside the value; the two product forms take their
+theta series and that bound from ``space.theta_factors``.
+
+Below the public entry points every function takes a space and a
+tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
+mass rho(h)**lam, is the dual sum of the same space at base omega**lam, so
+the entry points that take ``lam`` pass ``model.scaled(lam)`` on.
 """
 
 from __future__ import annotations
@@ -33,14 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
 from .lattice import LatticeRule, primitive_root
-from .space import (
-    CHUNK_CELLS,
-    DEFAULT_TOL,
-    WeightModel,
-    _product_bound,
-    _theta_certificate,
-    theta_terms,
-)
+from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel, theta_factors
 
 # Work budget for dual-lattice enumeration (nodes visited plus candidate
 # frequencies scored).
@@ -102,29 +100,22 @@ def _fold_terms(w: np.ndarray, n: int) -> np.ndarray:
 class ThetaTable:
     """Per-coordinate theta values at t = r/N for r = 0..N-1.
 
-    One row per coordinate j, with its upper majorant theta_j(0) + tau_j,
-    tau_j the row's certified per-evaluation truncation bound;
-    ``product_bound`` propagates both through the product over coordinates.
-    N * d is checked against ``THETA_TABLE_CELL_CAP`` before any allocation.
-    Read-only after construction, hence safe to share across workers.
+    One row per coordinate j from the series of ``theta_factors``, with
+    their majorants theta_j(0) + tau_j and their product certificate
+    ``product_bound``, one for every k.  N * d is checked against
+    ``THETA_TABLE_CELL_CAP`` before any allocation.  Read-only after
+    construction, hence safe to share across workers.
     """
 
-    def __init__(self, model: WeightModel, n: int, d: int, lam: float, tol: float):
+    def __init__(self, model: WeightModel, n: int, d: int, tol: float):
         if n * d > THETA_TABLE_CELL_CAP:
             raise CapExceededError(
                 f"theta table needs {n * d} cells, cap is {THETA_TABLE_CELL_CAP}"
             )
         self.n = n
         self.d = d
-        self.values: list[np.ndarray] = []
-        certs = []
-        for j in range(1, d + 1):
-            w, tail = theta_terms(j, model, lam, tol)
-            self.values.append(1.0 + 2.0 * np.real(np.fft.fft(_fold_terms(w, n))))
-            certs.append(_theta_certificate(w, tail))
-        self.majors = [major for _, major in certs]
-        # one certificate for every k
-        self.product_bound = _product_bound(certs)
+        terms, self.majors, self.product_bound = theta_factors(model, d, tol)
+        self.values = [1.0 + 2.0 * np.real(np.fft.fft(_fold_terms(w, n))) for w in terms]
 
     def eval_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Squared errors for a block of generating vectors, shape (m, d).
@@ -204,9 +195,9 @@ def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def theta_table(model: WeightModel, n: int, d: int, lam: float, tol: float) -> ThetaTable:
+def theta_table(model: WeightModel, n: int, d: int, tol: float) -> ThetaTable:
     """Memoized table build; identical inputs share one read-only table."""
-    return ThetaTable(model, n, d, lam, tol)
+    return ThetaTable(model, n, d, tol)
 
 
 def wce2_theta_product(
@@ -217,10 +208,10 @@ def wce2_theta_product(
 ) -> ErrorEstimate:
     """Squared worst-case error via the length-N character sum.
 
-    With ``lam`` < 1 the weights are scaled to lam * a_j, which evaluates
-    the Jensen-dominating dual sum used by the averaging bounds.
+    With ``lam`` < 1 it evaluates the space at base omega**lam, whose dual
+    sum is the Jensen-dominating sum of rho**lam used by the averaging bounds.
     """
-    table = theta_table(model, rule.n, rule.d, lam, tol)
+    table = theta_table(model.scaled(lam), rule.n, rule.d, tol)
     vec = np.asarray(rule.g, dtype=np.int64)[None, :]
     value = float(table.eval_vectors(vec)[0])
     return ErrorEstimate(value=value, trunc_bound=table.product_bound, method="theta_product")
@@ -230,48 +221,46 @@ def wce2_theta_product(
 # Dual-lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _range_limit(budget: float, lam: float, a: float, b: float) -> int:
+def _range_limit(budget: float, a: float, b: float) -> int:
     if budget < 0.0:
         return -1
-    return int(math.floor((budget / (lam * a)) ** (1.0 / b)))
+    return int(math.floor((budget / a) ** (1.0 / b)))
 
 
-def _region_volume(t_cut: float, lam: float, weights: list[tuple[float, float]]) -> float:
-    """Continuous volume of {x : sum lam*a_j*|x_j|**b_j <= t_cut} (Dirichlet)."""
+def _region_volume(t_cut: float, weights: list[tuple[float, float]]) -> float:
+    """Continuous volume of {x : sum a_j*|x_j|**b_j <= t_cut} (Dirichlet)."""
     if not weights:
         return 1.0
     log_vol = 0.0
     inv_sum = 0.0
     for a, b in weights:
-        c = (t_cut / (lam * a)) ** (1.0 / b)
+        c = (t_cut / a) ** (1.0 / b)
         log_vol += math.log(2.0 * c) + math.lgamma(1.0 + 1.0 / b)
         inv_sum += 1.0 / b
     return math.exp(log_vol - math.lgamma(1.0 + inv_sum))
 
 
-def _enum_cut(model: WeightModel, d: int, lam: float, tol: float) -> tuple[float, float]:
+def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     """Region threshold T of the dual sum at tolerance ``tol``, with its tail
     certificate.
 
-    T makes the mass outside {h : sum_j lam*a_j*|h_j|**b_j <= T}, bounded
-    by omega**(T/2) * prod_j theta_j(0) at weights lam/2, fall below
-    ``tol``; T is at least lam * a_1, so |h| = 1 is in range.  T is solved in
-    floating point and then stepped up an ulp at a time until the certificate
-    as evaluated is at most ``tol``.
+    T makes the mass outside {h : sum_j a_j*|h_j|**b_j <= T}, bounded by
+    omega**(T/2) * prod_j theta_j(0) in the space at base omega**(1/2)
+    (Rankin's trick), fall below ``tol``; T is at least a_1, so |h| = 1 is
+    in range.  T is solved in floating point and then stepped up an ulp at a
+    time until the certificate as evaluated is at most ``tol``.
     """
-    half_prod = 1.0
-    for j in range(1, d + 1):
-        half_prod *= _theta_certificate(*theta_terms(j, model, lam / 2.0, min(tol, 1e-6)))[1]
+    half_prod = math.prod(theta_factors(model.scaled(0.5), d, min(tol, 1e-6))[1])
     t_cut = 2.0 * math.log(half_prod / tol) / math.log(1.0 / model.omega)
-    t_cut = max(t_cut, lam * model.a_j(1))
+    t_cut = max(t_cut, model.a_j(1))
     while (tail := model.omega ** (t_cut / 2.0) * half_prod) > tol:
         t_cut = math.nextafter(t_cut, math.inf)
     return t_cut, tail
 
 
-def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, t_cut: float):
+def _enum_plan(rule: LatticeRule, model: WeightModel, t_cut: float):
     """Coordinate order and work estimate for enumerating the dual h in
-    {h : sum_j lam*a_j*|h_j|**b_j <= t_cut}.
+    {h : sum_j a_j*|h_j|**b_j <= t_cut}.
 
     The congruence is solved in the coordinate with the widest range, so
     the estimated work is the prefix region size plus 1/N-th of the full
@@ -279,13 +268,11 @@ def _enum_plan(rule: LatticeRule, model: WeightModel, lam: float, t_cut: float):
     """
     n, d = rule.n, rule.d
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
-    solve_idx = max(
-        range(d), key=lambda i: _range_limit(t_cut, lam, weights[i][0], weights[i][1])
-    )
+    solve_idx = max(range(d), key=lambda i: _range_limit(t_cut, *weights[i]))
     order = [i for i in range(d) if i != solve_idx] + [solve_idx]
-    est = _region_volume(t_cut, lam, [weights[i] for i in order[:-1]])
-    est += _region_volume(t_cut, lam, weights) / n + 3.0**d
-    return t_cut, weights, order, est
+    est = _region_volume(t_cut, [weights[i] for i in order[:-1]])
+    est += _region_volume(t_cut, weights) / n + 3.0**d
+    return weights, order, est
 
 
 def dual_enum_work_estimate(
@@ -295,23 +282,25 @@ def dual_enum_work_estimate(
     tol: float = DEFAULT_TOL,
 ) -> float:
     """Estimated enumeration work of :func:`wce2_dual_enum` at this tolerance."""
-    t_cut, _ = _enum_cut(model, rule.d, lam, tol)
-    return _enum_plan(rule, model, lam, t_cut)[3]
+    model = model.scaled(lam)
+    t_cut, _ = _enum_cut(model, rule.d, tol)
+    return _enum_plan(rule, model, t_cut)[2]
 
 
-def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
-    """Visit every nonzero dual h in the region of ``plan``, a block at a time.
+def _enumerate_dual(rule: LatticeRule, t_cut: float, plan, leaf) -> None:
+    """Visit every nonzero dual h with sum_j a_j*|h_j|**b_j <= t_cut, the
+    region of ``plan``, a block at a time.
 
     Recursive coordinate descent over ``order[:-1]``; the congruence
     h . g == 0 (mod N) is solved in the last coordinate of ``order``, whose
     admissible values form one array ``hs`` per prefix.  Each block goes to
     ``leaf(h, exponent, hs)``: h holds the prefix values at their coordinate
     positions (0 at the solved one), exponent is their sum of
-    lam*a_j*|h_j|**b_j.  Nodes visited plus values solved count against the
+    a_j*|h_j|**b_j.  Nodes visited plus values solved count against the
     work cap ``ENUM_CAP``; :class:`OracleInfeasibleError` when it is exceeded.
     """
     n, d = rule.n, rule.d
-    t_cut, weights, order, est = plan
+    weights, order, est = plan
     budget = ENUM_CAP
     if est > 4.0 * budget:
         raise OracleInfeasibleError(
@@ -326,7 +315,7 @@ def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
     def descend(pos: int, exponent: float, dot_mod: int, prefix_zero: bool) -> None:
         nonlocal work
         if pos == d - 1:
-            limit = _range_limit(t_cut - exponent, lam, a_solve, b_solve)
+            limit = _range_limit(t_cut - exponent, a_solve, b_solve)
             if limit < 0:
                 return
             if g_inv is None:
@@ -351,7 +340,7 @@ def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
             return
         idx = order[pos]
         a, b = weights[idx]
-        limit = _range_limit(t_cut - exponent, lam, a, b)
+        limit = _range_limit(t_cut - exponent, a, b)
         g_here = rule.g[idx] % n
         for h in range(-limit, limit + 1):
             work += 1
@@ -360,7 +349,7 @@ def _enumerate_dual(rule: LatticeRule, lam: float, plan, leaf) -> None:
             prefix[idx] = h
             descend(
                 pos + 1,
-                exponent + lam * a * float(abs(h)) ** b,
+                exponent + a * float(abs(h)) ** b,
                 (dot_mod + h * g_here) % n,
                 prefix_zero and h == 0,
             )
@@ -377,22 +366,23 @@ def wce2_dual_enum(
     """Squared worst-case error by summing rho over the dual lattice.
 
     Enumerates all nonzero h in the truncation region with
-    h . g == 0 (mod N), summing rho at weights lam * a_j; the omitted mass
-    is certified below ``tol``.  Intended as a small-instance oracle;
-    infeasibly large regions raise :class:`OracleInfeasibleError`.
+    h . g == 0 (mod N), summing rho in the space at base omega**lam; the
+    omitted mass is certified below ``tol``.  Intended as a small-instance
+    oracle; infeasibly large regions raise :class:`OracleInfeasibleError`.
     """
-    t_cut, tail_bound = _enum_cut(model, rule.d, lam, tol)
-    plan = _enum_plan(rule, model, lam, t_cut)
-    _, weights, order, _ = plan
+    model = model.scaled(lam)
+    t_cut, tail_bound = _enum_cut(model, rule.d, tol)
+    plan = _enum_plan(rule, model, t_cut)
+    weights, order, _ = plan
     a_solve, b_solve = weights[order[-1]]
     log_omega_inv = math.log(1.0 / model.omega)
     leaf_sums: list[float] = []
 
     def add(prefix, exponent: float, hs: np.ndarray) -> None:
-        expo = exponent + lam * a_solve * np.abs(hs).astype(np.float64) ** b_solve
+        expo = exponent + a_solve * np.abs(hs).astype(np.float64) ** b_solve
         leaf_sums.append(float(np.sum(np.exp(-log_omega_inv * expo))))
 
-    _enumerate_dual(rule, lam, plan, add)
+    _enumerate_dual(rule, t_cut, plan, add)
     return ErrorEstimate(math.fsum(leaf_sums), tail_bound, "dual_enum")
 
 
@@ -408,8 +398,8 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
     depend on the enumeration order.
     """
     t_cut = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0
-    plan = _enum_plan(rule, model, 1.0, t_cut)
-    _, weights, order, _ = plan
+    plan = _enum_plan(rule, model, t_cut)
+    weights, order, _ = plan
     solve = order[-1]
     best: tuple[float, tuple[int, ...]] = (math.inf, ())
 
@@ -422,7 +412,7 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
                 expo += a * float(abs(hj)) ** b
             best = min(best, (expo, h))
 
-    _enumerate_dual(rule, 1.0, plan, score)
+    _enumerate_dual(rule, t_cut, plan, score)
     assert best[1], "the dual lattice always contains N * e_1"
     return best[1]
 
@@ -446,9 +436,9 @@ def wce2_kernel_double_sum(
     n, d = rule.n, rule.d
     if n * n > DOUBLE_SUM_PAIR_CAP:
         raise CapExceededError(f"kernel double sum needs {n * n} pairs, cap is {DOUBLE_SUM_PAIR_CAP}")
-    factors, certs = [], []
-    for j in range(1, d + 1):
-        w, tail = theta_terms(j, model, 1.0, tol)
+    terms, _, bound = theta_factors(model, d, tol)
+    factors = []
+    for w in terms:
         # theta at every fraction r/N by direct per-term summation; angles
         # are reduced mod N in exact integer arithmetic first, since
         # cos(2*pi*h*r/N) loses precision for large h*r
@@ -460,7 +450,6 @@ def wce2_kernel_double_sum(
             angles = 2.0 * math.pi / n * (r[:, None] * hm[None, :] % n)
             vals[start : start + r.size] = 1.0 + 2.0 * np.sum(np.cos(angles) * w[None, :], axis=1)
         factors.append(vals)
-        certs.append(_theta_certificate(w, tail))
     k = np.arange(n, dtype=np.int64)
     total = 0.0
     chunk = max(1, DOUBLE_SUM_PAIR_CAP // (8 * n))
@@ -470,4 +459,4 @@ def wce2_kernel_double_sum(
         for j in range(d):
             acc *= factors[j][rows * rule.g[j] % n]
         total += float(np.sum(acc))
-    return ErrorEstimate(total / float(n) ** 2 - 1.0, _product_bound(certs), "kernel_double_sum")
+    return ErrorEstimate(total / float(n) ** 2 - 1.0, bound, "kernel_double_sum")

@@ -414,10 +414,6 @@ TRACE = ["--d-list", "4", "--eps-list", "0.1"]
         pytest.param(["tract", "--mode", "wt", "--d-max", "64", *TRACE], id="tract-wt-d-max"),
         pytest.param(["tract", "--mode", "st", "--d-max", "64", *TRACE], id="tract-st-d-max"),
         pytest.param(["wce", "--n", "13", "--g", "1,5", "--d", "2"], id="wce-g-with-d"),
-        pytest.param(
-            ["wce", "--n", "13", "--g", "1,5", "--method", "kernel_double_sum", "--lambda", "0.5"],
-            id="wce-kernel-lambda",
-        ),
         pytest.param(["wce", "--n", "13", "--g", "1,5", "--g-scalar", "5", "--d", "2"], id="wce-g-and-g-scalar"),
         pytest.param(
             ["convergence", "--d", "1", "--primes", "5,7", "--primes-up-to", "23"],

@@ -144,7 +144,7 @@ def test_eval_korobov_matches_eval_vectors(name):
     for n in (2, 3, 5, 7, 13, 101, 1009):
         for d in range(1, 6):
             for lam in (1.0, 0.5):
-                table = theta_table(model, n, d, lam, DEFAULT_TOL)
+                table = theta_table(model.scaled(lam), n, d, DEFAULT_TOL)
                 fast = table.eval_korobov()
                 tol = 1e-15 * math.prod(table.majors)
                 assert np.max(np.abs(fast - _oracle_korobov_errors(table))) <= tol, (n, d, lam)
@@ -155,7 +155,7 @@ def test_eval_korobov_matches_eval_vectors(name):
 def test_mean_pow_error_korobov_matches_oracle():
     model = KERNEL_MODELS["slow_decay"]
     for n, d in ((13, 3), (101, 4)):
-        table = theta_table(model, n, d, 0.5, DEFAULT_TOL)
+        table = theta_table(model.scaled(0.5), n, d, DEFAULT_TOL)
         tol = 1e-15 * math.prod(table.majors)
         oracle = float(np.mean(_oracle_korobov_errors(table)))
         assert mean_pow_error(n, d, 0.5, model, family="korobov") == pytest.approx(oracle, abs=tol)

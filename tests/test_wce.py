@@ -172,7 +172,7 @@ def test_dual_enum_certificate_honours_tol():
     enumerated = 0
     for omega, a_kind, b, d, tol in grid:
         model = make_model(omega=omega, a=(a_kind, 1.0), b=("constant", b))
-        _, tail = korobov.wce._enum_cut(model, d, 1.0, tol)
+        _, tail = korobov.wce._enum_cut(model, d, tol)
         assert tail <= tol, (omega, a_kind, b, d, tol)
         rule = korobov_vector(KorobovParam(101, 7, d))
         if dual_enum_work_estimate(rule, model, 1.0, tol) <= 2e4:
@@ -234,7 +234,7 @@ def test_product_certificate_is_shared(a):
     n, d, tol = 13, 3, 1e-12
     rule = LatticeRule(n, (1, 5, 12))
     from_kernel = kernel_with_bound((0.1, 0.2, 0.7), (0.4, 0.9, 0.3), model, tol)[1]
-    from_table = theta_table(model, n, d, 1.0, tol).product_bound
+    from_table = theta_table(model, n, d, tol).product_bound
     from_double_sum = wce2_kernel_double_sum(rule, model, tol).trunc_bound
     assert from_kernel > 0.0
     assert from_kernel == from_table == from_double_sum
