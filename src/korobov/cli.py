@@ -242,6 +242,8 @@ def _cmd_convergence(args, model: WeightModel, config: dict) -> None:
         if bad:
             raise ConfigError(f"values {bad} are not prime")
     else:
+        if args.primes_up_to > bounds.SCAN_N_CAP:  # before the prime list is built
+            raise CapExceededError(f"--primes-up-to exceeds the scan cap {bounds.SCAN_N_CAP}")
         primes = [p for p in range(2, args.primes_up_to + 1) if is_prime(p)]
     config.update({"d": args.d, "primes": primes})
     rows = qmc.convergence_study(args.d, model, primes, args.tol)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import error_bound_min
+from .bounds import SCAN_N_CAP, error_bound_min
 from .errors import CapExceededError
 from .lattice import LatticeRule
 from .search import search_korobov
@@ -239,11 +239,14 @@ def convergence_study(
     has no cancellation, so errors far below the float64 noise floor of
     the character sum come out as their true tiny values (exactly 0 once
     every dual point leaves the truncation region, with the certificate
-    still reported in the estimate).
+    still reported in the estimate).  Primes above ``bounds.SCAN_N_CAP``
+    raise :class:`CapExceededError` before any search runs.
     """
     primes = list(primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):
         raise ValueError("primes must be strictly ascending")
+    if primes and primes[-1] > SCAN_N_CAP:
+        raise CapExceededError(f"convergence prime {primes[-1]} exceeds the scan cap {SCAN_N_CAP}")
     rows = []
     for n in primes:
         res = search_korobov(n, d, model, tol)

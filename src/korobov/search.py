@@ -9,8 +9,10 @@ plus a fixed slack resolve to the smallest scalar / lexicographically
 smallest vector), so results do not depend on chunking or thread count.
 Korobov generators g and N - g give the same rule up to a reflection and
 get bitwise equal errors: ``ties`` counts both members of each pair, and
-the smaller g wins.  Family means of the lambda-scaled dual sums
-(``mean_pow_error``) average the errors of the space at base omega**lam.
+the smaller g wins.  The shared truncation bound of a family is the
+product certificate of ``space.theta_factors``, at most the tolerance.
+Family means of the lambda-scaled dual sums (``mean_pow_error``) average
+the errors of the space at base omega**lam; below it nothing takes lambda.
 """
 
 from __future__ import annotations

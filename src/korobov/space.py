@@ -13,10 +13,13 @@ kernel factorizes over coordinates into one-dimensional theta series
 
 The lambda-scaled mass rho(h)**lam of the averaging bounds is the mass of
 the same space at base omega**lam (:meth:`WeightModel.scaled`), so every
-evaluator takes a space and a tolerance only.  ``theta_factors`` builds the
+evaluator takes a space and a tolerance only; only ``a_lambda``, which
+serves the closed-form bounds, keeps lambda.  ``theta_factors`` builds the
 d truncated theta series of a space together with their first-order
-product certificate; the product forms of ``wce`` all take their factors
-from it.  The per-coordinate Fourier mass is controlled by the tail constant
+product certificate, giving each coordinate a share of the tolerance so
+that the certificate stays at most the tolerance; the product forms of
+``wce`` all take their factors from it.  The per-coordinate Fourier mass is
+controlled by the tail constant
 
     a_lambda(lam) = sum_{h >= 1} omega**(lam * a_1 * (h**b_star - 1)).
 
@@ -347,17 +350,33 @@ def theta_factors(
     Returns ``(terms, majors, bound)``: the ``theta_terms`` weights of each
     coordinate, the majorants theta_j(0) + tau_j (tau_j = 2 * tail_j, the
     row's per-evaluation truncation bound), and the first-order bound
-    sum_j tau_j * prod_{i != j} major_i on the truncation error of any
-    product of one evaluation per coordinate.
+    sum_j tau_j * prod_{i != j} major_i <= ``tol`` on the truncation error
+    of any product of one evaluation per coordinate.
+
+    Each coordinate gets a share of ``tol``.  A first pass at ``tol`` gives
+    majorants M_i >= theta_i(0); row j is rebuilt at
+    share_j = tol / (d * prod_{i != j} (M_i + tol/d)) unless its tau_j
+    already meets that share (always so at d = 1).
     """
-    terms, taus = [], []
-    for j in range(1, d + 1):
-        w, tail = theta_terms(j, model, tol)
-        terms.append(w)
-        taus.append(2.0 * tail)
-    majors = [1.0 + 2.0 * float(np.sum(w)) + tau for w, tau in zip(terms, taus)]
-    bound = sum(tau * math.prod(majors[:j] + majors[j + 1 :]) for j, tau in enumerate(taus))
-    return terms, majors, bound
+    rows = [theta_terms(j, model, tol) for j in range(1, d + 1)]
+    pad = [1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail + tol / d for w, tail in rows]
+    shares = [tol / (d * math.prod(pad[:j] + pad[j + 1 :])) for j in range(d)]
+    # Every share is at most tol/d, so each final majorant satisfies
+    # major_i <= theta_i(0) + tau_i <= M_i + tol/d, and the bound is at most
+    # sum_j share_j * prod_{i != j} (M_i + tol/d) = tol.  Should rounding
+    # land the evaluated bound above tol, the shares are halved and the
+    # rows that miss them rebuilt, as _enum_cut steps its threshold.
+    while True:
+        rows = [
+            row if 2.0 * row[1] <= share else theta_terms(j, model, share)
+            for j, row, share in zip(range(1, d + 1), rows, shares)
+        ]
+        taus = [2.0 * tail for _, tail in rows]
+        majors = [1.0 + 2.0 * float(np.sum(w)) + tau for (w, _), tau in zip(rows, taus)]
+        bound = sum(tau * math.prod(majors[:j] + majors[j + 1 :]) for j, tau in enumerate(taus))
+        if bound <= tol:
+            return [w for w, _ in rows], majors, bound
+        shares = [share / 2.0 for share in shares]
 
 
 def _theta_at(w: np.ndarray, t: float) -> float:

@@ -17,8 +17,9 @@ generators at once; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
 slower oracles used for cross-validation.  One dual-lattice enumerator
 serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
 (heaviest dual frequency).  Every evaluator reports its certified
-truncation bound alongside the value; the two product forms take their
-theta series and that bound from ``space.theta_factors``.
+truncation bound alongside the value, at most the requested tolerance;
+the two product forms take their theta series and that bound from
+``space.theta_factors``, which gives each coordinate a share of it.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with

@@ -213,6 +213,19 @@ def test_exit_code_cap_exceeded_by_theta_table(model_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
+@pytest.mark.parametrize(
+    "primes",
+    [["--primes-up-to", "2000000000"], ["--primes", "5,7,2147483647"]],
+    ids=["primes-up-to", "primes"],
+)
+def test_exit_code_cap_exceeded_by_convergence(model_path, capsys, primes):
+    # moduli above the scan cap are rejected before the prime list is built
+    # or any search runs
+    code = run_cli(["convergence", "--model", model_path, "--d", "1", *primes])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
+
+
 def test_exit_code_cap_exceeded_by_integrate(tmp_path, capsys):
     # N * (d + terms) = 3 * (2**31 - 1) cells exceed qmc_apply's cap of 2e6,
     # which is checked before the (N, d) node array is built
@@ -288,16 +301,25 @@ def read_csv_rows(path):
 
 
 @pytest.mark.parametrize(
-    "method, fn",
-    [("dual_enum", wce2_dual_enum), ("kernel_double_sum", wce2_kernel_double_sum)],
+    "method, fn, lam",
+    [
+        pytest.param("dual_enum", wce2_dual_enum, 1.0, id="dual_enum-wce2_dual_enum"),
+        pytest.param(
+            "kernel_double_sum", wce2_kernel_double_sum, 1.0, id="kernel_double_sum-wce2_kernel_double_sum"
+        ),
+        pytest.param("kernel_double_sum", wce2_kernel_double_sum, 0.5, id="kernel_double_sum-lambda-0.5"),
+    ],
 )
-def test_wce_methods_match_library(model_path, tmp_path, method, fn):
+def test_wce_methods_match_library(model_path, tmp_path, method, fn, lam):
     out = tmp_path / "wce.json"
-    argv = ["wce", "--model", model_path, "--n", "13", "--g", "1,5", "--method", method, "--out", str(out)]
+    argv = ["wce", "--model", model_path, "--n", "13", "--g", "1,5", "--method", method,
+            "--lambda", repr(lam), "--out", str(out)]
     assert run_cli(argv) == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["method"] == method
-    assert payload["result"] == {"n": 13, "g": [1, 5], **fn(LatticeRule(13, (1, 5)), LINEAR).to_dict()}
+    assert payload["config"]["lambda"] == lam
+    expected = fn(LatticeRule(13, (1, 5)), LINEAR.scaled(lam)).to_dict()
+    assert payload["result"] == {"n": 13, "g": [1, 5], **expected}
 
 
 def test_bound_fixed_lambda_matches_library(model_path, tmp_path):
@@ -415,6 +437,8 @@ TRACE = ["--d-list", "4", "--eps-list", "0.1"]
         pytest.param(["tract", "--mode", "st", "--d-max", "64", *TRACE], id="tract-st-d-max"),
         pytest.param(["wce", "--n", "13", "--g", "1,5", "--d", "2"], id="wce-g-with-d"),
         pytest.param(["wce", "--n", "13", "--g", "1,5", "--g-scalar", "5", "--d", "2"], id="wce-g-and-g-scalar"),
+        pytest.param(["wce", "--n", "13", "--g", "1,5", "--lambda", "1.5"], id="wce-lambda-above-one"),
+        pytest.param(["wce", "--n", "13", "--g", "1,5", "--lambda", "0"], id="wce-lambda-zero"),
         pytest.param(
             ["convergence", "--d", "1", "--primes", "5,7", "--primes-up-to", "23"],
             id="convergence-primes-and-up-to",

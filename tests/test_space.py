@@ -17,6 +17,7 @@ from korobov import (
     theta,
 )
 from korobov.space import CHUNK_CELLS, series_tail_bound, theta_terms, truncation_horizon
+from korobov.wce import theta_table
 
 from conftest import brute_theta, make_model
 
@@ -29,6 +30,25 @@ def test_rho_zero_vector_is_one(unit_model):
 
 def test_rho_single_frequency(unit_model):
     assert rho((1,), unit_model) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_scaled_model_has_mass_rho_to_the_lambda():
+    model = make_model(omega=0.7, a=("linear", 1.0), b=("constant", 0.5), prefix_a=(0.5,))
+    for lam in (0.5, 0.25, 0.1):
+        for h in ((1,), (2, -1), (0, 3, 1)):
+            assert rho(h, model.scaled(lam)) == pytest.approx(rho(h, model) ** lam, rel=1e-14)
+    assert model.scaled(1.0) is model
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
+def test_scaled_rejects_bad_lambda(lam, unit_model):
+    with pytest.raises(ValueError):
+        unit_model.scaled(lam)
+
+
+def test_equal_scaled_models_share_one_theta_table(linear_model):
+    first = theta_table(linear_model.scaled(0.5), 13, 2, 1e-14)
+    assert theta_table(linear_model.scaled(0.5), 13, 2, 1e-14) is first
 
 
 def test_rho_mixed_weights():

@@ -238,3 +238,40 @@ def test_product_certificate_is_shared(a):
     from_double_sum = wce2_kernel_double_sum(rule, model, tol).trunc_bound
     assert from_kernel > 0.0
     assert from_kernel == from_table == from_double_sum
+
+
+def test_product_certificates_honour_tol():
+    # each coordinate gets a share of tol, so the first-order product
+    # certificate of every product form stays at most tol
+    grid = itertools.product(
+        (0.3, 0.5, 0.9), ("constant", "linear", "logarithmic"), (0.5, 1.0, 2.0),
+        (1, 2, 3, 4), (1e-14, 1e-10),
+    )
+    for omega, a_kind, b, d, tol in grid:
+        model = make_model(omega=omega, a=(a_kind, 1.0), b=("constant", b))
+        rule = korobov_vector(KorobovParam(5, 2, d))
+        x, y = rule.points()[1], rule.points()[3]
+        bounds = (
+            wce2_theta_product(rule, model, 1.0, tol).trunc_bound,
+            wce2_kernel_double_sum(rule, model, tol).trunc_bound,
+            kernel_with_bound(x, y, model, tol)[1],
+        )
+        assert max(bounds) <= tol, (omega, a_kind, b, d, tol, bounds)
+
+
+def test_methods_agree_at_scaled_lambda():
+    # the lambda-scaled dual sum of rho(h)**lam is the dual sum of the
+    # space at base omega**lam, for all three evaluators
+    model = make_model(a=("linear", 1.0))
+    rule = LatticeRule(13, (1, 5))
+    for lam in (0.5, 0.25):
+        expected = brute_dual_e2(13, (1, 5), model, lam=lam, box=200)
+        ests = (
+            wce2_dual_enum(rule, model, lam),
+            wce2_theta_product(rule, model, lam),
+            wce2_kernel_double_sum(rule, model.scaled(lam)),
+        )
+        for est in ests:
+            assert abs(est.value - expected) <= est.trunc_bound + 1e-12, (lam, est)
+        for e1, e2 in itertools.combinations(ests, 2):
+            assert abs(e1.value - e2.value) <= e1.trunc_bound + e2.trunc_bound + 1e-12, lam
