@@ -12,7 +12,7 @@ get bitwise equal errors: ``ties`` counts both members of each pair, and
 the smaller g wins.  The shared truncation bound of a family is the
 product certificate of ``space.theta_factors``, at most the tolerance.
 Family means of the lambda-scaled dual sums (``mean_pow_error``) average
-the errors of the space at base omega**lam; below it nothing takes lambda.
+the errors of the space at base omega**lam.
 """
 
 from __future__ import annotations

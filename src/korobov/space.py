@@ -358,8 +358,12 @@ def theta_factors(
     share_j = tol / (d * prod_{i != j} (M_i + tol/d)) unless its tau_j
     already meets that share (always so at d = 1).
     """
+
+    def majors_of(rows) -> list[float]:
+        return [1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail for w, tail in rows]
+
     rows = [theta_terms(j, model, tol) for j in range(1, d + 1)]
-    pad = [1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail + tol / d for w, tail in rows]
+    pad = [major + tol / d for major in majors_of(rows)]
     shares = [tol / (d * math.prod(pad[:j] + pad[j + 1 :])) for j in range(d)]
     # Every share is at most tol/d, so each final majorant satisfies
     # major_i <= theta_i(0) + tau_i <= M_i + tol/d, and the bound is at most
@@ -371,8 +375,7 @@ def theta_factors(
             row if 2.0 * row[1] <= share else theta_terms(j, model, share)
             for j, row, share in zip(range(1, d + 1), rows, shares)
         ]
-        taus = [2.0 * tail for _, tail in rows]
-        majors = [1.0 + 2.0 * float(np.sum(w)) + tau for (w, _), tau in zip(rows, taus)]
+        taus, majors = [2.0 * tail for _, tail in rows], majors_of(rows)
         bound = sum(tau * math.prod(majors[:j] + majors[j + 1 :]) for j, tau in enumerate(taus))
         if bound <= tol:
             return [w for w, _ in rows], majors, bound
