@@ -235,11 +235,11 @@ def convergence_study(
     decay shows up as the N^alpha * e columns eventually decreasing.
 
     The search selects by the character-sum evaluator; the winner is then
-    re-evaluated by dual enumeration whenever that is cheap.  The dual sum
-    has no cancellation, so errors far below the float64 noise floor of
-    the character sum come out as their true tiny values (exactly 0 once
-    every dual point leaves the truncation region, with the certificate
-    still reported in the estimate).  Primes above ``bounds.SCAN_N_CAP``
+    re-evaluated by ``wce2_dual_enum`` when its estimated work (prefix cells
+    plus folded frequencies) is at most 10**6.  The dual sum has no
+    cancellation, so errors far below the float64 noise floor of the
+    character sum come out as their true tiny values (0 once every dual
+    point leaves the truncation region).  Primes above ``bounds.SCAN_N_CAP``
     raise :class:`CapExceededError` before any search runs.
     """
     primes = list(primes)

@@ -23,9 +23,9 @@ controlled by the tail constant
 
     a_lambda(lam) = sum_{h >= 1} omega**(lam * a_1 * (h**b_star - 1)).
 
-All infinite sums are truncated with a rigorous tail certificate: the
-returned value differs from the exact series by at most the requested
-tolerance.  The tail certificate of sum_{h > H} exp(-c * h**b) is closed
+All infinite sums are truncated at the smallest horizon whose rigorous
+tail certificate is at most the requested tolerance, so the value differs
+from the exact series by at most that.  The tail certificate of sum_{h > H} exp(-c * h**b) is closed
 form: a geometric series for b >= 1, and for b < 1, with y = H + 1,
 x = c * y**b > 1/b - 1, the bound e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).
 A hard cap of 10**7 terms per one-dimensional sum turns uncertifiable
@@ -297,7 +297,7 @@ def series_tail_bound(c: float, b: float, horizon: int) -> float:
     return _tail_bound_b_lt1(c, b, horizon)
 
 def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
-    """Smallest practical horizon H with a certified tail below ``tol``.
+    """Smallest horizon H >= 1 whose certified tail is at most ``tol``.
 
     Returns ``(H, tail_bound)``.  Raises :class:`SummationCapError` when no
     horizon within the term cap can be certified.
@@ -316,16 +316,23 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
                 f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
             )
         return horizon, series_tail_bound(c, b, horizon)
-    horizon = 16
-    while True:
-        bound = series_tail_bound(c, b, horizon)
-        if bound <= tol:
-            return horizon, bound
+    # Double from 16 until the bound certifies, then bisect between the last
+    # failing horizon and the first certified one (0 stands for "fails"):
+    # the result certifies and the horizon one below it does not.
+    failing, horizon = 0, 16
+    while series_tail_bound(c, b, horizon) > tol:
         if horizon >= SUM_TERM_CAP:
             raise SummationCapError(
                 f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
             )
-        horizon = min(horizon * 2, SUM_TERM_CAP)
+        failing, horizon = horizon, min(horizon * 2, SUM_TERM_CAP)
+    while horizon - failing > 1:
+        mid = (failing + horizon) // 2
+        if series_tail_bound(c, b, mid) <= tol:
+            horizon = mid
+        else:
+            failing = mid
+    return horizon, series_tail_bound(c, b, horizon)
 
 
 def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:

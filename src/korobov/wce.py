@@ -14,12 +14,14 @@ which by character orthogonality also equals
 ``wce2_theta_product`` is the O(N d) workhorse and
 ``ThetaTable.eval_korobov`` its whole-family form for all N Korobov
 generators at once; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
-slower oracles used for cross-validation.  One dual-lattice enumerator
+slower oracles used for cross-validation.  One residue-fold dual engine
 serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
-(heaviest dual frequency).  Every evaluator reports its certified
-truncation bound alongside the value, at most the requested tolerance;
-the two product forms take their theta series and that bound from
-``space.theta_factors``, which gives each coordinate a share of it.
+(heaviest dual frequency): numpy blocks of the prefixes (h_j)_{j != c},
+each completed in coordinate c by one gather over its residue class.
+Every evaluator reports its certified truncation bound alongside the
+value, at most the requested tolerance; the two product forms take their
+theta series and that bound from ``space.theta_factors``, which gives
+each coordinate a share of it.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -41,8 +43,8 @@ from .errors import CapExceededError, OracleInfeasibleError
 from .lattice import LatticeRule, primitive_root
 from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel, theta_factors
 
-# Work budget for dual-lattice enumeration (nodes visited plus candidate
-# frequencies scored).
+# Work budget of the dual engine: prefix cells built at every level plus the
+# frequencies folded into the solved coordinate's residue table.
 ENUM_CAP = 10**8
 
 # Pair cap for the kernel double sum.
@@ -222,16 +224,8 @@ def wce2_theta_product(
 # Dual-lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _range_limit(budget: float, a: float, b: float) -> int:
-    if budget < 0.0:
-        return -1
-    return int(math.floor((budget / a) ** (1.0 / b)))
-
-
 def _region_volume(t_cut: float, weights: list[tuple[float, float]]) -> float:
-    """Continuous volume of {x : sum a_j*|x_j|**b_j <= t_cut} (Dirichlet)."""
-    if not weights:
-        return 1.0
+    """Continuous volume of {x : sum a_j*|x_j|**b_j <= t_cut} (Dirichlet), 1 if empty."""
     log_vol = 0.0
     inv_sum = 0.0
     for a, b in weights:
@@ -260,20 +254,24 @@ def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
 
 
 def _enum_plan(rule: LatticeRule, model: WeightModel, t_cut: float):
-    """Coordinate order and work estimate for enumerating the dual h in
-    {h : sum_j a_j*|h_j|**b_j <= t_cut}.
+    """``(weights, limits, c, g, modulus, fold, est)`` for the dual h with
+    E(h) = sum_j a_j*|h_j|**b_j <= t_cut, limits[j] = H_j the range of h_j.
 
-    The congruence is solved in the coordinate with the widest range, so
-    the estimated work is the prefix region size plus 1/N-th of the full
-    region size.
+    c is the widest coordinate with g_c != 0 mod N, and g times g_c**-1 (the
+    same dual lattice) has g_c = 1; if every g_j == 0, all of Z^d is dual,
+    the lattice of modulus 1.  ``fold`` counts the 2 H_c + 1 frequencies
+    folded by residue when the modulus is at most that, else 0; ``est`` adds
+    the continuous volume of the prefix region of the other coordinates.
     """
     n, d = rule.n, rule.d
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
-    solve_idx = max(range(d), key=lambda i: _range_limit(t_cut, *weights[i]))
-    order = [i for i in range(d) if i != solve_idx] + [solve_idx]
-    est = _region_volume(t_cut, [weights[i] for i in order[:-1]])
-    est += _region_volume(t_cut, weights) / n + 3.0**d
-    return weights, order, est
+    limits = [int((t_cut / a) ** (1.0 / b)) for a, b in weights]
+    c = max([j for j in range(d) if rule.g[j] % n] or range(d), key=limits.__getitem__)
+    modulus = n if rule.g[c] % n else 1
+    g = [gj * pow(rule.g[c], -1, modulus) % modulus for gj in rule.g]
+    fold = 2 * limits[c] + 1 if modulus <= 2 * limits[c] + 1 else 0
+    est = _region_volume(t_cut, weights[:c] + weights[c + 1 :]) + fold
+    return weights, limits, c, g, modulus, fold, est
 
 
 def dual_enum_work_estimate(
@@ -282,80 +280,60 @@ def dual_enum_work_estimate(
     lam: float = 1.0,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """Estimated enumeration work of :func:`wce2_dual_enum` at this tolerance."""
+    """Estimated work of :func:`wce2_dual_enum` at this tolerance: prefix
+    cells plus folded frequencies, the count ``ENUM_CAP`` bounds."""
     model = model.scaled(lam)
     t_cut, _ = _enum_cut(model, rule.d, tol)
-    return _enum_plan(rule, model, t_cut)[2]
+    return _enum_plan(rule, model, t_cut)[-1]
 
 
-def _enumerate_dual(rule: LatticeRule, t_cut: float, plan, leaf) -> None:
-    """Visit every nonzero dual h with sum_j a_j*|h_j|**b_j <= t_cut, the
-    region of ``plan``, a block at a time.
-
-    Recursive coordinate descent over ``order[:-1]``; the congruence
-    h . g == 0 (mod N) is solved in the last coordinate of ``order``, whose
-    admissible values form one array ``hs`` per prefix.  Each block goes to
-    ``leaf(h, exponent, hs)``: h holds the prefix values at their coordinate
-    positions (0 at the solved one), exponent is their sum of
-    a_j*|h_j|**b_j.  Nodes visited plus values solved count against the
-    work cap ``ENUM_CAP``; :class:`OracleInfeasibleError` when it is exceeded.
+def _dual_prefixes(t_cut: float, plan):
+    """Blocks ``(h, E(h), -h . g mod modulus)`` of the prefixes
+    {h : h_c = 0, E(h) <= t_cut}, rows h of shape (m, d); the residue is the
+    class a dual h_c must lie in.  The region grows one coordinate at a
+    time, narrowest first, each level in blocks of at most ``CHUNK_CELLS``
+    cells.  The folded frequencies and each block are counted against
+    ``ENUM_CAP`` before allocation; :class:`OracleInfeasibleError` when the
+    count exceeds it or the estimate exceeds 4 * ENUM_CAP.
     """
-    n, d = rule.n, rule.d
-    weights, order, est = plan
-    budget = ENUM_CAP
-    if est > 4.0 * budget:
-        raise OracleInfeasibleError(
-            f"estimated enumeration work {est:.3g} exceeds the cap {budget}"
-        )
-    a_solve, b_solve = weights[order[-1]]
-    g_solve = rule.g[order[-1]] % n
-    g_inv = pow(g_solve, -1, n) if g_solve != 0 else None
-    prefix = [0] * d
+    weights, limits, c, g, modulus, fold, est = plan
     work = 0
+    if est > 4.0 * ENUM_CAP:
+        raise OracleInfeasibleError(f"estimated enumeration work {est:.3g} exceeds the cap {ENUM_CAP}")
 
-    def descend(pos: int, exponent: float, dot_mod: int, prefix_zero: bool) -> None:
+    def count(cells: int) -> None:
         nonlocal work
-        if pos == d - 1:
-            limit = _range_limit(t_cut - exponent, a_solve, b_solve)
-            if limit < 0:
-                return
-            if g_inv is None:
-                if dot_mod % n != 0:
-                    return
-                hs = np.arange(-limit, limit + 1, dtype=np.int64)
-            else:
-                r = (-dot_mod * g_inv) % n
-                lo = -((limit + r) // n)
-                hi = (limit - r) // n
-                if lo > hi:
-                    return
-                hs = r + n * np.arange(lo, hi + 1, dtype=np.int64)
-            if prefix_zero:
-                hs = hs[hs != 0]
-            if hs.size == 0:
-                return
-            work += hs.size
-            if work > budget:
-                raise OracleInfeasibleError(f"enumeration work exceeded the cap {budget}")
-            leaf(prefix, exponent, hs)
-            return
-        idx = order[pos]
-        a, b = weights[idx]
-        limit = _range_limit(t_cut - exponent, a, b)
-        g_here = rule.g[idx] % n
-        for h in range(-limit, limit + 1):
-            work += 1
-            if work > budget:
-                raise OracleInfeasibleError(f"enumeration work exceeded the cap {budget}")
-            prefix[idx] = h
-            descend(
-                pos + 1,
-                exponent + a * float(abs(h)) ** b,
-                (dot_mod + h * g_here) % n,
-                prefix_zero and h == 0,
-            )
+        work += cells
+        if work > ENUM_CAP:
+            raise OracleInfeasibleError(f"enumeration work exceeded the cap {ENUM_CAP}")
 
-    descend(0, 0.0, 0, True)
+    def expand(parents, j: int):
+        a, b = weights[j]
+        for h, expo, resid in parents:
+            # clipped at 0: E(h) may round a few ulps above t_cut
+            half = np.floor((np.maximum(t_cut - expo, 0.0) / a) ** (1.0 / b)).astype(np.int64)
+            ends = np.cumsum(2 * half + 1)
+            offset = ends - half - 1  # flat index of h_j = 0 under each parent
+            for lo in range(0, int(ends[-1]), CHUNK_CELLS):
+                hi = min(lo + CHUNK_CELLS, int(ends[-1]))
+                count(hi - lo)
+                first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+                inside = np.minimum(ends[first : last + 1], hi) - lo
+                parent = np.repeat(np.arange(first, last + 1), np.diff(inside, prepend=0))
+                hj = np.arange(lo, hi, dtype=np.int64) - np.take(offset, parent)
+                child = np.take(h, parent, axis=0)
+                child[:, j] = hj
+                yield (
+                    child,
+                    np.take(expo, parent) + a * np.abs(hj).astype(np.float64) ** b,
+                    (np.take(resid, parent) - hj % modulus * g[j]) % modulus,
+                )
+
+    count(fold)
+    blocks = iter([(np.zeros((1, len(weights)), dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64))])
+    for j in sorted((j for j in range(len(weights)) if j != c), key=limits.__getitem__):
+        blocks = expand(blocks, j)
+    return blocks
 
 
 def wce2_dual_enum(
@@ -366,56 +344,72 @@ def wce2_dual_enum(
 ) -> ErrorEstimate:
     """Squared worst-case error by summing rho over the dual lattice.
 
-    Enumerates all nonzero h in the truncation region with
-    h . g == 0 (mod N), summing rho in the space at base omega**lam; the
-    omitted mass is certified below ``tol``.  Intended as a small-instance
-    oracle; infeasibly large regions raise :class:`OracleInfeasibleError`.
+    Sums rho, in the space at base omega**lam, over the nonzero dual h of a
+    superset of {E(h) <= T}, the region of ``_enum_cut``, so the omitted
+    mass is certified below ``tol``.  Terms are positive and h = 0 is left
+    out, not subtracted, so errors far below the character sum's noise floor
+    come out as themselves.  Prefix blocks are completed in coordinate c from
+    F_c[r] = sum_{0 < |h| <= H_c, h == r} rho_c(h), or from the one
+    representative of r in [-H_c, H_c] when the modulus exceeds 2 H_c + 1.
     """
     model = model.scaled(lam)
     t_cut, tail_bound = _enum_cut(model, rule.d, tol)
     plan = _enum_plan(rule, model, t_cut)
-    weights, order, _ = plan
-    a_solve, b_solve = weights[order[-1]]
+    weights, limits, c, _, modulus, fold, _ = plan
+    (a_c, b_c), limit = weights[c], limits[c]
     log_omega_inv = math.log(1.0 / model.omega)
-    leaf_sums: list[float] = []
-
-    def add(prefix, exponent: float, hs: np.ndarray) -> None:
-        expo = exponent + a_solve * np.abs(hs).astype(np.float64) ** b_solve
-        leaf_sums.append(float(np.sum(np.exp(-log_omega_inv * expo))))
-
-    _enumerate_dual(rule, t_cut, plan, add)
-    return ErrorEstimate(math.fsum(leaf_sums), tail_bound, "dual_enum")
+    prefixes = _dual_prefixes(t_cut, plan)
+    if fold:
+        step = modulus * max(1, CHUNK_CELLS // modulus)
+        table = np.zeros(modulus)
+        for lo in range(1, limit + 1, step):
+            hs = np.arange(lo, min(lo + step, limit + 1), dtype=np.float64)
+            table += _fold_terms(np.exp(-log_omega_inv * a_c * hs**b_c), modulus)
+        table += table[-np.arange(modulus) % modulus]
+    sums = []
+    for _, expo, resid in prefixes:
+        if fold:
+            mass = table[resid] + ((resid == 0) & (expo > 0.0))
+        else:
+            rep = np.where(resid <= limit, resid, resid - modulus)
+            ok = (np.abs(rep) <= limit) & ((rep != 0) | (expo > 0.0))
+            mass = np.where(ok, np.exp(-log_omega_inv * a_c * np.abs(rep) ** b_c), 0.0)
+        sums.append(float((np.exp(-log_omega_inv * expo) * mass).sum()))
+    return ErrorEstimate(math.fsum(sums), tail_bound, "dual_enum")
 
 
 def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int, ...]:
     """Nonzero dual frequency with maximal rho, ties to the lexicographically
     smallest vector.
 
-    N * e_1 is always dual, so the maximizer h* has exponent
-    E(h*) = sum_j a_j*|h*_j|**b_j <= a_1 * N**b_1: enumerating
-    {h : E(h) <= a_1 * N**b_1 + 1} finds h* and every vector tied with it
-    (the + 1 absorbs rounding in the range limits).  Candidates are ranked
-    by their exponent summed in coordinate order, so the choice does not
-    depend on the enumeration order.
+    N * e_1 is dual, so the maximizer h* has E(h*) <= a_1 * N**b_1.  Each
+    prefix of {E(h) <= a_1 * N**b_1 + 1} (the + 1 absorbs rounding) takes
+    the smallest |h_c| of its residue class, the per-residue minimal
+    exponent.  Completions within a relative 1e-9 of the least are ranked by
+    (exponent summed in coordinate order, h), whatever the walk order.
     """
     t_cut = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0
     plan = _enum_plan(rule, model, t_cut)
-    weights, order, _ = plan
-    solve = order[-1]
-    best: tuple[float, tuple[int, ...]] = (math.inf, ())
+    weights, limits, c, _, modulus, _, _ = plan
+    a_c, b_c = weights[c]
+    near, best = [], math.inf
+    for h, expo, resid in _dual_prefixes(t_cut, plan):
+        small = np.minimum(resid, modulus - resid)
+        small[(resid == 0) & (expo == 0.0)] = modulus  # h = 0 is not a candidate
+        total = np.where(small <= limits[c], expo + a_c * small.astype(np.float64) ** b_c, math.inf)
+        best = min(best, float(total.min()))
+        keep = total <= min(best + 1e-9 * (1.0 + best), t_cut)
+        for sign in (1, -1):
+            h[:, c] = sign * small
+            near += h[keep & ((h[:, c] - resid) % modulus == 0)].tolist()
 
-    def score(prefix, exponent: float, hs: np.ndarray) -> None:
-        nonlocal best
-        for v in hs.tolist():
-            h = tuple(v if i == solve else x for i, x in enumerate(prefix))
-            expo = 0.0
-            for (a, b), hj in zip(weights, h):
-                expo += a * float(abs(hj)) ** b
-            best = min(best, (expo, h))
+    def exponent(h: list[int]) -> float:
+        expo = 0.0
+        for (a, b), hj in zip(weights, h):
+            expo += a * float(abs(hj)) ** b
+        return expo
 
-    _enumerate_dual(rule, t_cut, plan, score)
-    assert best[1], "the dual lattice always contains N * e_1"
-    return best[1]
+    return tuple(min(near, key=lambda h: (exponent(h), h)))
 
 
 # ---------------------------------------------------------------------------

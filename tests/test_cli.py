@@ -214,6 +214,20 @@ def test_exit_code_cap_exceeded_by_theta_table(model_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "g, e2", [("1,2", 2.0 / 15.0), ("1,1073741824", 2.0 / 31.0)], ids=["g2", "g2-inverse"]
+)
+def test_dual_enum_at_largest_modulus(model_path, tmp_path, g, e2):
+    # N = 2**31 - 1: the only dual h of weight above 1e-30 are t * (-2, 1),
+    # or t * (1, -2) since 2**30 = 2**-1 mod N, so e2 = 2 sum_t 2**(-4t) or
+    # 2 sum_t 2**(-5t); no array of length N is allocated
+    out = tmp_path / "wce.json"
+    code = run_cli(["wce", "--model", model_path, "--n", "2147483647", "--g", g,
+                    "--method", "dual_enum", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["e2"] == pytest.approx(e2, abs=1e-15)
+
+
+@pytest.mark.parametrize(
     "primes",
     [["--primes-up-to", "2000000000"], ["--primes", "5,7,2147483647"]],
     ids=["primes-up-to", "primes"],

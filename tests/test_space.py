@@ -112,16 +112,18 @@ SLOW = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
 
 @pytest.mark.parametrize("lam, chunks", [(1.0, 8), (0.5, 32)])
 def test_a_lambda_chunked_sum_matches_whole_array_fsum(lam, chunks):
+    # the minimal horizon spans several chunks and ends inside the last one
     c = lam * SLOW.a_star * math.log(1.0 / SLOW.omega)
     horizon, _ = truncation_horizon(c, 0.5, 1e-14 / math.exp(c))
-    assert horizon == chunks * CHUNK_CELLS
+    assert chunks // 2 * CHUNK_CELLS < horizon < chunks * CHUNK_CELLS
+    assert horizon % CHUNK_CELLS != 0
     h = np.arange(1, horizon + 1, dtype=np.float64)
     expected = math.fsum(np.exp(-c * (h**0.5 - 1.0)))
     assert a_lambda(lam, SLOW) == pytest.approx(expected, rel=4e-16, abs=0.0)
 
 
 def test_a_lambda_memory_is_one_chunk():
-    # the horizon at lambda = 1/4 is 2**23 terms, 64 MB per float64 array
+    # the horizon at lambda = 1/4 is about 6e6 terms, 48 MB per float64 array
     a_lambda.cache_clear()
     tracemalloc.start()
     try:
@@ -190,6 +192,22 @@ def test_truncation_horizon_certificate_is_safe():
             math.exp(-c * h**b) for h in range(horizon + 1, horizon + 500_000)
         )
         assert actual_tail <= bound <= 1e-10
+
+
+def test_truncation_horizon_b_lt1_is_minimal():
+    # the returned horizon certifies and the one below it does not
+    checked = 0
+    for c in (0.05, 0.3, 1.0, 3.0):
+        for b in (0.25, 0.5, 0.75, 0.9):
+            for tol in (1e-4, 1e-10, 1e-16):
+                try:
+                    horizon, bound = truncation_horizon(c, b, tol)
+                except SummationCapError:
+                    continue
+                assert bound == series_tail_bound(c, b, horizon) <= tol, (c, b, tol)
+                assert series_tail_bound(c, b, horizon - 1) > tol, (c, b, tol, horizon)
+                checked += 1
+    assert checked >= 40, checked
 
 
 def test_tail_bound_b_lt1_covers_mpmath_tail():

@@ -48,7 +48,8 @@ def test_all_zero_vector_d2():
     model = make_model(a=("linear", 1.0))
     rule = LatticeRule(5, (0, 0))
     expected = theta(0.0, 1, model) * theta(0.0, 2, model) - 1.0
-    assert wce2_theta_product(rule, model).value == pytest.approx(expected, abs=1e-10)
+    for fn in EVALUATORS:
+        assert fn(rule, model).value == pytest.approx(expected, abs=1e-10), fn.__name__
 
 
 def test_methods_agree_with_box_oracle():
@@ -152,11 +153,13 @@ def test_enum_cap_raises(monkeypatch):
 
 
 def test_enum_cap_raises_mid_walk(monkeypatch):
-    # the estimate (1575) passes the up-front check against 4 * cap, but the
-    # walk itself needs 1571 steps
+    # the estimate (3771) passes the up-front check against 4 * cap and the
+    # 207 folded frequencies stay below the cap, but the count of the
+    # 256-cell blocks of the 3571 prefix cells crosses it part way
     model = make_model(a=("linear", 1.0))
-    rule = LatticeRule(7, (1, 3))
+    rule = LatticeRule(7, (1, 3, 2))
     monkeypatch.setattr(korobov.wce, "ENUM_CAP", 1000)
+    monkeypatch.setattr(korobov.wce, "CHUNK_CELLS", 256)
     assert 1000 < korobov.wce.dual_enum_work_estimate(rule, model) <= 4000
     with pytest.raises(OracleInfeasibleError, match="^enumeration work exceeded"):
         wce2_dual_enum(rule, model)
@@ -179,6 +182,25 @@ def test_dual_enum_certificate_honours_tol():
             assert wce2_dual_enum(rule, model, 1.0, tol).trunc_bound == tail
             enumerated += 1
     assert enumerated >= 100, enumerated
+
+
+def test_dual_enum_in_the_exponential_regime():
+    # omega = 0.1, a = b = 1: rho(h) = 10**-|h|_1, and the best Korobov
+    # generator of N = 401 has e2 ~ 2.02e-27, far below the float64 noise
+    # floor of the character sum.  Reference: 50-digit sum over the box
+    # |h_j| <= 90, whose outside mass is below 1e-85.
+    mpmath = pytest.importorskip("mpmath")
+    model = make_model(omega=0.1)
+    est = wce2_dual_enum(LatticeRule(401, (1, 85)), model, 1.0, 1e-40)
+    with mpmath.workdps(50):
+        ref = mpmath.fsum(
+            mpmath.mpf(10) ** -(abs(h1) + abs(h2))
+            for h2 in range(-90, 91)
+            for h1 in range(-90, 91)
+            if (h1 + 85 * h2) % 401 == 0 and (h1, h2) != (0, 0)
+        )
+    assert 2.0e-27 < float(ref) < 2.1e-27
+    assert abs(est.value - float(ref)) <= est.trunc_bound + 1e-12 * float(ref)
 
 
 def test_error_estimate_flags_zero_region():
