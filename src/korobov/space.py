@@ -25,9 +25,10 @@ controlled by the tail constant
 
 All infinite sums are truncated at the smallest horizon whose rigorous
 tail certificate is at most the requested tolerance, so the value differs
-from the exact series by at most that.  The tail certificate of sum_{h > H} exp(-c * h**b) is closed
-form: a geometric series for b >= 1, and for b < 1, with y = H + 1,
-x = c * y**b > 1/b - 1, the bound e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).
+from the exact series by at most that.  The tail certificate of
+sum_{h > H} exp(-c * h**b) is closed form: a geometric series for b >= 1,
+and for b < 1, with y = H + 1, x = c * y**b > 1/b - 1, the bound
+e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).
 A hard cap of 10**7 terms per one-dimensional sum turns uncertifiable
 parameter ranges into an explicit error rather than a silent inaccuracy.
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -226,6 +228,13 @@ class WeightModel:
         candidates.append(self.b.inf_from(len(self.prefix_b) + 1))
         return min(candidates)
 
+    def exponent(self, h) -> float:
+        """E(h) = sum_j a_j * |h_j|**b_j, summed in coordinate order."""
+        total = 0.0
+        for j, hj in enumerate(h, start=1):
+            total += self.a_j(j) * abs(float(hj)) ** self.b_j(j)
+        return total
+
     def scaled(self, lam: float) -> "WeightModel":
         """The same space at base omega**lam, whose Fourier mass is
         rho(h)**lam: the lambda-scaled dual sums of the averaging bounds are
@@ -316,9 +325,9 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
                 f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
             )
         return horizon, series_tail_bound(c, b, horizon)
-    # Double from 16 until the bound certifies, then bisect between the last
-    # failing horizon and the first certified one (0 stands for "fails"):
-    # the result certifies and the horizon one below it does not.
+    # Double from 16 until the bound certifies, then bisect the horizons
+    # between the last failing one (0 if 16 certifies) and that one: the
+    # result certifies and the horizon below it does not.
     failing, horizon = 0, 16
     while series_tail_bound(c, b, horizon) > tol:
         if horizon >= SUM_TERM_CAP:
@@ -326,12 +335,8 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
                 f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
             )
         failing, horizon = horizon, min(horizon * 2, SUM_TERM_CAP)
-    while horizon - failing > 1:
-        mid = (failing + horizon) // 2
-        if series_tail_bound(c, b, mid) <= tol:
-            horizon = mid
-        else:
-            failing = mid
+    between = range(failing + 1, horizon)
+    horizon = between.start + bisect_left(between, True, key=lambda h: series_tail_bound(c, b, h) <= tol)
     return horizon, series_tail_bound(c, b, horizon)
 
 
@@ -446,10 +451,7 @@ def rho(h, model: WeightModel) -> float:
     Equals 1 for h = 0 and lies in (0, 1] always; even in each coordinate
     and multiplicative across coordinates.
     """
-    exponent = 0.0
-    for idx, hj in enumerate(h):
-        exponent += model.a_j(idx + 1) * abs(float(hj)) ** model.b_j(idx + 1)
-    return model.omega ** exponent
+    return model.omega ** model.exponent(h)
 
 
 def kernel_with_bound(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[float, float]:

@@ -374,6 +374,7 @@ def wce2_dual_enum(
             rep = np.where(resid <= limit, resid, resid - modulus)
             ok = (np.abs(rep) <= limit) & ((rep != 0) | (expo > 0.0))
             mass = np.where(ok, np.exp(-log_omega_inv * a_c * np.abs(rep) ** b_c), 0.0)
+        # a pairwise sum, not a BLAS dot, whose threads stall on a busy core
         sums.append(float((np.exp(-log_omega_inv * expo) * mass).sum()))
     return ErrorEstimate(math.fsum(sums), tail_bound, "dual_enum")
 
@@ -386,7 +387,7 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
     prefix of {E(h) <= a_1 * N**b_1 + 1} (the + 1 absorbs rounding) takes
     the smallest |h_c| of its residue class, the per-residue minimal
     exponent.  Completions within a relative 1e-9 of the least are ranked by
-    (exponent summed in coordinate order, h), whatever the walk order.
+    (``model.exponent(h)``, h), so the walk order does not matter.
     """
     t_cut = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0
     plan = _enum_plan(rule, model, t_cut)
@@ -402,14 +403,7 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
         for sign in (1, -1):
             h[:, c] = sign * small
             near += h[keep & ((h[:, c] - resid) % modulus == 0)].tolist()
-
-    def exponent(h: list[int]) -> float:
-        expo = 0.0
-        for (a, b), hj in zip(weights, h):
-            expo += a * float(abs(hj)) ** b
-        return expo
-
-    return tuple(min(near, key=lambda h: (exponent(h), h)))
+    return tuple(min(near, key=lambda h: (model.exponent(h), h)))
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,9 @@ def test_enum_cap_raises(monkeypatch):
 
 def test_enum_cap_raises_mid_walk(monkeypatch):
     # the estimate (3771) passes the up-front check against 4 * cap and the
-    # 207 folded frequencies stay below the cap, but the count of the
-    # 256-cell blocks of the 3571 prefix cells crosses it part way
+    # 207 folded frequencies stay below the cap, but the block-wise count of
+    # the prefix cells (69 on the first level, 3571 on the second, in blocks
+    # of at most 256) crosses it part way
     model = make_model(a=("linear", 1.0))
     rule = LatticeRule(7, (1, 3, 2))
     monkeypatch.setattr(korobov.wce, "ENUM_CAP", 1000)
