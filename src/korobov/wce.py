@@ -47,6 +47,10 @@ from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel, theta_factors
 # frequencies folded into the solved coordinate's residue table.
 ENUM_CAP = 10**8
 
+# Cells per block of the dual engine, about 0.5 MB of temporaries at d = 4:
+# 2**16-cell blocks raised a process's peak memory by 5 MB, no faster.
+BLOCK_CELLS = CHUNK_CELLS // 16
+
 # Pair cap for the kernel double sum.
 DOUBLE_SUM_PAIR_CAP = 10**8
 
@@ -257,11 +261,10 @@ def _enum_plan(rule: LatticeRule, model: WeightModel, t_cut: float):
     """``(weights, limits, c, g, modulus, fold, est)`` for the dual h with
     E(h) = sum_j a_j*|h_j|**b_j <= t_cut, limits[j] = H_j the range of h_j.
 
-    c is the widest coordinate with g_c != 0 mod N, and g times g_c**-1 (the
-    same dual lattice) has g_c = 1; if every g_j == 0, all of Z^d is dual,
-    the lattice of modulus 1.  ``fold`` counts the 2 H_c + 1 frequencies
-    folded by residue when the modulus is at most that, else 0; ``est`` adds
-    the continuous volume of the prefix region of the other coordinates.
+    c is the widest coordinate with g_c != 0 mod N; g times g_c**-1 (the same
+    dual lattice) has g_c = 1.  If every g_j == 0, all of Z^d is dual: the
+    lattice of modulus 1.  ``fold`` = 2 H_c + 1 folded frequencies when the
+    modulus is at most that, else 0; ``est`` adds the prefix region's volume.
     """
     n, d = rule.n, rule.d
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
@@ -288,13 +291,12 @@ def dual_enum_work_estimate(
 
 
 def _dual_prefixes(t_cut: float, plan):
-    """Blocks ``(h, E(h), -h . g mod modulus)`` of the prefixes
-    {h : h_c = 0, E(h) <= t_cut}, rows h of shape (m, d); the residue is the
-    class a dual h_c must lie in.  The region grows one coordinate at a
-    time, narrowest first, each level in blocks of at most ``CHUNK_CELLS``
-    cells.  The folded frequencies and each block are counted against
-    ``ENUM_CAP`` before allocation; :class:`OracleInfeasibleError` when the
-    count exceeds it or the estimate exceeds 4 * ENUM_CAP.
+    """Blocks ``(h, E(h), -h . g mod modulus)`` of {h : h_c = 0, E(h) <= t_cut},
+    h of shape (m, d); the residue is the class a dual h_c must lie in.  The
+    region grows a coordinate at a time, narrowest first, in blocks of at most
+    ``BLOCK_CELLS`` cells per level.  The folded frequencies and each block
+    count against ``ENUM_CAP`` before allocation; :class:`OracleInfeasibleError`
+    when the count exceeds it or the estimate exceeds 4 * ENUM_CAP.
     """
     weights, limits, c, g, modulus, fold, est = plan
     work = 0
@@ -314,8 +316,8 @@ def _dual_prefixes(t_cut: float, plan):
             half = np.floor((np.maximum(t_cut - expo, 0.0) / a) ** (1.0 / b)).astype(np.int64)
             ends = np.cumsum(2 * half + 1)
             offset = ends - half - 1  # flat index of h_j = 0 under each parent
-            for lo in range(0, int(ends[-1]), CHUNK_CELLS):
-                hi = min(lo + CHUNK_CELLS, int(ends[-1]))
+            for lo in range(0, int(ends[-1]), BLOCK_CELLS):
+                hi = min(lo + BLOCK_CELLS, int(ends[-1]))
                 count(hi - lo)
                 first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
                 inside = np.minimum(ends[first : last + 1], hi) - lo
@@ -360,7 +362,7 @@ def wce2_dual_enum(
     log_omega_inv = math.log(1.0 / model.omega)
     prefixes = _dual_prefixes(t_cut, plan)
     if fold:
-        step = modulus * max(1, CHUNK_CELLS // modulus)
+        step = modulus * max(1, BLOCK_CELLS // modulus)
         table = np.zeros(modulus)
         for lo in range(1, limit + 1, step):
             hs = np.arange(lo, min(lo + step, limit + 1), dtype=np.float64)

@@ -160,7 +160,7 @@ def test_enum_cap_raises_mid_walk(monkeypatch):
     model = make_model(a=("linear", 1.0))
     rule = LatticeRule(7, (1, 3, 2))
     monkeypatch.setattr(korobov.wce, "ENUM_CAP", 1000)
-    monkeypatch.setattr(korobov.wce, "CHUNK_CELLS", 256)
+    monkeypatch.setattr(korobov.wce, "BLOCK_CELLS", 256)
     assert 1000 < korobov.wce.dual_enum_work_estimate(rule, model) <= 4000
     with pytest.raises(OracleInfeasibleError, match="^enumeration work exceeded"):
         wce2_dual_enum(rule, model)
