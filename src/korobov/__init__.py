@@ -20,6 +20,7 @@ from .bounds import (
 )
 from .errors import (
     CapExceededError,
+    CertificateError,
     KorobovError,
     OracleInfeasibleError,
     SummationCapError,
@@ -67,6 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "CapExceededError",
+    "CertificateError",
     "DEFAULT_TOL",
     "ErrorEstimate",
     "FourierPolynomial",

@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapExceededError, SummationCapError
+from .errors import CapExceededError, CertificateError, SummationCapError
 from .lattice import next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda
-from .search import search_korobov
+from .search import TIE_SLACK, search_korobov
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
 # around the grid minimum sharpens minimized bounds reproducibly.
@@ -292,6 +292,12 @@ def empirical_info_complexity(
     The restriction to Korobov rules makes each an upper bound on the true
     information complexity.  A scan that passes ``SCAN_N_CAP`` without
     answering every eps raises :class:`CapExceededError`.
+
+    Feasibility is decided on the certified interval of the best e^2,
+    value +- (trunc_bound + ``search.TIE_SLACK``), the slack standing in
+    for a rounding bound: eps^2 above the interval is feasible, below it
+    infeasible, and an interval that straddles eps^2 raises
+    :class:`CertificateError` naming the prime, the interval and eps.
     """
     for eps in eps_list:
         _check_eps(eps)
@@ -301,8 +307,15 @@ def empirical_info_complexity(
     while pending:
         if n > SCAN_N_CAP:
             raise CapExceededError(f"no feasible prime modulus below the cap {SCAN_N_CAP}")
-        e = search_korobov(n, d, model, tol).best_e2.e
-        while pending and e <= pending[-1]:
+        best = search_korobov(n, d, model, tol).best_e2
+        slack = best.trunc_bound + TIE_SLACK
+        lo, hi = best.value - slack, best.value + slack
+        while pending and pending[-1] ** 2 >= lo:
+            if pending[-1] ** 2 <= hi:
+                raise CertificateError(
+                    f"prime {n}: certified e2 interval [{lo:.6g}, {hi:.6g}] straddles "
+                    f"eps^2 = {pending[-1] ** 2:.6g} (eps = {pending[-1]:.6g})"
+                )
             found[pending.pop()] = n
         n = next_prime(n + 1)
     return [found[eps] for eps in eps_list]

@@ -18,14 +18,17 @@ flag that the chosen --mode does not read.  A flag is honoured or
 rejected, never accepted and then ignored.  Handlers only compute.
 
 Exit codes: 0 success, 2 configuration error (argument errors included),
-3 size cap exceeded, 4 numerical certificate failure.  Errors are reported
-as one JSON object on stderr.
+3 size cap exceeded, 4 numerical certificate failure (``CertificateError``:
+an uncertifiable series, or a scanned prime whose certified interval
+straddles eps^2).  Errors are reported as one JSON object on stderr.  The
+parser is built once per process, on the first call of ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -35,7 +38,7 @@ import tempfile
 import numpy as np
 
 from . import bounds, qmc, search, tract, wce
-from .errors import CapExceededError, SummationCapError
+from .errors import CapExceededError, CertificateError
 from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
 from .space import DEFAULT_TOL, WeightModel
 
@@ -262,6 +265,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(_fail(EXIT_CONFIG, "config", f"{self.prog}: {message}"))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="korobov",
@@ -376,7 +380,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except CapExceededError as exc:
         return _fail(EXIT_CAP, "cap_exceeded", str(exc))
-    except SummationCapError as exc:
+    except CertificateError as exc:
         return _fail(EXIT_CERTIFICATE, "certificate", str(exc))
     return 0
 

@@ -5,7 +5,12 @@ class KorobovError(Exception):
     """Base class for all package-specific failures."""
 
 
-class SummationCapError(KorobovError):
+class CertificateError(KorobovError):
+    """A numerical certificate cannot support the requested answer: a series
+    that cannot be certified, or a certified interval that cannot decide."""
+
+
+class SummationCapError(CertificateError):
     """A one-dimensional series could not be certified below the requested
     tolerance within the hard cap on summed terms.
 

@@ -20,6 +20,17 @@ MODULUS_CAP = 2**31
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def as_int(value, name: str) -> int:
+    """``value`` as an int if it is an integral number; ``ValueError`` for
+    booleans, strings and non-integral numbers, which a file must not carry
+    where an integer belongs."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit integers."""
     if n < 2:
@@ -121,7 +132,7 @@ class LatticeRule:
         unknown = set(data) - {"n", "g"}
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)} in lattice rule")
-        return cls(n=int(data["n"]), g=tuple(int(v) for v in data["g"]))
+        return cls(n=as_int(data["n"], "n"), g=tuple(as_int(v, "g entry") for v in data["g"]))
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,8 @@ class KorobovParam:
         unknown = set(data) - {"n", "g_scalar", "d"}
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)} in Korobov parameter")
-        return cls(n=int(data["n"]), g=int(data["g_scalar"]), d=int(data["d"]))
+        n, g, d = (as_int(data[key], key) for key in ("n", "g_scalar", "d"))
+        return cls(n=n, g=g, d=d)
 
 
 def korobov_vector(param: KorobovParam) -> LatticeRule:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import SCAN_N_CAP, error_bound_min
 from .errors import CapExceededError
-from .lattice import LatticeRule
+from .lattice import LatticeRule, as_int
 from .search import search_korobov
 from .space import DEFAULT_TOL, WeightModel, rho
 from .wce import dominant_dual_frequency, dual_enum_work_estimate, wce2_dual_enum, wce2_theta_product
@@ -99,7 +99,10 @@ class FourierPolynomial:
             extra = set(item) - {"h", "re", "im"}
             if extra:
                 raise ValueError(f"unknown fields {sorted(extra)} in polynomial term")
-            terms[tuple(item["h"])] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            h = tuple(as_int(v, "frequency entry") for v in item["h"])
+            if h in terms:
+                raise ValueError(f"frequency {list(h)} appears twice in polynomial")
+            terms[h] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
         return cls.from_terms(terms, real_symmetric=bool(data.get("real_symmetric", False)))
 
 

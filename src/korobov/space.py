@@ -18,8 +18,10 @@ serves the closed-form bounds, keeps lambda.  ``theta_factors`` builds the
 d truncated theta series of a space together with their first-order
 product certificate, giving each coordinate a share of the tolerance so
 that the certificate stays at most the tolerance; the product forms of
-``wce`` all take their factors from it.  The per-coordinate Fourier mass is
-controlled by the tail constant
+``wce`` all take their factors from it.  ``theta_majorant`` is a row's
+theta_j(0) + tau_j, which that certificate and the Rankin cut of the dual
+sum both read.  The per-coordinate Fourier mass is controlled by the tail
+constant
 
     a_lambda(lam) = sum_{h >= 1} omega**(lam * a_1 * (h**b_star - 1)).
 
@@ -354,14 +356,22 @@ def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[n
     return np.exp(-c * h**b), tail
 
 
+def theta_majorant(w: np.ndarray, tail: float) -> float:
+    """theta_j(0) + tau_j = 1 + 2 * sum(w) + 2 * tail for a ``theta_terms``
+    row ``(w, tail)``: at least theta_j(0), the largest value of theta_j,
+    and at least every truncated evaluation of the row."""
+    return 1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail
+
+
 def theta_factors(
     model: WeightModel, d: int, tol: float = DEFAULT_TOL
 ) -> tuple[list[np.ndarray], list[float], float]:
-    """The truncated theta series of coordinates 1..d and their certificate.
+    """The truncated theta series of coordinates 1..d and their product
+    certificate, for the product forms of ``wce`` and ``kernel_with_bound``.
 
     Returns ``(terms, majors, bound)``: the ``theta_terms`` weights of each
-    coordinate, the majorants theta_j(0) + tau_j (tau_j = 2 * tail_j, the
-    row's per-evaluation truncation bound), and the first-order bound
+    coordinate, their ``theta_majorant``s (tau_j = 2 * tail_j is the row's
+    per-evaluation truncation bound), and the first-order bound
     sum_j tau_j * prod_{i != j} major_i <= ``tol`` on the truncation error
     of any product of one evaluation per coordinate.
 
@@ -370,12 +380,8 @@ def theta_factors(
     share_j = tol / (d * prod_{i != j} (M_i + tol/d)) unless its tau_j
     already meets that share (always so at d = 1).
     """
-
-    def majors_of(rows) -> list[float]:
-        return [1.0 + 2.0 * float(np.sum(w)) + 2.0 * tail for w, tail in rows]
-
     rows = [theta_terms(j, model, tol) for j in range(1, d + 1)]
-    pad = [major + tol / d for major in majors_of(rows)]
+    pad = [theta_majorant(*row) + tol / d for row in rows]
     shares = [tol / (d * math.prod(pad[:j] + pad[j + 1 :])) for j in range(d)]
     # Every share is at most tol/d, so each final majorant satisfies
     # major_i <= theta_i(0) + tau_i <= M_i + tol/d, and the bound is at most
@@ -387,7 +393,7 @@ def theta_factors(
             row if 2.0 * row[1] <= share else theta_terms(j, model, share)
             for j, row, share in zip(range(1, d + 1), rows, shares)
         ]
-        taus, majors = [2.0 * tail for _, tail in rows], majors_of(rows)
+        taus, majors = [2.0 * tail for _, tail in rows], [theta_majorant(*row) for row in rows]
         bound = sum(tau * math.prod(majors[:j] + majors[j + 1 :]) for j, tau in enumerate(taus))
         if bound <= tol:
             return [w for w, _ in rows], majors, bound

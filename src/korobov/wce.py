@@ -21,7 +21,8 @@ each completed in coordinate c by one gather over its residue class.
 Every evaluator reports its certified truncation bound alongside the
 value, at most the requested tolerance; the two product forms take their
 theta series and that bound from ``space.theta_factors``, which gives
-each coordinate a share of it.
+each coordinate a share of it; the dual sum's cut reads only the
+majorants ``space.theta_majorant``.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -41,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
 from .lattice import LatticeRule, primitive_root
-from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel, theta_factors
+from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel, theta_factors, theta_majorant, theta_terms
 
 # Work budget of the dual engine: prefix cells built at every level plus the
 # frequencies folded into the solved coordinate's residue table.
@@ -51,7 +52,7 @@ ENUM_CAP = 10**8
 # 2**16-cell blocks raised a process's peak memory by 5 MB, no faster.
 BLOCK_CELLS = CHUNK_CELLS // 16
 
-# Pair cap for the kernel double sum.
+# Pair cap for the kernel double sum, a work cap: its loops run in blocks.
 DOUBLE_SUM_PAIR_CAP = 10**8
 
 # Cell cap N * d of a theta table: 80 MB of float64 rows; a row's build
@@ -246,10 +247,13 @@ def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     T makes the mass outside {h : sum_j a_j*|h_j|**b_j <= T}, bounded by
     omega**(T/2) * prod_j theta_j(0) in the space at base omega**(1/2)
     (Rankin's trick), fall below ``tol``; T is at least a_1, so |h| = 1 is
-    in range.  T is solved in floating point and then stepped up an ulp at a
-    time until the certificate as evaluated is at most ``tol``.
+    in range.  Each theta_j(0) is majorised by ``theta_majorant`` of one
+    ``theta_terms`` row at min(tol, 1e-6).  T is solved in floating point
+    and then stepped up an ulp at a time until the certificate as evaluated
+    is at most ``tol``.
     """
-    half_prod = math.prod(theta_factors(model.scaled(0.5), d, min(tol, 1e-6))[1])
+    half, row_tol = model.scaled(0.5), min(tol, 1e-6)
+    half_prod = math.prod(theta_majorant(*theta_terms(j, half, row_tol)) for j in range(1, d + 1))
     t_cut = 2.0 * math.log(half_prod / tol) / math.log(1.0 / model.omega)
     t_cut = max(t_cut, model.a_j(1))
     while (tail := model.omega ** (t_cut / 2.0) * half_prod) > tol:
@@ -422,7 +426,8 @@ def wce2_kernel_double_sum(
     Point differences are reduced to exact residues (k - l) g_j mod N, and
     each coordinate factor is evaluated by direct series summation (no FFT
     fold), keeping this path structurally distinct from the theta-product
-    evaluator.  Oracle use only: the pair count N^2 is capped.
+    evaluator.  Oracle use only: ``DOUBLE_SUM_PAIR_CAP`` caps the N^2 pairs,
+    and both loops (factor values, pairs) run in ``CHUNK_CELLS``-cell blocks.
     """
     n, d = rule.n, rule.d
     if n * n > DOUBLE_SUM_PAIR_CAP:
@@ -435,7 +440,7 @@ def wce2_kernel_double_sum(
         # cos(2*pi*h*r/N) loses precision for large h*r
         hm = np.arange(1, w.size + 1, dtype=np.int64) % n
         vals = np.empty(n, dtype=np.float64)
-        r_chunk = max(1, 4_000_000 // max(w.size, 1))
+        r_chunk = max(1, CHUNK_CELLS // w.size)
         for start in range(0, n, r_chunk):
             r = np.arange(start, min(start + r_chunk, n), dtype=np.int64)
             angles = 2.0 * math.pi / n * (r[:, None] * hm[None, :] % n)
@@ -443,7 +448,7 @@ def wce2_kernel_double_sum(
         factors.append(vals)
     k = np.arange(n, dtype=np.int64)
     total = 0.0
-    chunk = max(1, DOUBLE_SUM_PAIR_CAP // (8 * n))
+    chunk = max(1, CHUNK_CELLS // n)
     for start in range(0, n, chunk):
         rows = k[start : start + chunk, None] - k[None, :]
         acc = np.ones(rows.shape, dtype=np.float64)

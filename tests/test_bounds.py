@@ -7,6 +7,7 @@ import korobov.bounds
 from korobov import (
     LAMBDA_GRID,
     CapExceededError,
+    CertificateError,
     empirical_info_complexity,
     error_bound,
     error_bound_min,
@@ -174,6 +175,14 @@ def test_empirical_cap(monkeypatch):
     monkeypatch.setattr(korobov.bounds, "SCAN_N_CAP", 5)
     with pytest.raises(CapExceededError):
         empirical_info_complexity([1e-3], 2, make_model())
+
+
+def test_empirical_straddled_interval_is_a_certificate_error(linear_model):
+    # at eps = 1e-8, eps^2 = 1e-16 lies inside the certified interval
+    # e2 +- (trunc_bound + TIE_SLACK) of the best rule at N = 521, so the
+    # scan stops there instead of reading rounding bits as a decision
+    with pytest.raises(CertificateError, match=r"prime 521\b.*eps = 1e-08"):
+        empirical_info_complexity([1e-8], 2, linear_model)
 
 
 def test_expform_dominates_product_form(linear_model):

@@ -271,6 +271,57 @@ def test_exit_code_certificate_failure(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "certificate"
 
 
+def test_straddled_certificate_exits_four(model_path, capsys):
+    # eps^2 = 1e-16 lies inside the certified interval of prime 521
+    code = run_cli(["nofe", "--model", model_path, "--epsilon", "1e-8", "--d", "2"])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "certificate"
+    assert "prime 521" in err["message"]
+
+
+def test_parser_survives_an_argument_error(model_path, tmp_path):
+    # the parser is built once per process; an argument error in one call
+    # leaves the next call's output as it is in a fresh process
+    alone, after = tmp_path / "alone.json", tmp_path / "after.json"
+    argv = ["wce", "--model", model_path, "--n", "13", "--g", "1,5", "--method", "dual_enum"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "korobov.cli", *argv, "--out", str(alone)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["wce", "--model", model_path, "--n", "13", "--g", "1,5", "--d", "2"])
+    assert exc.value.code == 2
+    assert main([*argv, "--out", str(after)]) == 0
+    assert after.read_bytes() == alone.read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize(
+    "poly, rule",
+    [
+        pytest.param({"terms": [{"h": [1, 0], "re": 1.0}]}, {"n": 101.9, "g": [1, 12]}, id="rule-float-n"),
+        pytest.param({"terms": [{"h": [1, 0], "re": 1.0}]}, {"n": 101, "g": [1, 12.9]}, id="rule-float-g"),
+        pytest.param({"terms": [{"h": [1, 0], "re": 1.0}]}, {"n": 101, "g_scalar": 12, "d": 2.99}, id="param-float-d"),
+        pytest.param(
+            {"terms": [{"h": [1, 0], "re": 1.0}, {"h": [1, 0], "re": 2.0}]}, {"n": 101, "g": [1, 12]}, id="poly-duplicate"
+        ),
+        pytest.param(
+            {"terms": [{"h": [1.7, 0], "re": 1.0}, {"h": [1, 0], "re": 2.0}]}, {"n": 101, "g": [1, 12]}, id="poly-float-h"
+        ),
+    ],
+)
+def test_bad_rule_or_polynomial_file_exits_two(tmp_path, capsys, poly, rule):
+    pp, rp = tmp_path / "poly.json", tmp_path / "rule.json"
+    pp.write_text(json.dumps(poly))
+    rp.write_text(json.dumps(rule))
+    assert run_cli(["integrate", "--poly", str(pp), "--rule", str(rp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "config"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

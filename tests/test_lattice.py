@@ -108,3 +108,26 @@ def test_rule_serialization_round_trip():
     assert korobov_vector(param).g == (1, 12, 12 * 12 % 101)
     with pytest.raises(ValueError):
         LatticeRule.from_dict({"n": 7, "g": [1], "x": 2})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 101.9, "g": [1, 12, 42]},
+        {"n": 101, "g": [1, 12.9, 42]},
+        {"n": 101, "g": [1, "12", 42]},
+        {"n": 101, "g": [True, 12, 42]},
+    ],
+    ids=["float-n", "float-g", "string-g", "bool-g"],
+)
+def test_rule_from_dict_takes_integers_only(data):
+    with pytest.raises(ValueError, match="must be an integer"):
+        LatticeRule.from_dict(data)
+
+
+def test_from_dict_integral_floats_load_as_before():
+    assert LatticeRule.from_dict({"n": 101.0, "g": [1, 12.0, 42]}) == LatticeRule(101, (1, 12, 42))
+    assert KorobovParam.from_dict({"n": 101, "g_scalar": 12, "d": 3.0}) == KorobovParam(101, 12, 3)
+    for bad in ({"n": 101, "g_scalar": 12, "d": 3.99}, {"n": 101, "g_scalar": False, "d": 3}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            KorobovParam.from_dict(bad)

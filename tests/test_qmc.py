@@ -140,6 +140,22 @@ def test_serialization_round_trip():
         FourierPolynomial.from_dict({"terms": [{"h": [1], "re": 1.0, "weird": 2}]})
 
 
+@pytest.mark.parametrize(
+    "terms, match",
+    [
+        ([{"h": [1, 0], "re": 1.0}, {"h": [1, 0], "re": 2.0}], "appears twice"),
+        ([{"h": [1, 0], "re": 1.0}, {"h": [1.0, 0], "re": 2.0}], "appears twice"),
+        ([{"h": [1.7, 0], "re": 1.0}, {"h": [1, 0], "re": 2.0}], "must be an integer"),
+        ([{"h": ["1", 0], "re": 1.0}], "must be an integer"),
+        ([{"h": [True, 0], "re": 1.0}], "must be an integer"),
+    ],
+    ids=["duplicate", "duplicate-integral-float", "float-h", "string-h", "bool-h"],
+)
+def test_polynomial_from_dict_integer_frequencies_once(terms, match):
+    with pytest.raises(ValueError, match=match):
+        FourierPolynomial.from_dict({"terms": terms})
+
+
 def test_convergence_study_columns_and_bound(unit_model):
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     rows = convergence_study(1, unit_model, primes)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from korobov import (
     wce2_theta_product,
 )
 
+import korobov.space
 import korobov.wce
 from korobov.space import kernel_with_bound
 from korobov.wce import theta_table
@@ -183,6 +186,88 @@ def test_dual_enum_certificate_honours_tol():
             assert wce2_dual_enum(rule, model, 1.0, tol).trunc_bound == tail
             enumerated += 1
     assert enumerated >= 100, enumerated
+
+
+def _theta0_mp(mpmath, c, b):
+    """1 + 2 * sum_{h >= 1} exp(-c * h**b) to 40 digits: 255 terms directly,
+    the rest by Euler-Maclaurin at M = 256 with the exact tail integral
+    Gamma(1/b, c M**b) / (b c**(1/b)); the neglected remainder is far below
+    1e-20 relative for the grid below."""
+    with mpmath.workdps(40):
+        c, b = mpmath.mpf(c), mpmath.mpf(b)
+        f = lambda t: mpmath.exp(-c * t**b)  # noqa: E731
+        m = 256
+        head = mpmath.fsum(f(h) for h in range(1, m))
+        integral = mpmath.gammainc(1 / b, c * m**b) / (b * c ** (1 / b))
+        em = mpmath.fsum(
+            mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * mpmath.diff(f, m, 2 * k - 1)
+            for k in range(1, 5)
+        )
+        return 1 + 2 * (head + integral + f(m) / 2 - em)
+
+
+def test_enum_cut_majorant_dominates_theta0_product():
+    # the Rankin cut's majorant tail / omega**(T/2) of prod_j theta_j(0) at
+    # base omega**(1/2) is at least the converged product, up to a rounding
+    # slack far below the tau_j it must carry (a majorant without its tail
+    # term falls short by up to min(tol, 1e-6) at b = 1, where the tail
+    # bound is exact); conftest's 400-term brute_theta does not converge at
+    # omega = 0.9, b = 1/2, hence mpmath
+    mpmath = pytest.importorskip("mpmath")
+    grid = itertools.product(
+        (0.3, 0.5, 0.9), ("constant", "linear", "logarithmic"), (0.5, 1.0, 2.0),
+        (1, 2, 3, 4), (1e-14, 1e-11, 1e-8),
+    )
+    theta0 = {}
+    for omega, a_kind, b, d, tol in grid:
+        model = make_model(omega=omega, a=(a_kind, 1.0), b=("constant", b))
+        t_cut, tail = korobov.wce._enum_cut(model, d, tol)
+        half = model.scaled(0.5)
+        ref = 1.0
+        for j in range(1, d + 1):
+            c = half.a_j(j) * math.log(1.0 / half.omega)
+            if (c, b) not in theta0:
+                theta0[c, b] = float(_theta0_mp(mpmath, c, b))
+            ref *= theta0[c, b]
+        majorant = tail / model.omega ** (t_cut / 2.0)
+        assert majorant >= ref * (1.0 - 1e-13), (omega, a_kind, b, d, tol, majorant, ref)
+
+
+def test_dual_enum_does_not_build_the_product_certificate(monkeypatch):
+    # the dual sum reads theta_j(0) majorants only, never the product
+    # certificate of theta_factors
+    def refuse(*args, **kwargs):
+        raise AssertionError("theta_factors called")
+
+    model = make_model(a=("linear", 1.0), b=("constant", 0.5))
+    rule = LatticeRule(101, (1, 12, 43))
+    ref = wce2_theta_product(rule, model, 1.0, 1e-12)
+    monkeypatch.setattr(korobov.space, "theta_factors", refuse)
+    monkeypatch.setattr(korobov.wce, "theta_factors", refuse)
+    est = wce2_dual_enum(rule, model, 1.0, 1e-12)
+    assert 0.0 < est.trunc_bound <= 1e-12
+    assert abs(est.value - ref.value) <= est.trunc_bound + ref.trunc_bound + 1e-14
+
+
+@pytest.mark.parametrize(
+    "model, rule, cap_mb",
+    [
+        (make_model(a=("linear", 1.0)), korobov_vector(KorobovParam(1009, 76, 3)), 8.0),
+        (make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5)), LatticeRule(37, (1,)), 32.0),
+    ],
+    ids=["linear-1009-d3", "slow-decay-37-d1"],
+)
+def test_kernel_double_sum_memory_is_blocked(model, rule, cap_mb):
+    # both loops run in CHUNK_CELLS blocks: the factor values (many series
+    # terms at omega = 0.9, b = 1/2) and the N^2 pairs
+    tracemalloc.start()
+    try:
+        est = wce2_kernel_double_sum(rule, model)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < cap_mb
+    assert abs(est.value - wce2_theta_product(rule, model).value) <= 2.0 * est.trunc_bound + 1e-12
 
 
 def test_dual_enum_in_the_exponential_regime():
