@@ -34,9 +34,14 @@ e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).
 A hard cap of 10**7 terms per one-dimensional sum turns uncertifiable
 parameter ranges into an explicit error rather than a silent inaccuracy.
 
-``a_lambda`` sums its terms ``CHUNK_CELLS`` at a time through one reused
-buffer, so its memory does not grow with the horizon, and it is memoised,
-because a lambda minimisation asks for the same lambda many times.
+For b_star < 1, ``a_lambda`` needs no long sum.  It decides the term cap
+with one evaluation of the tail bound at the cap, which decreases in the
+horizon.  When more than ``_EM_SPLIT`` = 64 terms would be needed, it sums
+the first 63 directly and takes the rest from the Euler-Maclaurin formula:
+the integral in closed form through the incomplete gamma function, plus
+Bernoulli corrections whose remainder is certified by the complete
+monotonicity of exp(-c * t**b).  Only where that certifies nothing does it
+sum to the horizon, ``CHUNK_CELLS`` terms at a time.  It is not memoised.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,9 +60,10 @@ DEFAULT_TOL = 1e-14
 # Hard cap on the number of terms in any one-dimensional series.
 SUM_TERM_CAP = 10**7
 
-# Cells per evaluation chunk, for the family searches and the a_lambda sum:
-# 512 KiB of float64, so a chunk's accumulator and operand stay in a core's
-# L2 cache (faster than 2**21 for both search families).
+# Cells per evaluation chunk of the family searches: 512 KiB of float64, so a
+# chunk's accumulator and operand stay in a core's L2 cache (faster than
+# 2**21 for both search families).  The blocked loops of wce and the rare
+# long direct sum of a_lambda take their block sizes from it.
 CHUNK_CELLS = 2**16
 
 FAMILY_KINDS = ("constant", "linear", "logarithmic", "power", "explicit")
@@ -307,6 +312,9 @@ def series_tail_bound(c: float, b: float, horizon: int) -> float:
         return _tail_bound_b_ge1(c, b, horizon)
     return _tail_bound_b_lt1(c, b, horizon)
 
+def _cap_error(tol: float) -> SummationCapError:
+    return SummationCapError(f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}")
+
 def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
     """Smallest horizon H >= 1 whose certified tail is at most ``tol``.
 
@@ -323,9 +331,7 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
             horizon = math.ceil((math.log(1.0 / target) / c) ** (1.0 / b))
             horizon = max(horizon, 1)
         if horizon > SUM_TERM_CAP:
-            raise SummationCapError(
-                f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
-            )
+            raise _cap_error(tol)
         return horizon, series_tail_bound(c, b, horizon)
     # Double from 16 until the bound certifies, then bisect the horizons
     # between the last failing one (0 if 16 certifies) and that one: the
@@ -333,9 +339,7 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
     failing, horizon = 0, 16
     while series_tail_bound(c, b, horizon) > tol:
         if horizon >= SUM_TERM_CAP:
-            raise SummationCapError(
-                f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}"
-            )
+            raise _cap_error(tol)
         failing, horizon = horizon, min(horizon * 2, SUM_TERM_CAP)
     between = range(failing + 1, horizon)
     horizon = between.start + bisect_left(between, True, key=lambda h: series_tail_bound(c, b, h) <= tol)
@@ -416,26 +420,116 @@ def theta(t: float, j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> flo
     return _theta_at(theta_terms(j, model, tol)[0], t)
 
 
-@lru_cache(maxsize=256)
-def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
-    """Tail constant sum_{h >= 1} omega**(lam * a_star * (h**b_star - 1)).
+# Euler-Maclaurin split M and largest number of Bernoulli corrections for the
+# b < 1 series of a_lambda (see _em_tail).
+_EM_SPLIT = 64
+_EM_ORDERS = 10
 
-    The h = 1 term equals 1, so the result is always >= 1.  For b_star = 1
-    the series is geometric and is returned in closed form; otherwise it is
-    summed with a certified tail below ``tol``, ``CHUNK_CELLS`` terms at a
-    time through one buffer refilled in place, so memory stays constant in
-    the horizon; the chunk sums are combined by ``math.fsum``.  Results are
-    memoised: a lambda minimisation asks for the same lambda across d.
+# B_2k / (2k)! for k = 1 .. _EM_ORDERS + 1.
+_BERNOULLI_RATIOS = (
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000,
+    1 / 74724249600, -3617 / 10670622842880000, 43867 / 5109094217170944000,
+    -174611 / 802857662698291200000, 77683 / 14101100039391805440000,
+)
+
+
+def _tail_integral(c: float, b: float, x: float, g: float, tol: float) -> tuple[float, float] | None:
+    """e^c * int_M^inf exp(-c * t**b) dt for M = ``_EM_SPLIT``, x = c * M**b
+    and g = exp(c - x), with a bound of at most tol / 2 on its truncation
+    error; None if the continued fraction below does not reach that.
+
+    With s = 1/b the integral is s * M * g * G(s), where
+    G(a) = e^x * x**-a * Gamma(a, x).
+
+    - For x <= s, where Gamma(s, x) is about Gamma(s) / 2 or more, it is
+      e^c * Gamma(s+1) / c**s - M * g * sum_k u_k, with u_0 = 1 and
+      u_k = u_(k-1) * x / (s+k), the series of the lower incomplete gamma
+      function (DLMF 8.7.1).  Its ratios x / (s+k) decrease, so once one is
+      q < 1 the omitted terms are at most u_k * q / (1 - q).
+    - For x > s that subtraction would cancel most digits.  G(a) at
+      a = s - ceil(s) + 1 in (0, 1] is the continued fraction
+      1/(x+ (1-a)/(1+ 1/(x+ (2-a)/(1+ 2/(x+ ... (DLMF 8.9.2), whose
+      elements are positive, so consecutive convergents bracket it; the
+      recurrence G(a+1) = (a * G(a) + 1) / x shrinks the bracket by a / x < 1
+      per step up to G(s).
     """
-    if not (0.0 < lam <= 1.0):
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    _check_tol(tol)
-    b = model.b_star
-    c = lam * model.a_star * math.log(1.0 / model.omega)
-    if b == 1.0:
-        return 1.0 / -math.expm1(-c)
-    scale = math.exp(c)  # A = e^c * sum_h exp(-c h^b)
-    horizon, _ = truncation_horizon(c, b, tol / scale)
+    s, split = 1.0 / b, float(_EM_SPLIT)
+    scale = split * g
+    if x <= s:
+        term = lower = scale  # M * g * u_k, summed into lower
+        k = 0
+        while True:
+            k += 1
+            term *= x / (s + k)
+            lower += term
+            q = x / (s + k + 1.0)
+            if q < 1.0 and term * q / (1.0 - q) <= tol / 2.0:
+                return math.gamma(s + 1.0) / c**s * math.exp(c) - lower, term * q / (1.0 - q)
+    steps = math.ceil(s) - 1
+    a = s - steps
+    scale *= s
+    # Lentz's method on 1 / G(a) = x + (1-a)/(1+ 1/(x+ (2-a)/(1+ ...; about
+    # 200 terms reach float precision at x = 1, fewer at larger x
+    f = cc = x
+    dd = 0.0
+    for j in range(1, 1024):
+        num, den = ((j + 1) // 2 - a, 1.0) if j % 2 else (j // 2, x)
+        dd = 1.0 / (den + num * dd)
+        cc = den + num / cc
+        previous, f = f, f * cc * dd
+        error = scale * abs(1.0 / f - 1.0 / previous)
+        if error <= tol / 2.0:
+            break
+    else:
+        return None
+    f = 1.0 / f
+    for _ in range(steps):
+        f = (a * f + 1.0) / x
+        a += 1.0
+    return scale * f, error
+
+
+def _em_tail(c: float, b: float, tol: float) -> tuple[float, int] | None:
+    """e^c * sum_{h >= M} exp(-c * h**b) for 0 < b < 1 and M = ``_EM_SPLIT``,
+    by the Euler-Maclaurin formula, with an error of at most ``tol``.
+
+    Returns ``(value, m)``, m being the number of Bernoulli corrections, or
+    None when :func:`_tail_integral` gives none or no m up to ``_EM_ORDERS``
+    certifies ``tol``.  With f(t) = exp(-c * t**b) and g = e^c * f(M), the
+    tail is the integral plus g/2 - sum_(k<=m) B_2k / (2k)! * e^c *
+    f^(2k-1)(M).  The derivatives are f^(n) = P_n f, with P_0 = 1 and
+    P_(n+1) = sum_j C(n, j) phi^(j+1)(M) P_(n-j) for phi(t) = -c * t**b.
+
+    f is completely monotone (exp of minus a Bernstein function), so every
+    f^(2k) >= 0.  The remainder after m corrections therefore has the sign
+    of the first omitted one and at most its size (DLMF 2.10(i)).  That term
+    plus the integral's truncation bound is the certified error.
+    """
+    split = float(_EM_SPLIT)
+    x = c * split**b
+    g = math.exp(c - x)
+    integral = _tail_integral(c, b, x, g, tol)
+    if integral is None:
+        return None
+    value, integral_error = integral
+    value += g / 2.0
+    dphi = [0.0, -c * b * split ** (b - 1.0)]  # dphi[k] = phi^(k)(M)
+    p = [1.0]  # p[n] = P_n
+    for m in range(1, _EM_ORDERS + 1):
+        while len(p) < 2 * m + 2:
+            n = len(p) - 1
+            dphi.append(dphi[-1] * (b - n - 1.0) / split)
+            p.append(sum(math.comb(n, j) * dphi[j + 1] * p[n - j] for j in range(n + 1)))
+        value -= _BERNOULLI_RATIOS[m - 1] * g * p[2 * m - 1]
+        if abs(_BERNOULLI_RATIOS[m] * g * p[2 * m + 1]) + integral_error <= tol:
+            return value, m
+    return None
+
+
+def _direct_sum(c: float, b: float, horizon: int) -> float:
+    """sum_{h=1}^{horizon} exp(-c * (h**b - 1)), ``CHUNK_CELLS`` terms at a
+    time through one buffer refilled in place; the chunk sums are combined
+    by ``math.fsum``."""
     ramp = np.arange(1, min(horizon, CHUNK_CELLS) + 1, dtype=np.float64)
     buf = np.empty_like(ramp)
     sums = []
@@ -449,6 +543,47 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
         np.exp(x, out=x)
         sums.append(float(x.sum()))
     return math.fsum(sums)
+
+
+def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
+    """Tail constant sum_{h >= 1} omega**(lam * a_star * (h**b_star - 1)).
+
+    The h = 1 term equals 1, so the result is always >= 1.  For b_star = 1
+    the series is geometric and is returned in closed form.  For b_star < 1
+    it is A = e^c * sum_h exp(-c * h**b) with c = lam * a_star * log(1/omega),
+    evaluated to within ``tol``:
+
+    - the series needs more than ``SUM_TERM_CAP`` terms, and
+      :class:`SummationCapError` is raised, exactly when the tail bound at
+      the cap exceeds tol / e^c, since the b < 1 bound decreases in the
+      horizon wherever it is finite; one bound evaluation decides it;
+    - when ``_EM_SPLIT`` terms already certify tol, the terms up to the
+      minimal horizon are summed directly;
+    - otherwise the terms below ``_EM_SPLIT`` are summed directly and the
+      rest is the certified Euler-Maclaurin tail of :func:`_em_tail`.  It
+      costs tens of microseconds where the direct sum needs up to millions
+      of terms.  Where it certifies nothing (only for tolerances far below
+      rounding), the direct sum runs to the minimal horizon.
+
+    Direct sums run ``CHUNK_CELLS`` terms at a time through one buffer, so
+    memory stays constant in the horizon.  Nothing is memoised: no path but
+    that rare fallback costs more than tens of microseconds.
+    """
+    if not (0.0 < lam <= 1.0):
+        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
+    _check_tol(tol)
+    b = model.b_star
+    c = lam * model.a_star * math.log(1.0 / model.omega)
+    if b == 1.0:
+        return 1.0 / -math.expm1(-c)
+    budget = _check_tol(tol / math.exp(c))  # A = e^c * sum_h exp(-c h^b)
+    if series_tail_bound(c, b, SUM_TERM_CAP) > budget:
+        raise _cap_error(budget)
+    if series_tail_bound(c, b, _EM_SPLIT) > budget:
+        tail = _em_tail(c, b, tol)
+        if tail is not None:
+            return _direct_sum(c, b, _EM_SPLIT - 1) + tail[0]
+    return _direct_sum(c, b, truncation_horizon(c, b, budget)[0])
 
 
 def rho(h, model: WeightModel) -> float:

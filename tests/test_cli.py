@@ -19,7 +19,8 @@ from korobov import (
     wce2_dual_enum,
     wce2_kernel_double_sum,
 )
-from korobov import cli
+from korobov import WeightModel, cli
+from korobov.bounds import log_info_complexity_bound
 from korobov.cli import main
 from korobov.qmc import convergence_study
 from korobov.search import family_errors
@@ -538,3 +539,38 @@ def test_readme_command_lines_parse():
         parser = cli._build_parser()
         args = parser.parse_args(argv)
         cli._check_combinations(parser, args)
+
+
+# The bench's slow-decay model (omega = 0.9, logarithmic a, b = 1/2), whose
+# A_lambda needs millions of terms by direct summation.  Rows and lambda*
+# frozen from that direct summation; a change in how A_lambda is evaluated
+# must leave them byte-equal.
+SLOW_MODEL = {"omega": 0.9, "a": {"kind": "logarithmic", "kappa": 1.0}, "b": {"kind": "constant", "kappa": 0.5}}
+SLOW_TRACT_ROWS = {
+    "wt": ["2,0.01,6779005649,3.4271783513907508,exp_wt,bound",
+           "4,0.01,38662881312567112,4.4384545069961714,exp_wt,bound"],
+    "st": ['3,0.01,24770451129510,4.8665925653148516,"exp_st_wt(s=0.5,t=1)",bound'],
+}
+SLOW_LAMBDA_STAR = {2: 0.4363145033760425, 3: 0.6597064514319043, 4: 0.8889748832060985}
+
+
+def test_slow_model_bound_outputs_are_pinned(tmp_path):
+    model_path = tmp_path / "slow.json"
+    model_path.write_text(json.dumps(SLOW_MODEL))
+    argvs = {
+        "wt": ["--mode", "wt", "--d-list", "2,4"],
+        "st": ["--mode", "st", "--s", "0.5", "--t", "1", "--d-list", "3"],
+    }
+    for mode, argv in argvs.items():
+        out = tmp_path / f"{mode}.csv"
+        assert run_cli(["tract", "--model", str(model_path), *argv, "--source", "bound",
+                        "--eps-list", "0.01", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[3:] == SLOW_TRACT_ROWS[mode]
+    model = WeightModel.from_dict(SLOW_MODEL)
+    for d, lam in SLOW_LAMBDA_STAR.items():
+        assert log_info_complexity_bound(0.01, d, model)[1] == lam
+    out = tmp_path / "bound.json"
+    assert run_cli(["bound", "--model", str(model_path), "--n", "1009", "--d", "4", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["lambda"] == 1.0
+    assert abs(result["a_lambda"] - 402.8820034071712) <= 32 * 2.0**-52 * 402.9

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -16,7 +17,8 @@ from korobov import (
     rho,
     theta,
 )
-from korobov.space import CHUNK_CELLS, series_tail_bound, theta_terms, truncation_horizon
+from korobov import space
+from korobov.space import CHUNK_CELLS, SUM_TERM_CAP, series_tail_bound, theta_terms, truncation_horizon
 from korobov.wce import theta_table
 
 from conftest import brute_theta, make_model
@@ -124,7 +126,6 @@ def test_a_lambda_chunked_sum_matches_whole_array_fsum(lam, chunks):
 
 def test_a_lambda_memory_is_one_chunk():
     # the horizon at lambda = 1/4 is about 6e6 terms, 48 MB per float64 array
-    a_lambda.cache_clear()
     tracemalloc.start()
     try:
         a_lambda(0.25, SLOW)
@@ -146,6 +147,121 @@ def test_a_lambda_cap_error_for_pathological_weights():
     model = make_model(omega=0.99, a=("constant", 0.01), b=("constant", 0.2))
     with pytest.raises(SummationCapError):
         a_lambda(1.0, model)
+
+
+def test_cap_decision_is_one_tail_bound_at_the_cap():
+    # truncation_horizon raises exactly when the bound at the cap misses tol,
+    # which is the one evaluation a_lambda makes to decide the cap
+    outcomes = []
+    for b, c, tol in itertools.product(
+        (0.1, 0.2, 0.3, 0.5, 0.7, 0.9), (0.003, 0.03, 0.1, 0.3, 1.0, 3.0),
+        (1e-3, 1e-8, 1e-12, 1e-14, 1e-16, 1e-20),
+    ):
+        misses = series_tail_bound(c, b, SUM_TERM_CAP) > tol
+        try:
+            truncation_horizon(c, b, tol)
+        except SummationCapError:
+            assert misses, (b, c, tol)
+        else:
+            assert not misses, (b, c, tol)
+        outcomes.append(misses)
+    assert len(outcomes) == 216 and 0 < sum(outcomes) < 216
+    # and at the boundary itself, where monotonicity in the horizon decides
+    for b, c in ((0.2, 1.0), (0.2, 3.0), (0.3, 0.3), (0.3, 1.0), (0.5, 0.03), (0.7, 0.003)):
+        at_cap = series_tail_bound(c, b, SUM_TERM_CAP)
+        truncation_horizon(c, b, at_cap)
+        with pytest.raises(SummationCapError):
+            truncation_horizon(c, b, math.nextafter(at_cap, 0.0))
+
+
+# The a_lambda grid: omega x kappa (constant a) x b x lambda, 135 cases.
+A_GRID_B = (0.2, 0.3, 0.5, 0.7, 0.9)
+A_GRID_LAMS = (1.0, 0.5, 0.25)
+# How many of A_GRID_LAMS, counted from the smallest, raise the cap error at
+# each (omega, kappa) and b of A_GRID_B: frozen from the direct summation
+# that a_lambda used before its Euler-Maclaurin tail (54 of 135 cases).
+A_GRID_CAPPED = {
+    (0.5, 0.3): (3, 3, 0, 0, 0), (0.5, 1.0): (3, 2, 0, 0, 0), (0.5, 3.0): (2, 0, 0, 0, 0),
+    (0.9, 0.3): (3, 3, 1, 0, 0), (0.9, 1.0): (3, 3, 0, 0, 0), (0.9, 3.0): (3, 3, 0, 0, 0),
+    (0.97, 0.3): (3, 3, 3, 0, 0), (0.97, 1.0): (3, 3, 1, 0, 0), (0.97, 3.0): (3, 3, 0, 0, 0),
+}
+
+
+def _mp_tail(c, b, split, mpmath):
+    """(f, e^c int_split^inf f, sum_{h >= split} f(h)) for f(t) =
+    exp(-c (t**b - 1)) in mpmath's working precision.  The sum is the
+    Abel-Plana formula (mpmath.sumap), which shares no step with the
+    Euler-Maclaurin evaluation under test."""
+
+    def f(t):
+        return mpmath.exp(-c * (t**b - 1))
+
+    integral = mpmath.exp(c) * mpmath.gammainc(1 / b, c * split**b) / (b * c ** (1 / b))
+    return f, integral, mpmath.sumap(f, [split, mpmath.inf], integral=integral)
+
+
+def _mp_a_lambda(omega, kappa, b, lam, mpmath, split=32):
+    """sum_h omega**(lam*kappa*(h**b - 1)): a direct head and _mp_tail."""
+    c = mpmath.mpf(lam) * mpmath.mpf(kappa) * mpmath.log(1 / mpmath.mpf(omega))
+    f, _, tail = _mp_tail(c, mpmath.mpf(b), split, mpmath)
+    return mpmath.fsum(f(h) for h in range(1, split)) + tail
+
+
+def test_a_lambda_matches_mpmath_on_grid():
+    # stated before running: |a_lambda - exact| <= tol + 32 * 2**-52 * A
+    mpmath = pytest.importorskip("mpmath")
+    tol, checked = 1e-14, 0
+    for (omega, kappa), capped in A_GRID_CAPPED.items():
+        for b, n_capped in zip(A_GRID_B, capped):
+            model = make_model(omega=omega, a=("constant", kappa), b=("constant", b))
+            for lam in A_GRID_LAMS:
+                if lam in A_GRID_LAMS[len(A_GRID_LAMS) - n_capped :]:
+                    with pytest.raises(SummationCapError):
+                        a_lambda(lam, model, tol)
+                    continue
+                got = a_lambda(lam, model, tol)
+                with mpmath.workdps(25):
+                    exact = _mp_a_lambda(omega, kappa, b, lam, mpmath)
+                    error = float(abs(got - exact))
+                assert error <= tol + 32 * 2.0**-52 * got, (omega, kappa, b, lam, error)
+                checked += 1
+    assert checked == 81
+
+
+def test_bernoulli_ratios_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for k, ratio in enumerate(space._BERNOULLI_RATIOS, start=1):
+        exact = mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+        assert ratio == float(exact), k
+
+
+@pytest.mark.parametrize(
+    "omega, kappa, b, lam",
+    [
+        (0.5, 0.3, 0.5, 1.0), (0.5, 1.0, 0.3, 1.0), (0.5, 3.0, 0.2, 1.0),  # x <= s
+        (0.97, 0.3, 0.7, 0.5), (0.9, 0.3, 0.9, 0.25),
+        (0.5, 0.3, 0.7, 1.0), (0.5, 3.0, 0.3, 1.0), (0.5, 3.0, 0.5, 1.0),  # x > s
+        (0.5, 1.0, 0.9, 1.0),
+    ],
+)
+def test_euler_maclaurin_remainder_has_sign_and_size_of_first_omitted_term(omega, kappa, b, lam):
+    # The tail formula at the split and order the code picks, in 50-digit
+    # arithmetic: the exact tail minus it lies between 0 and the first
+    # omitted correction, whatever float rounding does.
+    mpmath = pytest.importorskip("mpmath")
+    c = lam * kappa * math.log(1.0 / omega)
+    split = space._EM_SPLIT
+    assert series_tail_bound(c, b, split) > 1e-14 / math.exp(c)  # a_lambda takes the EM path
+    _, m = space._em_tail(c, b, 1e-14)
+    with mpmath.workdps(50):
+        f, integral, exact = _mp_tail(mpmath.mpf(c), mpmath.mpf(b), split, mpmath)
+        derivs = [t * mpmath.factorial(k) for k, t in enumerate(mpmath.taylor(f, split, 2 * m + 1))]
+        formula = integral + f(split) / 2 - mpmath.fsum(
+            mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * derivs[2 * k - 1] for k in range(1, m + 1)
+        )
+        omitted = -mpmath.bernoulli(2 * m + 2) / mpmath.factorial(2 * m + 2) * derivs[2 * m + 1]
+        ratio = (exact - formula) / omitted
+    assert omitted != 0 and 0 <= ratio <= 1, (m, ratio)
 
 
 # --- theta -------------------------------------------------------------------
