@@ -548,10 +548,13 @@ def _direct_sum(c: float, b: float, horizon: int) -> float:
 def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """Tail constant sum_{h >= 1} omega**(lam * a_star * (h**b_star - 1)).
 
-    The h = 1 term equals 1, so the result is always >= 1.  For b_star = 1
-    the series is geometric and is returned in closed form.  For b_star < 1
-    it is A = e^c * sum_h exp(-c * h**b) with c = lam * a_star * log(1/omega),
-    evaluated to within ``tol``:
+    The h = 1 term equals 1, so the result is always >= 1.  With
+    c = lam * a_star * log(1/omega) it is A = e^c * sum_h exp(-c * h**b),
+    evaluated to within ``tol``.  For b_star = 1 the series is geometric and
+    is returned in closed form.  For b_star > 1 the terms up to the minimal
+    horizon of the geometric tail bound are summed directly, and
+    :class:`SummationCapError` is raised when that horizon exceeds
+    ``SUM_TERM_CAP``.  For b_star < 1:
 
     - the series needs more than ``SUM_TERM_CAP`` terms, and
       :class:`SummationCapError` is raised, exactly when the tail bound at
@@ -577,12 +580,13 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     if b == 1.0:
         return 1.0 / -math.expm1(-c)
     budget = _check_tol(tol / math.exp(c))  # A = e^c * sum_h exp(-c h^b)
-    if series_tail_bound(c, b, SUM_TERM_CAP) > budget:
-        raise _cap_error(budget)
-    if series_tail_bound(c, b, _EM_SPLIT) > budget:
-        tail = _em_tail(c, b, tol)
-        if tail is not None:
-            return _direct_sum(c, b, _EM_SPLIT - 1) + tail[0]
+    if b < 1.0:
+        if series_tail_bound(c, b, SUM_TERM_CAP) > budget:
+            raise _cap_error(budget)
+        if series_tail_bound(c, b, _EM_SPLIT) > budget:
+            tail = _em_tail(c, b, tol)
+            if tail is not None:
+                return _direct_sum(c, b, _EM_SPLIT - 1) + tail[0]
     return _direct_sum(c, b, truncation_horizon(c, b, budget)[0])
 
 

@@ -108,6 +108,21 @@ def test_a_lambda_at_least_one_and_monotone():
     assert a_lambda(1.0, bigger_a) <= a_lambda(1.0, model)
 
 
+@pytest.mark.parametrize("omega, kappa, lam", [(0.7, 0.8, 0.125), (0.99, 0.05, 1.0)])
+def test_a_lambda_b_above_one_is_the_whole_horizon_sum(omega, kappa, lam):
+    # exp(-c t**b) is not completely monotone for b > 1 (at c = 5e-4, below
+    # (b-1) / (b * 64**b), even f''(64) < 0), so no Euler-Maclaurin
+    # certificate holds: the minimal horizon, past 64 here, is summed
+    c = lam * kappa * math.log(1.0 / omega)
+    budget = 1e-14 / math.exp(c)
+    assert series_tail_bound(c, 1.5, space._EM_SPLIT) > budget
+    horizon, _ = truncation_horizon(c, 1.5, budget)
+    h = np.arange(1, horizon + 1, dtype=np.float64)
+    expected = math.fsum(np.exp(-c * (h**1.5 - 1.0)))
+    model = make_model(omega=omega, a=("constant", kappa), b=("constant", 1.5))
+    assert a_lambda(lam, model) == pytest.approx(expected, rel=4e-16, abs=0.0)
+
+
 # the bench's slow-decay model: omega = 0.9, logarithmic a, b = 1/2
 SLOW = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
 
@@ -133,6 +148,27 @@ def test_a_lambda_memory_is_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_a_lambda_direct_sum_where_euler_maclaurin_certifies_nothing():
+    # at tol 1e-40 no number of Bernoulli corrections certifies, so the
+    # chunked direct sum runs to a horizon of about 2e6 terms, 16 MB per
+    # float64 array
+    tol = 1e-40
+    c = SLOW.a_star * math.log(1.0 / SLOW.omega)
+    assert space._em_tail(c, 0.5, tol) is None
+    horizon, _ = truncation_horizon(c, 0.5, tol / math.exp(c))
+    assert 16 * CHUNK_CELLS < horizon < SUM_TERM_CAP
+    assert horizon % CHUNK_CELLS != 0
+    tracemalloc.start()
+    try:
+        got = a_lambda(1.0, SLOW, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    h = np.arange(1, horizon + 1, dtype=np.float64)
+    assert got == pytest.approx(math.fsum(np.exp(-c * (h**0.5 - 1.0))), rel=4e-16, abs=0.0)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
