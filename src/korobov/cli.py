@@ -189,11 +189,7 @@ def _cmd_tract(args, model: WeightModel, config: dict) -> None:
     if args.mode == "alg":
         del config["tol"]  # alg_classify reads no tolerance
         config["d_max"] = 1024 if args.d_max is None else args.d_max
-        report = tract.alg_classify(model, config["d_max"])
-        report["partial_sums"] = {
-            repr(lam): rows for lam, rows in report["partial_sums"].items()
-        }
-        _emit(args, config, report)
+        _emit(args, config, tract.alg_classify(model, config["d_max"]))
         return
     d_list = _parse_list(args.d_list, int, "--d-list")
     eps_list = _parse_list(args.eps_list, float, "--eps-list")

@@ -20,10 +20,11 @@ from korobov import (
     wce2_kernel_double_sum,
 )
 from korobov import WeightModel, cli
-from korobov.bounds import log_info_complexity_bound
+from korobov.bounds import LAMBDA_GRID, log_info_complexity_bound
 from korobov.cli import main
 from korobov.qmc import convergence_study
 from korobov.search import family_errors
+from korobov.tract import ALG_D_MAX_CAP, alg_classify
 
 from conftest import make_model
 
@@ -138,6 +139,30 @@ def test_tract_csv_and_alg_json(model_path, tmp_path):
     payload = json.loads(out2.read_text())
     assert payload["result"]["spt_eps_exponent_bound"] == 0.0  # linear weights
     assert "tol" not in payload["config"]  # the alg report reads no tolerance
+
+
+def test_tract_alg_partial_sums_in_ascending_lambda(model_path, tmp_path):
+    out = tmp_path / "alg.json"
+    assert run_cli(["tract", "--model", model_path, "--mode", "alg", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())["result"]["partial_sums"]
+    assert list(written) == [repr(lam) for lam in sorted(LAMBDA_GRID)]  # file order
+    expected = alg_classify(WeightModel.from_dict(MODEL), 1024)["partial_sums"]
+    assert written == {repr(lam): [list(row) for row in rows] for lam, rows in expected.items()}
+
+
+@pytest.mark.parametrize("d_max", ["4", "8"])
+def test_tract_alg_d_max_below_nine_is_config_error(model_path, capsys, d_max):
+    code = run_cli(["tract", "--model", model_path, "--mode", "alg", "--d-max", d_max])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "config"
+
+
+def test_exit_code_cap_exceeded_by_tract_alg(model_path, capsys):
+    # the cap is checked before the first weight is read
+    code = run_cli(["tract", "--model", model_path, "--mode", "alg",
+                    "--d-max", str(ALG_D_MAX_CAP + 1)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
 def test_integrate_matches_library(model_path, tmp_path):

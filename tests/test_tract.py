@@ -155,3 +155,73 @@ def test_alg_classify_slow_logarithmic_polynomial_growth():
     report = alg_classify(model, d_max=1024)
     assert report["growth"]["closed_form_class"].startswith("polynomial")
     assert report["growth"]["empirical_class"].startswith("polynomial")
+
+
+def _interleaved_partial_sums(model, d_max):
+    """Reference partial sums, lambda-major: one walk over j per lambda,
+    recording at d = 4, 8, ... below d_max and at d_max."""
+    d_grid = []
+    d = 4
+    while d < d_max:
+        d_grid.append(d)
+        d *= 2
+    d_grid.append(d_max)
+    partial_sums = {}
+    for lam in korobov.bounds.LAMBDA_GRID:
+        running = 0.0
+        j = 0
+        row = []
+        for d in d_grid:
+            while j < d:
+                j += 1
+                running += model.omega ** (lam * model.a_j(j))
+            row.append((d, running))
+        partial_sums[lam] = row
+    return partial_sums
+
+
+ALG_MODELS = {
+    "constant": make_model(),
+    "linear": make_model(a=("linear", 1.0)),
+    "logarithmic": make_model(omega=math.exp(-0.5), a=("logarithmic", 1.0)),
+    "power": make_model(omega=0.9, a=("power", 1.0, 0.5)),
+    "explicit": make_model(a=("explicit", (1.0, 1.5, 2.5, 4.0))),
+    "prefix_a": make_model(a=("linear", 1.0), prefix_a=(0.25, 0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("d_max", [9, 64, 1000, 1024])
+@pytest.mark.parametrize("name", sorted(ALG_MODELS))
+def test_alg_partial_sums_bit_identical_to_interleaved_loop(name, d_max):
+    model = ALG_MODELS[name]
+    got = alg_classify(model, d_max=d_max)["partial_sums"]
+    assert got == _interleaved_partial_sums(model, d_max)  # float for float
+
+
+def test_alg_classify_reads_each_weight_once(linear_model, monkeypatch):
+    calls = []
+    a_j = korobov.WeightModel.a_j
+
+    def counting_a_j(self, j):
+        calls.append(j)
+        return a_j(self, j)
+
+    monkeypatch.setattr(korobov.WeightModel, "a_j", counting_a_j)
+    alg_classify(linear_model, d_max=1000)
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("d_max", [4, 5, 6, 7, 8])
+def test_alg_classify_rejects_grids_below_three_points(unit_model, d_max):
+    # the grid [4] or [4, d_max] makes S_1 at index len // 2 the last point,
+    # so the growth would read 0 and constant weights would be called bounded
+    with pytest.raises(ValueError, match="d_max must be >= 9"):
+        alg_classify(unit_model, d_max=d_max)
+
+
+def test_alg_classify_constant_weights_linear_from_nine(unit_model):
+    report = alg_classify(unit_model, d_max=9)
+    assert [d for d, _ in report["partial_sums"][1.0]] == [4, 8, 9]
+    assert report["growth"]["empirical_class"] == "linear"
+    assert report["growth"]["closed_form_class"] == "linear"
+    assert report["growth"]["alg_tractability_class"] == "none_of_the_sufficient_conditions"
