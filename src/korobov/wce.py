@@ -18,11 +18,14 @@ slower oracles used for cross-validation.  One residue-fold dual engine
 serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
 (heaviest dual frequency): numpy blocks of the prefixes (h_j)_{j != c},
 each completed in coordinate c by one gather over its residue class.
-Every evaluator reports its certified truncation bound alongside the
-value, at most the requested tolerance; the two product forms take their
-theta series and that bound from ``space.theta_factors``, which gives
-each coordinate a share of it; the dual sum's cut reads only the
-majorants ``space.theta_majorant``.
+The double sum forms all N^2 pair products, each row of pairs a window of
+one difference table per coordinate, from factors summed term by term off
+one table of N cosines at exact residues: no fold, no FFT.  Every
+evaluator reports its certified truncation bound alongside the value, at
+most the requested tolerance; the two product forms take their theta
+series and that bound from ``space.theta_factors``, which gives each
+coordinate a share of it; the dual sum's cut reads only the majorants
+``space.theta_majorant``.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -52,8 +55,9 @@ ENUM_CAP = 10**8
 # 2**16-cell blocks raised a process's peak memory by 5 MB, no faster.
 BLOCK_CELLS = CHUNK_CELLS // 16
 
-# Pair cap for the kernel double sum, a work cap: its loops run in blocks.
-DOUBLE_SUM_PAIR_CAP = 10**8
+# Work cap of the kernel double sum, on its N^2 pairs and on its N * sum_j H_j
+# factor cells, each checked before its loop; both loops run in blocks.
+DOUBLE_SUM_WORK_CAP = 10**8
 
 # Cell cap N * d of a theta table: 80 MB of float64 rows; a row's build
 # allocates a few temporaries of its size.
@@ -423,36 +427,41 @@ def wce2_kernel_double_sum(
 ) -> ErrorEstimate:
     """Squared worst-case error via -1 + (1/N^2) sum_{k,l} K(x_k, x_l).
 
-    Point differences are reduced to exact residues (k - l) g_j mod N, and
-    each coordinate factor is evaluated by direct series summation (no FFT
-    fold), keeping this path structurally distinct from the theta-product
-    evaluator.  Oracle use only: ``DOUBLE_SUM_PAIR_CAP`` caps the N^2 pairs,
-    and both loops (factor values, pairs) run in ``CHUNK_CELLS``-cell blocks.
+    Each coordinate factor is summed term by term at every fraction r/N,
+    reading cos(2 pi m/N) from one table of N cosines at the exact residue
+    m = h r mod N, whose period of N terms in h is tiled over the series:
+    no fold and no FFT, so this path stays structurally distinct from the
+    theta-product evaluator.  Row k of the pairs is a window of
+    T_j[i] = factor_j((i - N + 1) g_j mod N), i = 0..2N-2, read backwards:
+    factor_j((k - l) g_j mod N) over l, with no per-pair modulo.
+    Oracle use only: ``DOUBLE_SUM_WORK_CAP`` caps the N^2 pairs and the
+    N * sum_j H_j factor cells, and both loops run in ``CHUNK_CELLS``-cell
+    blocks.
     """
     n, d = rule.n, rule.d
-    if n * n > DOUBLE_SUM_PAIR_CAP:
-        raise CapExceededError(f"kernel double sum needs {n * n} pairs, cap is {DOUBLE_SUM_PAIR_CAP}")
+    if n * n > DOUBLE_SUM_WORK_CAP:
+        raise CapExceededError(f"kernel double sum needs {n * n} pairs, cap is {DOUBLE_SUM_WORK_CAP}")
     terms, _, bound = theta_factors(model, d, tol)
-    factors = []
-    for w in terms:
-        # theta at every fraction r/N by direct per-term summation; angles
-        # are reduced mod N in exact integer arithmetic first, since
-        # cos(2*pi*h*r/N) loses precision for large h*r
-        hm = np.arange(1, w.size + 1, dtype=np.int64) % n
+    if (cells := n * sum(w.size for w in terms)) > DOUBLE_SUM_WORK_CAP:
+        raise CapExceededError(f"kernel double sum needs {cells} factor cells, cap is {DOUBLE_SUM_WORK_CAP}")
+    cosines = np.cos(2.0 * math.pi / n * np.arange(n, dtype=np.int64))
+    windows = []
+    for w, g in zip(terms, rule.g):
+        # exact residues, as cos(2*pi*h*r/N) loses precision for large h*r;
+        # h r mod N has period N in h: each row r is one period, tiled
+        period = np.arange(1, min(n, w.size) + 1, dtype=np.int64)
         vals = np.empty(n, dtype=np.float64)
         r_chunk = max(1, CHUNK_CELLS // w.size)
         for start in range(0, n, r_chunk):
             r = np.arange(start, min(start + r_chunk, n), dtype=np.int64)
-            angles = 2.0 * math.pi / n * (r[:, None] * hm[None, :] % n)
-            vals[start : start + r.size] = 1.0 + 2.0 * np.sum(np.cos(angles) * w[None, :], axis=1)
-        factors.append(vals)
-    k = np.arange(n, dtype=np.int64)
+            cos_hr = np.tile(cosines[r[:, None] * period % n], math.ceil(w.size / period.size))[:, : w.size]
+            vals[start : start + r.size] = 1.0 + 2.0 * np.sum(cos_hr * w, axis=1)
+        windows.append(sliding_window_view(vals[np.arange(1 - n, n, dtype=np.int64) * g % n], n)[:, ::-1])
     total = 0.0
     chunk = max(1, CHUNK_CELLS // n)
     for start in range(0, n, chunk):
-        rows = k[start : start + chunk, None] - k[None, :]
-        acc = np.ones(rows.shape, dtype=np.float64)
-        for j in range(d):
-            acc *= factors[j][rows * rule.g[j] % n]
+        acc = np.ones((min(chunk, n - start), n), dtype=np.float64)
+        for window in windows:
+            acc *= window[start : start + chunk]
         total += float(np.sum(acc))
     return ErrorEstimate(total / float(n) ** 2 - 1.0, bound, "kernel_double_sum")

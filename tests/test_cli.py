@@ -286,6 +286,20 @@ def test_exit_code_cap_exceeded_by_kernel_double_sum(model_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
+def test_exit_code_cap_exceeded_by_kernel_double_sum_factor_cells(tmp_path, capsys):
+    # 1009**2 pairs are within the cap, but the slow model's series need
+    # 1009 * sum_j H_j ~ 6.4e8 factor cells, refused before any is computed
+    slow = tmp_path / "slow.json"
+    slow.write_text(
+        json.dumps({"omega": 0.9, "a": {"kind": "logarithmic", "kappa": 1.0}, "b": {"kind": "constant", "kappa": 0.5}})
+    )
+    code = run_cli(["wce", "--model", str(slow), "--n", "1009", "--g", "1,5", "--method", "kernel_double_sum"])
+    assert code == 3
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "cap_exceeded"
+    assert "factor cells" in error["message"]
+
+
 def test_exit_code_certificate_failure(tmp_path, capsys):
     # omega near 1 with slow fractional-power decay cannot be certified
     pathological = tmp_path / "p.json"

@@ -140,6 +140,53 @@ def test_double_sum_matches_literal_kernel_loop():
     assert est.value == pytest.approx(float(literal), abs=1e-11)
 
 
+def _pairwise_modulo_double_sum(rule, model, tol=korobov.space.DEFAULT_TOL):
+    """Frozen reference: factors from np.cos of the reduced angle matrix and
+    a gather of factors[j][(k - l) g_j mod N] for every pair, block by block."""
+    n, d = rule.n, rule.d
+    terms, _, bound = korobov.space.theta_factors(model, d, tol)
+    chunk_cells = korobov.space.CHUNK_CELLS
+    factors = []
+    for w in terms:
+        hm = np.arange(1, w.size + 1, dtype=np.int64) % n
+        vals = np.empty(n, dtype=np.float64)
+        r_chunk = max(1, chunk_cells // w.size)
+        for start in range(0, n, r_chunk):
+            r = np.arange(start, min(start + r_chunk, n), dtype=np.int64)
+            angles = 2.0 * math.pi / n * (r[:, None] * hm[None, :] % n)
+            vals[start : start + r.size] = 1.0 + 2.0 * np.sum(np.cos(angles) * w[None, :], axis=1)
+        factors.append(vals)
+    k = np.arange(n, dtype=np.int64)
+    total = 0.0
+    chunk = max(1, chunk_cells // n)
+    for start in range(0, n, chunk):
+        rows = k[start : start + chunk, None] - k[None, :]
+        acc = np.ones(rows.shape, dtype=np.float64)
+        for j in range(d):
+            acc *= factors[j][rows * rule.g[j] % n]
+        total += float(np.sum(acc))
+    return total / float(n) ** 2 - 1.0, bound
+
+
+SLOW_MODEL = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 5, 37, 101, 1009])
+def test_kernel_double_sum_bit_identical_to_pairwise_modulo_loop(n, d):
+    # the same N^2 products in the same blocks and the same factor values
+    # bit for bit, with g holding zero and repeated entries
+    vectors = [(1, 0, 1, 1), (1, 1, 1, 1), (n - 1, 2 % n, 0, n // 2), (1, 5 % n, 25 % n, 125 % n)]
+    vectors = list(dict.fromkeys(g[:d] for g in vectors))
+    cases = [(g, make_model(a=("linear", 1.0))) for g in vectors]
+    if n <= 37 and d <= 2:  # the slow model's series run to ~3e5 terms
+        cases += [(g, SLOW_MODEL) for g in vectors[:2]]
+    for g, model in cases:
+        rule = LatticeRule(n, g)
+        est = wce2_kernel_double_sum(rule, model)
+        assert (est.value, est.trunc_bound) == _pairwise_modulo_double_sum(rule, model), (g, model)
+
+
 def test_dual_enum_infeasible_raises():
     model = make_model(omega=0.9, b=("constant", 0.5))
     rule = LatticeRule(13, (1, 5, 8))
