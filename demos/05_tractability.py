@@ -15,6 +15,7 @@ from korobov import (
     empirical_info_complexity,
     info_complexity_bound,
     is_prime,
+    minkowski_start,
     wt_ratio_trace,
 )
 
@@ -40,12 +41,16 @@ print("constant weights:")
 for rec in trace_c.records:
     print(f"  d={rec.d:3d}  ratio={rec.ratio:.4f}")
 
-# Empirical information complexity (smallest feasible prime) sits below the
-# closed-form bound.  One ascending scan over the primes answers both eps.
+# Empirical information complexity (smallest feasible prime) sits between
+# the Minkowski start, up to which no rank-1 rule is feasible, and the
+# closed-form bound.  One ascending scan over the primes above the starts
+# answers both eps.
 eps_list = [0.5, 0.2]
 for eps, n_emp in zip(eps_list, empirical_info_complexity(eps_list, 2, growing)):
     n_bnd, lam = info_complexity_bound(eps, 2, growing, "korobov")
-    print(f"\neps={eps}: empirical N = {n_emp}, bound = {n_bnd} (lambda* = {lam:.4f})")
+    start = minkowski_start(eps, 2, growing)
+    print(f"\neps={eps}: Minkowski start = {start}, empirical N = {n_emp}, "
+          f"bound = {n_bnd} (lambda* = {lam:.4f})")
 
 # Algebraic-notion classification from the weight growth.
 report = alg_classify(growing, d_max=256)

@@ -14,8 +14,8 @@ from .bounds import (
     error_bound,
     error_bound_min,
     info_complexity_bound,
-    info_complexity_bound_expform,
     m_lambda,
+    minkowski_start,
     product_bound,
 )
 from .errors import (
@@ -94,12 +94,12 @@ __all__ = [
     "error_vs_wce",
     "exact_qmc_error",
     "info_complexity_bound",
-    "info_complexity_bound_expform",
     "is_prime",
     "kernel",
     "korobov_vector",
     "m_lambda",
     "mean_pow_error",
+    "minkowski_start",
     "next_prime",
     "primitive_root",
     "product_bound",

@@ -14,7 +14,10 @@ Bertrand's postulate, the information-complexity bound
 with c_d = 1 (general) or c_d = d (Korobov).  All products are evaluated in
 log space; values beyond 2**62 come back as a float('inf') sentinel instead
 of saturating silently.  The empirical information complexity walks the
-primes once for a whole list of eps, so a trace scans once per (model, d).
+primes once for a whole list of eps, so a trace scans once per (model, d),
+and it starts where Minkowski's convex body theorem stops excluding: every
+modulus up to ``minkowski_start(eps, d, model)`` is infeasible for every
+rank-1 rule.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, CertificateError, SummationCapError
 from .lattice import next_prime
-from .space import DEFAULT_TOL, WeightModel, a_lambda
+from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
 from .search import TIE_SLACK, search_korobov
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
@@ -37,6 +40,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Largest prime modulus the empirical information-complexity scan searches.
 SCAN_N_CAP = 100_000
+
+# Relative margin taken off the Minkowski volume before its floor.  The log
+# of the volume sums d terms of a few ulps' error each, so while their sizes
+# add up to less than 10**3 the volume is off by less than 1e-12 relative,
+# and every modulus up to the margined floor is truly excluded.
+MINKOWSKI_MARGIN = 1e-9
 
 VARIANTS = ("general", "korobov")
 
@@ -257,23 +266,27 @@ def info_complexity_bound(
     return _exp_or_inf(log_val, count=True), lam
 
 
-def info_complexity_bound_expform(
-    eps: float,
-    d: int,
-    model: WeightModel,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """The weaker exponential-form bound 4*eps**(-2*lam)*exp(2*A_lam*S_lam(d)).
+def minkowski_start(eps: float, d: int, model: WeightModel) -> int:
+    """Largest modulus that Minkowski's convex body theorem excludes at eps.
 
-    S_lam(d) = sum_{j<=d} omega**(lam*a_j).  Since 1 + x <= exp(x), this
-    always dominates the product-form bound at the same lambda (general
-    variant); useful for growth-rate classification.
+    With T' = (2 log(1/eps) + log 2) / (-log omega), a nonzero dual h with
+    E(h) <= T' gives e^2 >= rho(+-h) + rho(+-2h) > 2 omega**T' = eps^2.  The
+    dual lattice of a rank-1 rule of modulus N has determinant at most N,
+    so a convex symmetric body C whose integer points all have E(h) <= T'
+    holds such an h once vol(C) >= 2**d N.  C is the larger of
+    {sum_j a_j |x_j|**max(b_j, 1) <= T'} (for integer h and b_j < 1,
+    |h_j|**b_j <= |h_j|) and the box |x_j| <= (T' / (d a_j))**(1/b_j).
+    Every N up to the returned floor of vol(C) / 2**d, taken under
+    ``MINKOWSKI_MARGIN``, is infeasible for every rank-1 rule.  The volumes
+    are compared in log space; past 2**62 the float('inf') sentinel returns.
     """
     _check_eps(eps)
-    a_lam = a_lambda(lam, model, tol)
-    s = math.fsum(model.omega ** (lam * model.a_j(j)) for j in range(1, d + 1))
-    return _exp_or_inf(math.log(4.0) + 2.0 * lam * math.log(1.0 / eps) + 2.0 * a_lam * s)
+    t_prime = (2.0 * -math.log(eps) + math.log(2.0)) / -math.log(model.omega)
+    weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
+    log_body = log_region_volume(t_prime, [(a, max(b, 1.0)) for a, b in weights])
+    log_box = math.fsum(math.log(2.0) + math.log(t_prime / (d * a)) / b for a, b in weights)
+    log_start = max(log_body, log_box) - d * math.log(2.0) + math.log1p(-MINKOWSKI_MARGIN)
+    return math.inf if log_start > _OVERFLOW_LOG else math.floor(math.exp(log_start))
 
 
 def empirical_info_complexity(
@@ -286,12 +299,19 @@ def empirical_info_complexity(
     each eps of ``eps_list`` in input order.
 
     One scan over the primes in increasing order answers every eps, and
-    searches each prime at most once.  The returned moduli are the true
-    minima over all primes below the first feasible ones (the error is not
-    guaranteed monotone along primes, which rules out plain bisection).
-    The restriction to Korobov rules makes each an upper bound on the true
-    information complexity.  A scan that passes ``SCAN_N_CAP`` without
-    answering every eps raises :class:`CapExceededError`.
+    searches each prime at most once.  It skips the moduli up to
+    :func:`minkowski_start`, which are infeasible for every rank-1 rule,
+    not only for Korobov rules: the scan starts above the start of the
+    largest eps still pending, and after answering one eps jumps to the
+    later of the next prime and the first prime above the start of the
+    next.  A prime is tested only against the eps whose start lies below
+    it.  The returned moduli are the true minima over all primes below the
+    first feasible ones (the error is not guaranteed monotone along primes,
+    which rules out plain bisection).  The restriction to Korobov rules
+    makes each an upper bound on the true information complexity.  A start
+    above ``SCAN_N_CAP`` raises :class:`CapExceededError` before any
+    search, and so does a scan that passes the cap without answering every
+    eps.
 
     Feasibility is decided on the certified interval of the best e^2,
     value +- (trunc_bound + ``search.TIE_SLACK``), the slack standing in
@@ -299,23 +319,24 @@ def empirical_info_complexity(
     infeasible, and an interval that straddles eps^2 raises
     :class:`CertificateError` naming the prime, the interval and eps.
     """
-    for eps in eps_list:
-        _check_eps(eps)
-    pending = sorted(set(eps_list))
+    start = {eps: minkowski_start(eps, d, model) for eps in eps_list}
+    if (top := max(start.values(), default=0)) > SCAN_N_CAP:
+        raise CapExceededError(f"Minkowski start {top} lies above the cap {SCAN_N_CAP}")
+    pending = sorted(start)
     found: dict[float, int] = {}
-    n = 2
+    n = 1
     while pending:
+        n = next_prime(max(n, start[pending[-1]]) + 1)
         if n > SCAN_N_CAP:
             raise CapExceededError(f"no feasible prime modulus below the cap {SCAN_N_CAP}")
         best = search_korobov(n, d, model, tol).best_e2
         slack = best.trunc_bound + TIE_SLACK
         lo, hi = best.value - slack, best.value + slack
-        while pending and pending[-1] ** 2 >= lo:
+        while pending and start[pending[-1]] < n and pending[-1] ** 2 >= lo:
             if pending[-1] ** 2 <= hi:
                 raise CertificateError(
                     f"prime {n}: certified e2 interval [{lo:.6g}, {hi:.6g}] straddles "
                     f"eps^2 = {pending[-1] ** 2:.6g} (eps = {pending[-1]:.6g})"
                 )
             found[pending.pop()] = n
-        n = next_prime(n + 1)
     return [found[eps] for eps in eps_list]

@@ -177,6 +177,7 @@ def _cmd_nofe(args, model: WeightModel, config: dict) -> None:
     result = {
         "epsilon": args.epsilon,
         "d": args.d,
+        "n_lower": bounds.minkowski_start(args.epsilon, args.d, model),
         "n_upper": n_upper,
         "n_bound": n_bound,
         "lambda_star": lam_star,

@@ -599,6 +599,18 @@ def rho(h, model: WeightModel) -> float:
     return model.omega ** model.exponent(h)
 
 
+def log_region_volume(t_cut: float, weights: list[tuple[float, float]]) -> float:
+    """log of the continuous volume of {x : sum a_j*|x_j|**b_j <= t_cut}
+    (Dirichlet), 0 if ``weights`` is empty."""
+    log_vol = 0.0
+    inv_sum = 0.0
+    for a, b in weights:
+        c = (t_cut / a) ** (1.0 / b)
+        log_vol += math.log(2.0 * c) + math.lgamma(1.0 + 1.0 / b)
+        inv_sum += 1.0 / b
+    return log_vol - math.lgamma(1.0 + inv_sum)
+
+
 def kernel_with_bound(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Kernel value K(x, y) together with a certified truncation bound.
 

@@ -45,7 +45,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
 from .lattice import LatticeRule, primitive_root
-from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel, theta_factors, theta_majorant, theta_terms
+from .space import (
+    CHUNK_CELLS,
+    DEFAULT_TOL,
+    WeightModel,
+    log_region_volume,
+    theta_factors,
+    theta_majorant,
+    theta_terms,
+)
 
 # Work budget of the dual engine: prefix cells built at every level plus the
 # frequencies folded into the solved coordinate's residue table.
@@ -233,17 +241,6 @@ def wce2_theta_product(
 # Dual-lattice enumeration
 # ---------------------------------------------------------------------------
 
-def _region_volume(t_cut: float, weights: list[tuple[float, float]]) -> float:
-    """Continuous volume of {x : sum a_j*|x_j|**b_j <= t_cut} (Dirichlet), 1 if empty."""
-    log_vol = 0.0
-    inv_sum = 0.0
-    for a, b in weights:
-        c = (t_cut / a) ** (1.0 / b)
-        log_vol += math.log(2.0 * c) + math.lgamma(1.0 + 1.0 / b)
-        inv_sum += 1.0 / b
-    return math.exp(log_vol - math.lgamma(1.0 + inv_sum))
-
-
 def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     """Region threshold T of the dual sum at tolerance ``tol``, with its tail
     certificate.
@@ -281,7 +278,7 @@ def _enum_plan(rule: LatticeRule, model: WeightModel, t_cut: float):
     modulus = n if rule.g[c] % n else 1
     g = [gj * pow(rule.g[c], -1, modulus) % modulus for gj in rule.g]
     fold = 2 * limits[c] + 1 if modulus <= 2 * limits[c] + 1 else 0
-    est = _region_volume(t_cut, weights[:c] + weights[c + 1 :]) + fold
+    est = math.exp(log_region_volume(t_cut, weights[:c] + weights[c + 1 :])) + fold
     return weights, limits, c, g, modulus, fold, est
 
 

@@ -11,17 +11,22 @@ from korobov import (
     empirical_info_complexity,
     error_bound,
     error_bound_min,
+    dominant_dual_frequency,
     info_complexity_bound,
-    info_complexity_bound_expform,
+    is_prime,
+    korobov_vector,
     m_lambda,
+    minkowski_start,
     next_prime,
     product_bound,
     search_korobov,
     wce2_theta_product,
+    KorobovParam,
     LatticeRule,
 )
 
 from korobov.bounds import bound_report
+from korobov.search import TIE_SLACK
 
 from conftest import make_model
 
@@ -173,22 +178,89 @@ def test_empirical_rejects_bad_eps_before_scanning(linear_model):
 
 def test_empirical_cap(monkeypatch):
     monkeypatch.setattr(korobov.bounds, "SCAN_N_CAP", 5)
-    with pytest.raises(CapExceededError):
+    # the Minkowski start 219 lies above the cap: no prime is searched
+    with pytest.raises(CapExceededError, match="Minkowski start 219"):
         empirical_info_complexity([1e-3], 2, make_model())
+    # the start 4 lies below the cap, the answer 13 above it
+    with pytest.raises(CapExceededError, match="no feasible prime"):
+        empirical_info_complexity([0.5], 2, make_model())
+
+
+def test_minkowski_start_past_overflow_is_the_inf_sentinel():
+    # b = 0.005 makes the box's volume overflow a float; the start is the
+    # inf sentinel and the scan exits at the cap before any search
+    model = make_model(b=("constant", 0.005))
+    assert minkowski_start(1e-3, 2, model) == math.inf
+    with pytest.raises(CapExceededError, match="Minkowski start inf"):
+        empirical_info_complexity([1e-3], 2, model)
+
+
+# (omega, a family, b) of the Minkowski soundness grid
+MINKOWSKI_GRID = [
+    (omega, a, b)
+    for omega in (0.3, 0.5)
+    for a in ("constant", "linear")
+    for b in (0.5, 1.0, 2.0)
+]
+
+
+def _t_prime(eps, omega):
+    """E(h) <= T' makes 2 * rho(h) >= eps^2: T' = log(2 / eps^2) / log(1 / omega)."""
+    return math.log(2.0 / eps**2) / math.log(1.0 / omega)
+
+
+def _scan_from_two(eps, d, model, n_max):
+    """First prime N <= n_max whose best Korobov e2 interval lies below
+    eps^2, scanning every prime from 2; None past n_max."""
+    n = 2
+    while n <= n_max:
+        best = search_korobov(n, d, model).best_e2
+        if best.value + best.trunc_bound + TIE_SLACK < eps**2:
+            return n
+        n = next_prime(n + 1)
+    return None
+
+
+@pytest.mark.parametrize("omega, a, b", MINKOWSKI_GRID)
+def test_minkowski_start_is_sound(omega, a, b):
+    model = make_model(omega=omega, a=(a, 1.0), b=("constant", b))
+    shortest_checked = answers_checked = 0
+    for d in (1, 2, 3):
+        for eps in (0.3, 1e-1, 1e-2, 1e-3):
+            start = minkowski_start(eps, d, model)
+            t_prime = _t_prime(eps, omega)
+            # the largest prime up to the start: every Korobov rule there
+            # has a nonzero dual h with E(h) <= T', found independently by
+            # the dual engine's heaviest-frequency walk
+            if 2 <= start <= 250:
+                n = max(p for p in range(2, start + 1) if is_prime(p))
+                for g in range(n):
+                    rule = korobov_vector(KorobovParam(n, g, d))
+                    h = dominant_dual_frequency(rule, model)
+                    assert model.exponent(h) <= t_prime * (1.0 + 1e-12), (d, eps, n, g, h)
+                shortest_checked += 1
+            # where the answer is cheap, a scan from 2 finds the same
+            # answer, at or above the start and at most the bound
+            answer = _scan_from_two(eps, d, model, n_max={1: 600, 2: 400, 3: 200}[d])
+            if answer is not None:
+                assert empirical_info_complexity([eps], d, model) == [answer]
+                n_bound, _ = info_complexity_bound(eps, d, model)
+                assert start <= answer <= n_bound
+                answers_checked += 1
+            if d == 1:
+                # in one dimension the body is the interval |x| <= (T'/a_1)**(1/b_1)
+                x = (t_prime / model.a_j(1)) ** (1.0 / b)
+                assert math.floor(x * (1.0 - 1e-8)) <= start <= math.floor(x * (1.0 + 1e-8))
+    assert shortest_checked >= 3 and answers_checked >= 4
 
 
 def test_empirical_straddled_interval_is_a_certificate_error(linear_model):
     # at eps = 1e-8, eps^2 = 1e-16 lies inside the certified interval
-    # e2 +- (trunc_bound + TIE_SLACK) of the best rule at N = 521, so the
-    # scan stops there instead of reading rounding bits as a decision
-    with pytest.raises(CertificateError, match=r"prime 521\b.*eps = 1e-08"):
+    # e2 +- (trunc_bound + TIE_SLACK) of the best rule at N = 739, the first
+    # prime above the Minkowski start 733, so the scan stops there instead
+    # of reading rounding bits as a decision
+    with pytest.raises(CertificateError, match=r"prime 739\b.*eps = 1e-08"):
         empirical_info_complexity([1e-8], 2, linear_model)
-
-
-def test_expform_dominates_product_form(linear_model):
-    for d in (2, 8, 32):
-        bound, lam = info_complexity_bound(1e-2, d, linear_model, "general")
-        assert bound <= info_complexity_bound_expform(1e-2, d, linear_model, lam)
 
 
 def test_search_error_below_bound_all_grid(linear_model):

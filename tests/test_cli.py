@@ -19,7 +19,7 @@ from korobov import (
     wce2_dual_enum,
     wce2_kernel_double_sum,
 )
-from korobov import WeightModel, cli
+from korobov import WeightModel, bounds, cli
 from korobov.bounds import LAMBDA_GRID, log_info_complexity_bound
 from korobov.cli import main
 from korobov.qmc import convergence_study
@@ -121,8 +121,8 @@ def test_nofe_output(model_path, tmp_path):
     out = tmp_path / "nofe.json"
     assert run_cli(["nofe", "--model", model_path, "--epsilon", "0.4", "--d", "1", "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
-    assert set(result) == {"epsilon", "d", "n_upper", "n_bound", "lambda_star"}
-    assert result["n_upper"] <= result["n_bound"]
+    assert set(result) == {"epsilon", "d", "n_lower", "n_upper", "n_bound", "lambda_star"}
+    assert result["n_lower"] <= result["n_upper"] <= result["n_bound"]
 
 
 def test_tract_csv_and_alg_json(model_path, tmp_path):
@@ -266,6 +266,19 @@ def test_exit_code_cap_exceeded_by_convergence(model_path, capsys, primes):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
+def test_exit_code_cap_exceeded_by_minkowski_start(model_path, capsys, monkeypatch):
+    # at eps = 1e-25, d = 3 Minkowski excludes every modulus up to 129598,
+    # above the scan cap, so nofe exits 3 before it searches any prime
+    searched = []
+    monkeypatch.setattr(bounds, "search_korobov", lambda *args: searched.append(args))
+    code = run_cli(["nofe", "--model", model_path, "--epsilon", "1e-25", "--d", "3"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "cap_exceeded"
+    assert "129598" in err["message"]
+    assert searched == []
+
+
 def test_exit_code_cap_exceeded_by_integrate(tmp_path, capsys):
     # N * (d + terms) = 3 * (2**31 - 1) cells exceed qmc_apply's cap of 2e6,
     # which is checked before the (N, d) node array is built
@@ -312,12 +325,13 @@ def test_exit_code_certificate_failure(tmp_path, capsys):
 
 
 def test_straddled_certificate_exits_four(model_path, capsys):
-    # eps^2 = 1e-16 lies inside the certified interval of prime 521
+    # eps^2 = 1e-16 lies inside the certified interval of prime 739, the
+    # first prime above the Minkowski start
     code = run_cli(["nofe", "--model", model_path, "--epsilon", "1e-8", "--d", "2"])
     assert code == 4
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "certificate"
-    assert "prime 521" in err["message"]
+    assert "prime 739" in err["message"]
 
 
 def test_parser_survives_an_argument_error(model_path, tmp_path):

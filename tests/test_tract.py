@@ -5,7 +5,14 @@ import pathlib
 import pytest
 
 import korobov.bounds
-from korobov import alg_classify, info_complexity_bound, is_prime, st_ratio_trace, wt_ratio_trace
+from korobov import (
+    alg_classify,
+    info_complexity_bound,
+    is_prime,
+    minkowski_start,
+    st_ratio_trace,
+    wt_ratio_trace,
+)
 from korobov.bounds import log_info_complexity_bound
 
 from conftest import make_model
@@ -61,12 +68,16 @@ def test_empirical_trace_scans_each_prime_once_per_d(linear_model, monkeypatch):
     assert {(r.d, r.epsilon): r.n_value for r in trace.records} == expected_n
     for r in trace.records:
         assert r.ratio == math.log(r.n_value) / (r.d + math.log(1.0 / r.epsilon))
-    # one ascending scan per d, up to that d's largest answer: 67 + 257 primes
-    for d, largest in ((2, 331), (3, 1621)):
-        assert [n for dd, n in searched if dd == d] == [
-            n for n in range(2, largest + 1) if is_prime(n)
-        ]
-    assert len(searched) == 324
+    # one ascending scan per d, over the primes of each segment from an
+    # eps's Minkowski start to its answer: 18 + 173 primes of the 67 + 257
+    # up to the largest answers
+    for d in (2, 3):
+        segments = sorted(
+            (minkowski_start(eps, d, linear_model), expected_n[d, eps]) for eps in eps_grid
+        )
+        visits = sorted({n for lo, hi in segments for n in range(lo + 1, hi + 1) if is_prime(n)})
+        assert [n for dd, n in searched if dd == d] == visits
+    assert len(searched) == 191
 
 
 def test_bound_source_overflow_sentinel():
