@@ -149,41 +149,36 @@ def bound_report(
 def _minimize_lambda(fn):
     """Minimize fn over the lambda grid plus 32 golden-section steps.
 
-    fn may raise SummationCapError for lambdas it cannot certify; those
-    grid points are skipped (the remaining ones still give a valid upper
-    bound).  Returns (best_value, best_lambda).
+    Each step keeps one interior point and its value and evaluates one new
+    point, so fn runs at most 21 + 33 = 54 times, never twice at one lambda.
+    Lambdas where fn raises SummationCapError count as inf (the others still
+    give a valid upper bound).  Returns (best_value, best_lambda).
     """
-    evaluated: dict[float, float] = {}
+    seen: list[tuple[float, float]] = []
 
-    def probe(lam: float) -> float:
-        if lam not in evaluated:
-            try:
-                evaluated[lam] = fn(lam)
-            except SummationCapError:
-                evaluated[lam] = math.inf
-        return evaluated[lam]
+    def probe(lam: float) -> tuple[float, float]:
+        try:
+            seen.append((fn(lam), lam))
+        except SummationCapError:
+            seen.append((math.inf, lam))
+        return seen[-1]
 
-    grid_vals = [(probe(lam), lam) for lam in LAMBDA_GRID]
-    finite = [(v, lam) for v, lam in grid_vals if math.isfinite(v)]
+    finite = [(v, lam) for v, lam in map(probe, LAMBDA_GRID) if math.isfinite(v)]
     if not finite:
-        return math.inf, grid_vals[0][1]
-    _, lam_mid = min(finite, key=lambda pair: (pair[0], -pair[1]))
-    idx = LAMBDA_GRID.index(lam_mid)
-    hi = LAMBDA_GRID[idx - 1] if idx > 0 else lam_mid
-    lo = LAMBDA_GRID[idx + 1] if idx + 1 < len(LAMBDA_GRID) else lam_mid
+        return math.inf, LAMBDA_GRID[0]
+    idx = LAMBDA_GRID.index(min(finite, key=lambda pair: (pair[0], -pair[1]))[1])
+    hi, lo = LAMBDA_GRID[max(idx - 1, 0)], LAMBDA_GRID[min(idx + 1, len(LAMBDA_GRID) - 1)]
+    left = right = None
     for _ in range(32):
         if hi - lo < 1e-12:
             break
-        m1 = hi - _GOLDEN * (hi - lo)
-        m2 = lo + _GOLDEN * (hi - lo)
-        if probe(m1) <= probe(m2):
-            hi = m2
+        left = left or probe(hi - _GOLDEN * (hi - lo))
+        right = right or probe(lo + _GOLDEN * (hi - lo))
+        if left[0] <= right[0]:
+            hi, right, left = right[1], left, None
         else:
-            lo = m1
-    best_val, best_lam = min(
-        ((v, lam) for lam, v in evaluated.items()), key=lambda pair: (pair[0], -pair[1])
-    )
-    return best_val, best_lam
+            lo, left, right = left[1], right, None
+    return min(seen, key=lambda pair: (pair[0], -pair[1]))
 
 
 def error_bound_min(
@@ -276,16 +271,24 @@ def minkowski_start(eps: float, d: int, model: WeightModel) -> int:
     holds such an h once vol(C) >= 2**d N.  C is the larger of
     {sum_j a_j |x_j|**max(b_j, 1) <= T'} (for integer h and b_j < 1,
     |h_j|**b_j <= |h_j|) and the box |x_j| <= (T' / (d a_j))**(1/b_j).
-    Every N up to the returned floor of vol(C) / 2**d, taken under
-    ``MINKOWSKI_MARGIN``, is infeasible for every rank-1 rule.  The volumes
-    are compared in log space; past 2**62 the float('inf') sentinel returns.
+    A dual h of the first d' coordinates, padded with zeros, is dual in d
+    coordinates, so the start is the largest floor of vol(C) / 2**d' over
+    d' <= d, with C in the first d' coordinates, taken under
+    ``MINKOWSKI_MARGIN``; it does not decrease in d.
+    Every N up to it is infeasible for every rank-1 rule.  The volumes are
+    compared in log space; past 2**62 the float('inf') sentinel returns.
     """
     _check_eps(eps)
-    t_prime = (2.0 * -math.log(eps) + math.log(2.0)) / -math.log(model.omega)
+    t_prime = (2.0 * -math.log(eps) + math.log(2.0)) / model.rate
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
-    log_body = log_region_volume(t_prime, [(a, max(b, 1.0)) for a, b in weights])
-    log_box = math.fsum(math.log(2.0) + math.log(t_prime / (d * a)) / b for a, b in weights)
-    log_start = max(log_body, log_box) - d * math.log(2.0) + math.log1p(-MINKOWSKI_MARGIN)
+
+    def log_volume(k: int) -> float:
+        """log vol(C) / 2**k in the first k coordinates."""
+        log_body = log_region_volume(t_prime, [(a, max(b, 1.0)) for a, b in weights[:k]])
+        log_box = math.fsum(math.log(2.0) + math.log(t_prime / (k * a)) / b for a, b in weights[:k])
+        return max(log_body, log_box) - k * math.log(2.0)
+
+    log_start = max(map(log_volume, range(1, d + 1))) + math.log1p(-MINKOWSKI_MARGIN)
     return math.inf if log_start > _OVERFLOW_LOG else math.floor(math.exp(log_start))
 
 

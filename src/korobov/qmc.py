@@ -218,7 +218,7 @@ def dual_witness(rule: LatticeRule, model: WeightModel) -> FourierPolynomial:
     Its realized quadrature error is sqrt(rho(h*)), the single largest
     contribution to the squared worst-case error, so it nearly saturates
     the bound e(rule) * ||f||.  h* is exact: it is the heaviest of the dual
-    vectors at least as heavy as N * e_1.
+    vectors at least as heavy as those known in closed form, such as N * e_1.
     """
     h_star = dominant_dual_frequency(rule, model)
     coeff = math.sqrt(rho(h_star, model))

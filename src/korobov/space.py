@@ -175,7 +175,7 @@ class WeightModel:
 
     Invariants enforced at construction:
 
-    - 0 < omega < 1;
+    - 0 < omega < 1, so every series decays at :attr:`rate` > 0;
     - the combined a-sequence is nondecreasing with a_1 > 0;
     - inf_j b_j > 0 (available in closed form as :attr:`b_star`).
     """
@@ -227,6 +227,11 @@ class WeightModel:
     def a_star(self) -> float:
         """inf_j a_j, which equals a_1 by monotonicity."""
         return self.a_j(1)
+
+    @property
+    def rate(self) -> float:
+        """Decay rate -log(omega); log(1/omega) would be off by up to 16 ulps."""
+        return -math.log(self.omega)
 
     @property
     def b_star(self) -> float:
@@ -353,7 +358,7 @@ def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[n
     these terms, namely 2 * sum_{h > H} w_h, is at most ``tol``.  Returns
     ``(weights, tail)`` with ``2 * tail <= tol``.
     """
-    c = model.a_j(j) * math.log(1.0 / model.omega)
+    c = model.a_j(j) * model.rate
     b = model.b_j(j)
     horizon, tail = truncation_horizon(c, b, tol / 2.0)
     h = np.arange(1, horizon + 1, dtype=np.float64)
@@ -549,7 +554,7 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """Tail constant sum_{h >= 1} omega**(lam * a_star * (h**b_star - 1)).
 
     The h = 1 term equals 1, so the result is always >= 1.  With
-    c = lam * a_star * log(1/omega) it is A = e^c * sum_h exp(-c * h**b),
+    c = lam * a_star * (-log omega) it is A = e^c * sum_h exp(-c * h**b),
     evaluated to within ``tol``.  For b_star = 1 the series is geometric and
     is returned in closed form.  For b_star > 1 the terms up to the minimal
     horizon of the geometric tail bound are summed directly, and
@@ -576,7 +581,7 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
         raise ValueError(f"lambda must lie in (0, 1], got {lam}")
     _check_tol(tol)
     b = model.b_star
-    c = lam * model.a_star * math.log(1.0 / model.omega)
+    c = lam * model.a_star * model.rate
     if b == 1.0:
         return 1.0 / -math.expm1(-c)
     budget = _check_tol(tol / math.exp(c))  # A = e^c * sum_h exp(-c h^b)

@@ -147,7 +147,7 @@ def _closed_form_growth(model: WeightModel) -> str:
         return "linear"  # bounded a_j: terms do not decay
     if fam.kind in ("linear", "power"):
         return "bounded"  # omega**a_j summable
-    beta = fam.kappa * math.log(1.0 / model.omega)  # terms (j+1)**(-beta)
+    beta = fam.kappa * model.rate  # terms (j+1)**(-beta)
     if beta > 1.0:
         return "bounded"
     if beta == 1.0:
@@ -203,8 +203,7 @@ def alg_classify(model: WeightModel, d_max: int = 1024) -> dict:
     if d_max > ALG_D_MAX_CAP:
         raise CapExceededError(f"d_max {d_max} exceeds the cap {ALG_D_MAX_CAP}")
     a_limit = _a_log_limit(model)
-    log_omega_inv = math.log(1.0 / model.omega)
-    exponent_bound = 2.0 if a_limit == 0.0 else min(2.0, 2.0 / (a_limit * log_omega_inv))
+    exponent_bound = 2.0 if a_limit == 0.0 else min(2.0, 2.0 / (a_limit * model.rate))
 
     omega = model.omega
     running = [0.0] * len(LAMBDA_GRID)

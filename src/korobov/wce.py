@@ -35,6 +35,7 @@ the entry points that take ``lam`` pass ``model.scaled(lam)`` on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -255,7 +256,7 @@ def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     """
     half, row_tol = model.scaled(0.5), min(tol, 1e-6)
     half_prod = math.prod(theta_majorant(*theta_terms(j, half, row_tol)) for j in range(1, d + 1))
-    t_cut = 2.0 * math.log(half_prod / tol) / math.log(1.0 / model.omega)
+    t_cut = 2.0 * math.log(half_prod / tol) / model.rate
     t_cut = max(t_cut, model.a_j(1))
     while (tail := model.omega ** (t_cut / 2.0) * half_prod) > tol:
         t_cut = math.nextafter(t_cut, math.inf)
@@ -364,14 +365,13 @@ def wce2_dual_enum(
     plan = _enum_plan(rule, model, t_cut)
     weights, limits, c, _, modulus, fold, _ = plan
     (a_c, b_c), limit = weights[c], limits[c]
-    log_omega_inv = math.log(1.0 / model.omega)
     prefixes = _dual_prefixes(t_cut, plan)
     if fold:
         step = modulus * max(1, BLOCK_CELLS // modulus)
         table = np.zeros(modulus)
         for lo in range(1, limit + 1, step):
             hs = np.arange(lo, min(lo + step, limit + 1), dtype=np.float64)
-            table += _fold_terms(np.exp(-log_omega_inv * a_c * hs**b_c), modulus)
+            table += _fold_terms(np.exp(-model.rate * a_c * hs**b_c), modulus)
         table += table[-np.arange(modulus) % modulus]
     sums = []
     for _, expo, resid in prefixes:
@@ -380,9 +380,9 @@ def wce2_dual_enum(
         else:
             rep = np.where(resid <= limit, resid, resid - modulus)
             ok = (np.abs(rep) <= limit) & ((rep != 0) | (expo > 0.0))
-            mass = np.where(ok, np.exp(-log_omega_inv * a_c * np.abs(rep) ** b_c), 0.0)
+            mass = np.where(ok, np.exp(-model.rate * a_c * np.abs(rep) ** b_c), 0.0)
         # a pairwise sum, not a BLAS dot, whose threads stall on a busy core
-        sums.append(float((np.exp(-log_omega_inv * expo) * mass).sum()))
+        sums.append(float((np.exp(-model.rate * expo) * mass).sum()))
     return ErrorEstimate(math.fsum(sums), tail_bound, "dual_enum")
 
 
@@ -390,13 +390,27 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
     """Nonzero dual frequency with maximal rho, ties to the lexicographically
     smallest vector.
 
-    N * e_1 is dual, so the maximizer h* has E(h*) <= a_1 * N**b_1.  Each
-    prefix of {E(h) <= a_1 * N**b_1 + 1} (the + 1 absorbs rounding) takes
-    the smallest |h_c| of its residue class, the per-residue minimal
-    exponent.  Completions within a relative 1e-9 of the least are ranked by
+    The maximizer h* has E(h*) at most the least E of the dual vectors known
+    in closed form: N * e_j, and e_j - r * e_i with r = g_j * g_i**-1 mod N
+    for every g_i != 0, at the smaller of |r| and |r - N|.  The walk covers
+    {E(h) <= that least E + 1} (the + 1 absorbs rounding).
+    """
+    n, weights = rule.n, [(model.a_j(j), model.b_j(j)) for j in range(1, rule.d + 1)]
+    known = [a * float(n) ** b for a, b in weights]
+    for (j, (a_j, _)), (i, (a_i, b_i)) in itertools.permutations(enumerate(weights), 2):
+        if rule.g[i]:
+            r = rule.g[j] * pow(rule.g[i], -1, n) % n
+            known.append(a_j + a_i * float(min(r, n - r)) ** b_i)
+    return _dominant_within(rule, model, min(known) + 1.0)
+
+
+def _dominant_within(rule: LatticeRule, model: WeightModel, t_cut: float) -> tuple[int, ...]:
+    """The maximizer of :func:`dominant_dual_frequency` from a walk of
+    {E(h) <= t_cut}, which must hold it.  Each prefix takes the smallest
+    |h_c| of its residue class, the per-residue minimal exponent.
+    Completions within a relative 1e-9 of the least are ranked by
     (``model.exponent(h)``, h), so the walk order does not matter.
     """
-    t_cut = model.a_j(1) * float(rule.n) ** model.b_j(1) + 1.0
     plan = _enum_plan(rule, model, t_cut)
     weights, limits, c, _, modulus, _, _ = plan
     a_c, b_c = weights[c]

@@ -23,6 +23,7 @@ from korobov import (
     wce2_theta_product,
     KorobovParam,
     LatticeRule,
+    SummationCapError,
 )
 
 from korobov.bounds import bound_report
@@ -93,6 +94,46 @@ def test_error_bound_min_all_infinite(model, d):
     rep = error_bound_min(13, d, model, "korobov")
     assert rep.lam == 1.0
     assert rep.a_lam == rep.product_term == rep.bound_value == math.inf
+
+
+def _capped_below(lam_cap, objective):
+    """objective, raising SummationCapError below lam_cap as A_lam does."""
+
+    def capped(lam):
+        if lam < lam_cap:
+            raise SummationCapError(f"no certificate at lambda {lam}")
+        return objective(lam)
+
+    return capped
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        lambda lam: 1.0 + math.log(lam / 0.3) ** 2,
+        lambda lam: 1.0 + math.log(lam / 2.0) ** 2,
+        lambda lam: 1.0 + math.log(lam / 2.0**-21) ** 2,
+        _capped_below(1e-3, lambda lam: 1.0 + math.log(lam / 0.0015) ** 2),
+        lambda lam: korobov.bounds._log_m(1e-3, 3, lam, make_model(a=("linear", 1.0)), "korobov", 1e-14),
+    ],
+    ids=["interior", "grid-end-one", "grid-end-small", "capped", "linear-model-bound"],
+)
+def test_minimize_lambda_evaluates_each_lambda_once(objective):
+    def value(lam):
+        try:
+            return objective(lam)
+        except SummationCapError:
+            return math.inf
+
+    calls = []
+    best, lam = korobov.bounds._minimize_lambda(lambda l: calls.append(l) or objective(l))
+    assert len(calls) <= 21 + 33 and len(set(calls)) == len(calls)
+    assert best == value(lam)
+    # the golden-section steps search between the grid minimum's neighbours;
+    # a dense scan of that bracket finds nothing smaller
+    k = min(range(len(LAMBDA_GRID)), key=lambda i: (value(LAMBDA_GRID[i]), -LAMBDA_GRID[i]))
+    lo, hi = LAMBDA_GRID[min(k + 1, len(LAMBDA_GRID) - 1)], LAMBDA_GRID[max(k - 1, 0)]
+    assert best <= min(map(value, np.linspace(lo, hi, 10**4))) * (1.0 + 1e-12)
 
 
 def test_error_bound_nonincreasing_in_n(linear_model):
@@ -225,14 +266,18 @@ def _scan_from_two(eps, d, model, n_max):
 def test_minkowski_start_is_sound(omega, a, b):
     model = make_model(omega=omega, a=(a, 1.0), b=("constant", b))
     shortest_checked = answers_checked = 0
+    previous = dict.fromkeys((0.3, 1e-1, 1e-2, 1e-3), 0)
     for d in (1, 2, 3):
-        for eps in (0.3, 1e-1, 1e-2, 1e-3):
+        for eps in previous:
             start = minkowski_start(eps, d, model)
+            # the zero-padded dual vectors of d - 1 coordinates stay dual
+            assert start >= previous[eps], (d, eps, start, previous[eps])
+            previous[eps] = start
             t_prime = _t_prime(eps, omega)
             # the largest prime up to the start: every Korobov rule there
             # has a nonzero dual h with E(h) <= T', found independently by
             # the dual engine's heaviest-frequency walk
-            if 2 <= start <= 250:
+            if 2 <= start <= 1000:
                 n = max(p for p in range(2, start + 1) if is_prime(p))
                 for g in range(n):
                     rule = korobov_vector(KorobovParam(n, g, d))

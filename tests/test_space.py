@@ -113,7 +113,7 @@ def test_a_lambda_b_above_one_is_the_whole_horizon_sum(omega, kappa, lam):
     # exp(-c t**b) is not completely monotone for b > 1 (at c = 5e-4, below
     # (b-1) / (b * 64**b), even f''(64) < 0), so no Euler-Maclaurin
     # certificate holds: the minimal horizon, past 64 here, is summed
-    c = lam * kappa * math.log(1.0 / omega)
+    c = lam * kappa * -math.log(omega)
     budget = 1e-14 / math.exp(c)
     assert series_tail_bound(c, 1.5, space._EM_SPLIT) > budget
     horizon, _ = truncation_horizon(c, 1.5, budget)
@@ -123,6 +123,18 @@ def test_a_lambda_b_above_one_is_the_whole_horizon_sum(omega, kappa, lam):
     assert a_lambda(lam, model) == pytest.approx(expected, rel=4e-16, abs=0.0)
 
 
+@pytest.mark.parametrize("omega", [0.97, 0.99, 0.999])
+@pytest.mark.parametrize("lam", [1.0, 0.5])
+def test_a_lambda_b_one_within_an_ulp_of_mpmath(omega, lam):
+    # A = 1 / (1 - omega**lam) with c = lam * -log(omega); forming c from a
+    # rounded 1/omega put A 11.5 to 769 ulps off here
+    mpmath = pytest.importorskip("mpmath")
+    got = a_lambda(lam, make_model(omega=omega))
+    with mpmath.workdps(40):
+        exact = 1 / -mpmath.expm1(mpmath.mpf(lam) * mpmath.log(mpmath.mpf(omega)))
+        assert abs(got - exact) <= math.ulp(got), float((got - exact) / math.ulp(got))
+
+
 # the bench's slow-decay model: omega = 0.9, logarithmic a, b = 1/2
 SLOW = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
 
@@ -130,7 +142,7 @@ SLOW = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
 @pytest.mark.parametrize("lam, chunks", [(1.0, 8), (0.5, 32)])
 def test_a_lambda_chunked_sum_matches_whole_array_fsum(lam, chunks):
     # the minimal horizon spans several chunks and ends inside the last one
-    c = lam * SLOW.a_star * math.log(1.0 / SLOW.omega)
+    c = lam * SLOW.a_star * -math.log(SLOW.omega)
     horizon, _ = truncation_horizon(c, 0.5, 1e-14 / math.exp(c))
     assert chunks // 2 * CHUNK_CELLS < horizon < chunks * CHUNK_CELLS
     assert horizon % CHUNK_CELLS != 0
@@ -155,7 +167,7 @@ def test_a_lambda_direct_sum_where_euler_maclaurin_certifies_nothing():
     # chunked direct sum runs to a horizon of about 2e6 terms, 16 MB per
     # float64 array
     tol = 1e-40
-    c = SLOW.a_star * math.log(1.0 / SLOW.omega)
+    c = SLOW.a_star * -math.log(SLOW.omega)
     assert space._em_tail(c, 0.5, tol) is None
     horizon, _ = truncation_horizon(c, 0.5, tol / math.exp(c))
     assert 16 * CHUNK_CELLS < horizon < SUM_TERM_CAP
@@ -285,7 +297,7 @@ def test_euler_maclaurin_remainder_has_sign_and_size_of_first_omitted_term(omega
     # arithmetic: the exact tail minus it lies between 0 and the first
     # omitted correction, whatever float rounding does.
     mpmath = pytest.importorskip("mpmath")
-    c = lam * kappa * math.log(1.0 / omega)
+    c = lam * kappa * -math.log(omega)
     split = space._EM_SPLIT
     assert series_tail_bound(c, b, split) > 1e-14 / math.exp(c)  # a_lambda takes the EM path
     _, m = space._em_tail(c, b, 1e-14)

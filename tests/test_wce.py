@@ -9,6 +9,7 @@ from korobov import (
     LatticeRule,
     OracleInfeasibleError,
     dominant_dual_frequency,
+    is_prime,
     kernel,
     korobov_vector,
     KorobovParam,
@@ -380,6 +381,25 @@ def test_dominant_dual_frequency_is_maximal():
     for m, r in cases:
         # any h outside [-N, N]^d has an exponent above that of N * e_1
         assert dominant_dual_frequency(r, m) == brute_dominant_frequency(r.n, r.g, m, r.n)
+
+
+def test_dominant_dual_frequency_cut_from_known_dual_vectors():
+    # on 300 random rules the walk up to the least E of the dual vectors known
+    # in closed form finds what the walk up to E(N e_1) finds
+    rng = np.random.default_rng(17)
+    primes = [p for p in range(2, 100) if is_prime(p)]
+    for _ in range(300):
+        a = str(rng.choice(["constant", "linear", "logarithmic"]))
+        model = make_model(a=(a, 1.0), b=("constant", float(rng.choice([0.5, 1.0, 2.0]))))
+        n = int(rng.choice(primes))
+        rule = LatticeRule(n, tuple(int(g) for g in rng.integers(0, n, size=int(rng.integers(1, 5)))))
+        n_e1 = model.a_j(1) * float(n) ** model.b_j(1) + 1.0
+        assert dominant_dual_frequency(rule, model) == korobov.wce._dominant_within(rule, model, n_e1), rule
+    # here the walk up to E(N e_1) exceeds ENUM_CAP; E(h*) = 3, so the box
+    # [-3, 3]**4 holds every h at least as heavy
+    rule = LatticeRule(487, (267, 110, 53, 335))
+    h_star = dominant_dual_frequency(rule, make_model())
+    assert h_star == brute_dominant_frequency(rule.n, rule.g, make_model(), 3) == (-1, -2, 0, 0)
 
 
 @pytest.mark.parametrize("a", [("constant", 1.0), ("linear", 1.0)], ids=["constant", "linear"])
