@@ -154,30 +154,44 @@ def _minimize_lambda(fn):
     Lambdas where fn raises SummationCapError count as inf (the others still
     give a valid upper bound).  Returns (best_value, best_lambda).
     """
-    seen: list[tuple[float, float]] = []
+    seen: list[tuple[float, float]] = []  # (value, lambda) of every evaluation
 
-    def probe(lam: float) -> tuple[float, float]:
+    def probe(lam: float) -> float:
         try:
-            seen.append((fn(lam), lam))
+            value = fn(lam)
         except SummationCapError:
-            seen.append((math.inf, lam))
-        return seen[-1]
+            value = math.inf
+        seen.append((value, lam))
+        return value
 
-    finite = [(v, lam) for v, lam in map(probe, LAMBDA_GRID) if math.isfinite(v)]
+    grid_vals = [(probe(lam), lam) for lam in LAMBDA_GRID]
+    finite = [(v, lam) for v, lam in grid_vals if math.isfinite(v)]
     if not finite:
-        return math.inf, LAMBDA_GRID[0]
-    idx = LAMBDA_GRID.index(min(finite, key=lambda pair: (pair[0], -pair[1]))[1])
-    hi, lo = LAMBDA_GRID[max(idx - 1, 0)], LAMBDA_GRID[min(idx + 1, len(LAMBDA_GRID) - 1)]
-    left = right = None
+        return math.inf, grid_vals[0][1]
+    _, lam_mid = min(finite, key=lambda pair: (pair[0], -pair[1]))
+    idx = LAMBDA_GRID.index(lam_mid)
+    hi = LAMBDA_GRID[idx - 1] if idx > 0 else lam_mid
+    lo = LAMBDA_GRID[idx + 1] if idx + 1 < len(LAMBDA_GRID) else lam_mid
+    m1 = m2 = None  # interior points; the one kept carries its value f1 or f2
     for _ in range(32):
         if hi - lo < 1e-12:
             break
-        left = left or probe(hi - _GOLDEN * (hi - lo))
-        right = right or probe(lo + _GOLDEN * (hi - lo))
-        if left[0] <= right[0]:
-            hi, right, left = right[1], left, None
+        if m1 is None:
+            m1 = hi - _GOLDEN * (hi - lo)
+            f1 = probe(m1)
+        if m2 is None:
+            m2 = lo + _GOLDEN * (hi - lo)
+            f2 = probe(m2)
+        if f1 <= f2:
+            hi = m2
+            m2 = m1
+            f2 = f1
+            m1 = None
         else:
-            lo, left, right = left[1], right, None
+            lo = m1
+            m1 = m2
+            f1 = f2
+            m2 = None
     return min(seen, key=lambda pair: (pair[0], -pair[1]))
 
 

@@ -596,20 +596,17 @@ def test_readme_command_lines_parse():
 
 # The bench's slow-decay model (omega = 0.9, logarithmic a, b = 1/2), whose
 # A_lambda needs millions of terms by direct summation.  Rows, A_1 and
-# lambda* at d = 2, 3 are frozen from the lambda search run on that direct
-# summation (math.fsum over the whole horizon, c = lam * a_1 * -log(omega)),
-# which the Euler-Maclaurin A_lambda must reproduce byte for byte.  lambda*
-# is set by rounding below about 1e-7 relative.  At d = 4 the direct sum
-# picks 0.8889749224155022; the pin is 0.8889748832060987, which the same
-# search picks on the objective in 40-digit arithmetic, where it is smaller.
-# At d = 3 that search picks 0.6597064514319042, which neither float path picks.
+# lambda* are frozen from the lambda search run on that direct summation
+# (math.fsum over the whole horizon, c = lam * a_1 * -log(omega)), which the
+# Euler-Maclaurin A_lambda must reproduce byte for byte.  lambda* is set by
+# rounding below about 1e-7 relative.
 SLOW_MODEL = {"omega": 0.9, "a": {"kind": "logarithmic", "kappa": 1.0}, "b": {"kind": "constant", "kappa": 0.5}}
 SLOW_TRACT_ROWS = {
     "wt": ["2,0.01,6779005649,3.4271783513907512,exp_wt,bound",
            "4,0.01,38662881312567384,4.4384545069961723,exp_wt,bound"],
     "st": ['3,0.01,24770451129510,4.8665925653148525,"exp_st_wt(s=0.5,t=1)",bound'],
 }
-SLOW_LAMBDA_STAR = {2: 0.4363145033760424, 3: 0.6597065465951256, 4: 0.8889748832060987}
+SLOW_LAMBDA_STAR = {2: 0.4363145033760424, 3: 0.6597065465951256, 4: 0.8889749224155022}
 
 
 def test_slow_model_bound_outputs_are_pinned(tmp_path):

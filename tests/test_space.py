@@ -151,6 +151,21 @@ def test_a_lambda_chunked_sum_matches_whole_array_fsum(lam, chunks):
     assert a_lambda(lam, SLOW) == pytest.approx(expected, rel=4e-16, abs=0.0)
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.8889749224155022, 0.6597065465951256, 0.5, 0.375, 0.25])
+def test_a_lambda_euler_maclaurin_within_an_ulp_of_mpmath(lam):
+    # the Euler-Maclaurin path against mpmath fed the same float c: its
+    # leading term is formed beyond double precision and the head and the
+    # formula's terms are added in one fsum, which keeps it within an ulp
+    mpmath = pytest.importorskip("mpmath")
+    c = lam * SLOW.a_star * SLOW.rate
+    assert series_tail_bound(c, 0.5, space._EM_SPLIT) > 1e-14 / math.exp(c)
+    got = a_lambda(lam, SLOW)
+    with mpmath.workdps(30):
+        f, _, tail = _mp_tail(mpmath.mpf(c), mpmath.mpf(0.5), 32, mpmath)
+        exact = mpmath.fsum(f(h) for h in range(1, 32)) + tail
+        assert abs(got - exact) <= math.ulp(got), float((got - exact) / math.ulp(got))
+
+
 def test_a_lambda_memory_is_one_chunk():
     # the horizon at lambda = 1/4 is about 6e6 terms, 48 MB per float64 array
     tracemalloc.start()
