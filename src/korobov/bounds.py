@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError, CertificateError, SummationCapError
-from .lattice import next_prime
+from .lattice import check_dimension, next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
-from .search import TIE_SLACK, search_korobov
+from .search import search_korobov
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
 # around the grid minimum sharpens minimized bounds reproducibly.
@@ -58,6 +58,12 @@ def _check_variant(variant: str) -> None:
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
+def _check_size(n: int, d: int) -> None:
+    if n < 1:
+        raise ValueError(f"modulus must be >= 1, got {n}")
+    check_dimension(d)
 
 
 def _exp_or_inf(log_val: float, count: bool = False) -> float:
@@ -117,6 +123,7 @@ def error_bound(
     (1), whose error equals the general minimum by scalar invariance).
     """
     _check_variant(variant)
+    _check_size(n, d)
     return _error_bound(n, d, lam, variant, log_product_bound(d, lam, model, tol))
 
 
@@ -136,6 +143,7 @@ def bound_report(
 ) -> BoundReport:
     """The existence bound at one lambda, with A_lam and the product term."""
     _check_variant(variant)
+    _check_size(n, d)
     log_product = log_product_bound(d, lam, model, tol)
     return BoundReport(
         lam=lam,
@@ -215,6 +223,7 @@ def _log_m(eps: float, d: int, lam: float, model: WeightModel, variant: str, tol
     """log of c_d * eps**(-2*lam) * product term, after the input checks."""
     _check_eps(eps)
     _check_variant(variant)
+    check_dimension(d)
     c_d = 1.0 if variant == "general" else float(d)
     return (
         math.log(c_d)
@@ -293,6 +302,7 @@ def minkowski_start(eps: float, d: int, model: WeightModel) -> int:
     compared in log space; past 2**62 the float('inf') sentinel returns.
     """
     _check_eps(eps)
+    check_dimension(d)
     t_prime = (2.0 * -math.log(eps) + math.log(2.0)) / model.rate
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
 
@@ -330,11 +340,11 @@ def empirical_info_complexity(
     search, and so does a scan that passes the cap without answering every
     eps.
 
-    Feasibility is decided on the certified interval of the best e^2,
-    value +- (trunc_bound + ``search.TIE_SLACK``), the slack standing in
-    for a rounding bound: eps^2 above the interval is feasible, below it
-    infeasible, and an interval that straddles eps^2 raises
-    :class:`CertificateError` naming the prime, the interval and eps.
+    Feasibility is decided on the certified interval value +- band of the
+    best e^2 (``ErrorEstimate.band``, the tie band of the search): eps^2
+    above the interval is feasible, below it infeasible, and an interval
+    that straddles eps^2 raises :class:`CertificateError` naming the
+    prime, the interval and eps.
     """
     start = {eps: minkowski_start(eps, d, model) for eps in eps_list}
     if (top := max(start.values(), default=0)) > SCAN_N_CAP:
@@ -347,8 +357,7 @@ def empirical_info_complexity(
         if n > SCAN_N_CAP:
             raise CapExceededError(f"no feasible prime modulus below the cap {SCAN_N_CAP}")
         best = search_korobov(n, d, model, tol).best_e2
-        slack = best.trunc_bound + TIE_SLACK
-        lo, hi = best.value - slack, best.value + slack
+        lo, hi = best.value - best.band, best.value + best.band
         while pending and start[pending[-1]] < n and pending[-1] ** 2 >= lo:
             if pending[-1] ** 2 <= hi:
                 raise CertificateError(

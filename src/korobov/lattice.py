@@ -31,6 +31,31 @@ def as_int(value, name: str) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def as_float(value, name: str) -> float:
+    """``value`` as a float if it is a number, integers included;
+    ``ValueError`` for booleans, strings, integers past the float range
+    and the rest."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} lies beyond the float range") from None
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def as_list(value, name: str) -> list:
+    """``value`` if it is a JSON array; ``ValueError`` otherwise."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{name} must be an array, got {value!r}")
+
+
+def check_dimension(d: int) -> None:
+    """``ValueError`` naming d unless d >= 1."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit integers."""
     if n < 2:
@@ -132,7 +157,8 @@ class LatticeRule:
         unknown = set(data) - {"n", "g"}
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)} in lattice rule")
-        return cls(n=as_int(data["n"], "n"), g=tuple(as_int(v, "g entry") for v in data["g"]))
+        g = tuple(as_int(v, "g entry") for v in as_list(data["g"], "g"))
+        return cls(n=as_int(data["n"], "n"), g=g)
 
 
 @dataclass(frozen=True)
@@ -150,8 +176,7 @@ class KorobovParam:
             raise ValueError(f"modulus must be prime, got {self.n}")
         if not (0 <= self.g < self.n):
             raise ValueError(f"scalar generator must lie in {{0, ..., n-1}}, got {self.g}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        check_dimension(self.d)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "g_scalar": self.g, "d": self.d}

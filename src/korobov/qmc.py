@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import SCAN_N_CAP, error_bound_min
 from .errors import CapExceededError
-from .lattice import LatticeRule, as_int
+from .lattice import LatticeRule, as_float, as_int, as_list
 from .search import search_korobov
 from .space import DEFAULT_TOL, WeightModel, rho
 from .wce import dominant_dual_frequency, dual_enum_work_estimate, wce2_dual_enum, wce2_theta_product
@@ -95,15 +95,19 @@ class FourierPolynomial:
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)} in polynomial")
         terms = {}
-        for item in data["terms"]:
+        for item in as_list(data["terms"], "terms"):
             extra = set(item) - {"h", "re", "im"}
             if extra:
                 raise ValueError(f"unknown fields {sorted(extra)} in polynomial term")
-            h = tuple(as_int(v, "frequency entry") for v in item["h"])
+            h = tuple(as_int(v, "frequency entry") for v in as_list(item["h"], "h"))
             if h in terms:
                 raise ValueError(f"frequency {list(h)} appears twice in polynomial")
-            terms[h] = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        return cls.from_terms(terms, real_symmetric=bool(data.get("real_symmetric", False)))
+            re, im = (as_float(item.get(key, 0.0), key) for key in ("re", "im"))
+            terms[h] = complex(re, im)
+        symmetric = data.get("real_symmetric", False)
+        if not isinstance(symmetric, bool):
+            raise ValueError(f"real_symmetric must be a boolean, got {symmetric!r}")
+        return cls.from_terms(terms, real_symmetric=symmetric)
 
 
 def qmc_apply(f: FourierPolynomial, rule: LatticeRule) -> complex:

@@ -1,12 +1,13 @@
 """Exhaustive generating-vector searches and family averages.
 
-The Korobov search scans all N scalar generators through
-:meth:`ThetaTable.eval_korobov`, O(N^2 d / 4) as products of contiguous
-slices of a primitive-root-permuted theta table; the general search scans
-all N^d vectors of a tiny instance.  Both select the lambda = 1 error
-minimizer with a deterministic tie rule (ties within max truncation bound
-plus a fixed slack resolve to the smallest scalar / lexicographically
-smallest vector), so results do not depend on chunking or thread count.
+Every family is evaluated here, in chunks over ``threads`` workers: all N
+scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
+of contiguous slices of a primitive-root-permuted theta table, and all N^d
+vectors of a tiny instance by ``ThetaTable.eval_vectors``.  Both searches
+select the lambda = 1 error minimizer on one path: members within
+``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
+order (smallest scalar / lexicographically smallest vector) wins, so
+results do not depend on chunking or thread count.
 Korobov generators g and N - g give the same rule up to a reflection and
 get bitwise equal errors: ``ties`` counts both members of each pair, and
 the smaller g wins.  The shared truncation bound of a family is the
@@ -17,23 +18,26 @@ the errors of the space at base omega**lam.
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError
-from .lattice import KorobovParam, LatticeRule, is_prime, korobov_vector
+from .lattice import (
+    KorobovParam,
+    LatticeRule,
+    check_dimension,
+    is_prime,
+    korobov_vector,
+    primitive_root,
+)
 from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel
-from .wce import ErrorEstimate, _map_chunks, theta_table
-
-TIE_SLACK = 1e-13
+from .wce import ErrorEstimate, theta_table
 
 GENERAL_SEARCH_CAP = 10**6
-
-
-def _require_prime(n: int) -> None:
-    if not is_prime(n):
-        raise ValueError(f"search modulus must be prime, got {n}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,70 @@ def _general_block(n: int, d: int, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eval_korobov(table, threads: int = 1) -> np.ndarray:
+    """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for
+    every scalar g = 0..N-1, in O(N^2 d / 4).
+
+    Rader's reindexing, as in fast CBC: with a primitive root gamma,
+    k = gamma^a and g = gamma^b, coordinate j reads theta_j at
+    gamma^(a + j b) / N.  theta is even and gamma^m = -1 for
+    m = (N-1)/2, so the permuted table T_j[a] = theta_j(gamma^a / N) has
+    period m and the k != 0 terms of candidate b sum to
+    2 * sum_{a<m} prod_j T_j[(a + j b) mod m], a product of contiguous
+    slices of the doubled table.  g = gamma^b and N - g = gamma^(b+m)
+    share that row, so they tie exactly.  The k = 0 term prod_j
+    theta_j(0) is added separately and g = 0 goes through
+    :meth:`ThetaTable.eval_vectors`, as do d = 1 and N < 5.  Each row is
+    reduced on its own and chunks depend only on N, so results do not
+    depend on ``threads``.
+    """
+    n, d = table.n, table.d
+    if d == 1:
+        return np.full(n, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
+    if n < 5:
+        vectors = np.ones((n, d), dtype=np.int64)
+        for j in range(1, d):
+            vectors[:, j] = vectors[:, j - 1] * np.arange(n) % n
+        return table.eval_vectors(vectors)
+    m = (n - 1) // 2
+    gamma, power, powers = primitive_root(n), 1, []
+    for _ in range(m):
+        powers.append(power)
+        power = power * gamma % n
+    powers = np.array(powers, dtype=np.int64)
+    doubled = [np.tile(vals[powers], 2) for vals in table.values]
+    windows = [sliding_window_view(t, m) for t in doubled]
+    k0 = math.prod(vals[0] for vals in table.values)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        bs = np.arange(lo, hi, dtype=np.int64)
+        acc = windows[1][lo:hi] * doubled[0][:m]
+        for j in range(2, d):
+            acc *= windows[j][j * bs % m]
+        return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
+
+    half = _map_chunks(rows, m, max(1, CHUNK_CELLS // m), threads)
+    e2 = np.empty(n, dtype=np.float64)
+    e2[powers] = half
+    e2[n - powers] = half
+    unit = np.zeros((1, d), dtype=np.int64)
+    unit[0, 0] = 1
+    e2[0] = table.eval_vectors(unit)[0]
+    return e2
+
+
+def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:
+    """Concatenation of fn(lo, hi) over consecutive chunks of range(count),
+    spread over ``threads`` pool workers when threads > 1."""
+    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda span: fn(*span), spans))
+    else:
+        parts = [fn(lo, hi) for lo, hi in spans]
+    return np.concatenate(parts)
+
+
 def _eval_all(table, threads: int) -> np.ndarray:
     """Errors of all N^d vectors in lexicographic order."""
     n, d = table.n, table.d
@@ -84,24 +152,34 @@ def family_errors(
 ) -> tuple[np.ndarray, float]:
     """Squared errors of every member of a family, in enumeration order
     (scalar g, or lexicographic vectors), with their shared truncation
-    bound."""
-    _require_prime(n)
+    bound.  The modulus must be prime, d and ``threads`` at least 1."""
+    if not is_prime(n):
+        raise ValueError(f"search modulus must be prime, got {n}")
+    check_dimension(d)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if family not in ("korobov", "general"):
         raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
     if family == "general" and n**d > GENERAL_SEARCH_CAP:
         raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
     table = theta_table(model, n, d, tol)
-    if family == "korobov":
-        e2 = table.eval_korobov(threads)
-    else:
-        e2 = _eval_all(table, threads)
+    e2 = (_eval_korobov if family == "korobov" else _eval_all)(table, threads)
     return e2, table.product_bound
 
 
-def _best(e2: np.ndarray, bound: float) -> tuple[int, int]:
-    """Index of the selected minimizer and the size of its tie set."""
-    tied = np.flatnonzero(e2 <= float(np.min(e2)) + (bound + TIE_SLACK))
-    return int(tied[0]), int(tied.size)
+def _select(n: int, d: int, model: WeightModel, tol: float, family: str, threads: int) -> SearchResult:
+    """Evaluate the family and select its first member within the band of
+    the minimum; ``ties`` counts the members within it."""
+    e2, bound = family_errors(n, d, model, tol, family, threads)
+    low = ErrorEstimate(float(np.min(e2)), bound, "theta_product")
+    tied = np.flatnonzero(e2 <= low.value + low.band)
+    best = int(tied[0])
+    if family == "korobov":
+        rule = korobov_vector(KorobovParam(n=n, g=best, d=d))
+    else:
+        rule = LatticeRule(n=n, g=tuple(int(v) for v in _general_block(n, d, np.array([best]))[0]))
+    best_e2 = ErrorEstimate(float(e2[best]), bound, "theta_product")
+    return SearchResult(rule, best_e2, evaluated=e2.size, ties=int(tied.size))
 
 
 def search_korobov(
@@ -116,14 +194,7 @@ def search_korobov(
     g = 0 participates like any other candidate.  For d = 1 every scalar
     expands to the vector (1), so all candidates tie and g = 0 wins.
     """
-    e2, bound = family_errors(n, d, model, tol, "korobov", threads)
-    g_best, ties = _best(e2, bound)
-    return SearchResult(
-        best_rule=korobov_vector(KorobovParam(n=n, g=g_best, d=d)),
-        best_e2=ErrorEstimate(float(e2[g_best]), bound, "theta_product"),
-        evaluated=n,
-        ties=ties,
-    )
+    return _select(n, d, model, tol, "korobov", threads)
 
 
 def search_general(
@@ -134,15 +205,7 @@ def search_general(
     threads: int = 1,
 ) -> SearchResult:
     """Exhaustive search over all of {0, ..., n-1}^d (tiny instances only)."""
-    e2, bound = family_errors(n, d, model, tol, "general", threads)
-    best_idx, ties = _best(e2, bound)
-    g_best = tuple(int(v) for v in _general_block(n, d, np.array([best_idx]))[0])
-    return SearchResult(
-        best_rule=LatticeRule(n=n, g=g_best),
-        best_e2=ErrorEstimate(float(e2[best_idx]), bound, "theta_product"),
-        evaluated=e2.size,
-        ties=ties,
-    )
+    return _select(n, d, model, tol, "general", threads)
 
 
 def mean_pow_error(

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SummationCapError
+from .lattice import as_float, as_list
 
 DEFAULT_TOL = 1e-14
 
@@ -159,10 +160,10 @@ class WeightFamily:
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)} in weight family {kind!r}")
         if kind == "explicit":
-            return cls(kind=kind, values=tuple(float(v) for v in data["values"]))
+            return cls(kind=kind, values=_floats(data["values"], "values"))
         if kind == "power":
-            return cls(kind=kind, kappa=float(data["kappa"]), p=float(data["p"]))
-        return cls(kind=kind, kappa=float(data["kappa"]))
+            return cls(kind=kind, kappa=as_float(data["kappa"], "kappa"), p=as_float(data["p"], "p"))
+        return cls(kind=kind, kappa=as_float(data["kappa"], "kappa"))
 
 
 @dataclass(frozen=True)
@@ -274,12 +275,17 @@ class WeightModel:
             if key not in data:
                 raise ValueError(f"weight model is missing field {key!r}")
         return cls(
-            omega=float(data["omega"]),
+            omega=as_float(data["omega"], "omega"),
             a=WeightFamily.from_dict(data["a"]),
             b=WeightFamily.from_dict(data["b"]),
-            prefix_a=tuple(float(v) for v in data.get("prefix_a", ())),
-            prefix_b=tuple(float(v) for v in data.get("prefix_b", ())),
+            prefix_a=_floats(data.get("prefix_a", []), "prefix_a"),
+            prefix_b=_floats(data.get("prefix_b", []), "prefix_b"),
         )
+
+
+def _floats(value, name: str) -> tuple[float, ...]:
+    """A JSON array of numbers as a tuple of floats."""
+    return tuple(as_float(v, f"{name} entry") for v in as_list(value, name))
 
 
 # ---------------------------------------------------------------------------

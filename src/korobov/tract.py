@@ -28,6 +28,7 @@ from .bounds import (
     log_info_complexity_bound,
 )
 from .errors import CapExceededError
+from .lattice import check_dimension
 from .space import DEFAULT_TOL, WeightModel
 
 # Largest d_max of alg_classify: about 4 s of summation on a 2-vCPU Xeon.
@@ -95,8 +96,7 @@ def st_ratio_trace(
     eps_grid = sorted(set(float(v) for v in eps_list))
     records = []
     for d in sorted(set(int(v) for v in d_list)):
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
+        check_dimension(d)
         if source == "bound":
             log_ns = [log_info_complexity_bound(e, d, model, "korobov", tol)[0] for e in eps_grid]
             n_vals = [float(_exp_or_inf(log_n, count=True)) for log_n in log_ns]

@@ -11,9 +11,9 @@ which by character orthogonality also equals
     e^2 = -1 + (1/N) * sum_k prod_j theta_j({k g_j / N})        (theta product)
         = -1 + (1/N^2) * sum_{k,l} K(x_k, x_l)                  (kernel double sum).
 
-``wce2_theta_product`` is the O(N d) workhorse and
-``ThetaTable.eval_korobov`` its whole-family form for all N Korobov
-generators at once; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
+``wce2_theta_product`` is the O(N d) workhorse, and ``ThetaTable`` the
+table of theta values that the searches of ``search`` evaluate whole
+families on; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
 slower oracles used for cross-validation.  One residue-fold dual engine
 serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
 (heaviest dual frequency): numpy blocks of the prefixes (h_j)_{j != c},
@@ -25,7 +25,7 @@ evaluator reports its certified truncation bound alongside the value, at
 most the requested tolerance; the two product forms take their theta
 series and that bound from ``space.theta_factors``, which gives each
 coordinate a share of it; the dual sum's cut reads only the majorants
-``space.theta_majorant``.
+``space.theta_majorant``.  ``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
-from .lattice import LatticeRule, primitive_root
+from .lattice import LatticeRule
 from .space import (
     CHUNK_CELLS,
     DEFAULT_TOL,
@@ -72,6 +71,9 @@ DOUBLE_SUM_WORK_CAP = 10**8
 # allocates a few temporaries of its size.
 THETA_TABLE_CELL_CAP = 10**7
 
+# Stands in for a rounding bound, which no certificate covers yet.
+TIE_SLACK = 1e-13
+
 
 @dataclass(frozen=True)
 class ErrorEstimate:
@@ -87,9 +89,14 @@ class ErrorEstimate:
         return math.sqrt(max(self.value, 0.0))
 
     @property
+    def band(self) -> float:
+        """Half-width of value +- band, read by every e^2 comparison."""
+        return self.trunc_bound + TIE_SLACK
+
+    @property
     def zero_indistinguishable(self) -> bool:
-        """True when the value is below its own truncation bound."""
-        return self.value < self.trunc_bound
+        """True when the value is below its own band."""
+        return self.value < self.band
 
     def to_dict(self) -> dict:
         return {
@@ -150,69 +157,6 @@ class ThetaTable:
             residues = vectors[:, j : j + 1] * k % n
             acc *= self.values[j][residues]
         return acc.mean(axis=1) - 1.0
-
-    def eval_korobov(self, threads: int = 1) -> np.ndarray:
-        """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for
-        every scalar g = 0..N-1, in O(N^2 d / 4).
-
-        Rader's reindexing, as in fast CBC: with a primitive root gamma,
-        k = gamma^a and g = gamma^b, coordinate j reads theta_j at
-        gamma^(a + j b) / N.  theta is even and gamma^m = -1 for
-        m = (N-1)/2, so the permuted table T_j[a] = theta_j(gamma^a / N) has
-        period m and the k != 0 terms of candidate b sum to
-        2 * sum_{a<m} prod_j T_j[(a + j b) mod m], a product of contiguous
-        slices of the doubled table.  g = gamma^b and N - g = gamma^(b+m)
-        share that row, so they tie exactly.  The k = 0 term prod_j
-        theta_j(0) is added separately and g = 0 goes through
-        :meth:`eval_vectors`, as do d = 1 and N < 5.  Each row is reduced on
-        its own and chunks depend only on N, so results do not depend on
-        ``threads``.
-        """
-        n, d = self.n, self.d
-        if d == 1:
-            return np.full(n, self.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
-        if n < 5:
-            vectors = np.ones((n, d), dtype=np.int64)
-            for j in range(1, d):
-                vectors[:, j] = vectors[:, j - 1] * np.arange(n) % n
-            return self.eval_vectors(vectors)
-        m = (n - 1) // 2
-        gamma, power, powers = primitive_root(n), 1, []
-        for _ in range(m):
-            powers.append(power)
-            power = power * gamma % n
-        powers = np.array(powers, dtype=np.int64)
-        doubled = [np.tile(vals[powers], 2) for vals in self.values]
-        windows = [sliding_window_view(t, m) for t in doubled]
-        k0 = math.prod(vals[0] for vals in self.values)
-
-        def rows(lo: int, hi: int) -> np.ndarray:
-            bs = np.arange(lo, hi, dtype=np.int64)
-            acc = windows[1][lo:hi] * doubled[0][:m]
-            for j in range(2, d):
-                acc *= windows[j][j * bs % m]
-            return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
-
-        half = _map_chunks(rows, m, max(1, CHUNK_CELLS // m), threads)
-        e2 = np.empty(n, dtype=np.float64)
-        e2[powers] = half
-        e2[n - powers] = half
-        unit = np.zeros((1, d), dtype=np.int64)
-        unit[0, 0] = 1
-        e2[0] = self.eval_vectors(unit)[0]
-        return e2
-
-
-def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:
-    """Concatenation of fn(lo, hi) over consecutive chunks of range(count),
-    spread over ``threads`` pool workers when threads > 1."""
-    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: fn(*span), spans))
-    else:
-        parts = [fn(lo, hi) for lo, hi in spans]
-    return np.concatenate(parts)
 
 
 @lru_cache(maxsize=64)
@@ -381,7 +325,7 @@ def wce2_dual_enum(
             rep = np.where(resid <= limit, resid, resid - modulus)
             ok = (np.abs(rep) <= limit) & ((rep != 0) | (expo > 0.0))
             mass = np.where(ok, np.exp(-model.rate * a_c * np.abs(rep) ** b_c), 0.0)
-        # a pairwise sum, not a BLAS dot, whose threads stall on a busy core
+        # a pairwise sum, not a BLAS dot, whose parallel workers stall on a busy core
         sums.append(float((np.exp(-model.rate * expo) * mass).sum()))
     return ErrorEstimate(math.fsum(sums), tail_bound, "dual_enum")
 

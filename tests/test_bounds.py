@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import korobov.bounds
+import korobov.wce
 from korobov import (
     LAMBDA_GRID,
     CapExceededError,
@@ -27,7 +28,6 @@ from korobov import (
 )
 
 from korobov.bounds import bound_report
-from korobov.search import TIE_SLACK
 
 from conftest import make_model
 
@@ -256,7 +256,7 @@ def _scan_from_two(eps, d, model, n_max):
     n = 2
     while n <= n_max:
         best = search_korobov(n, d, model).best_e2
-        if best.value + best.trunc_bound + TIE_SLACK < eps**2:
+        if best.value + best.band < eps**2:
             return n
         n = next_prime(n + 1)
     return None
@@ -301,11 +301,20 @@ def test_minkowski_start_is_sound(omega, a, b):
 
 def test_empirical_straddled_interval_is_a_certificate_error(linear_model):
     # at eps = 1e-8, eps^2 = 1e-16 lies inside the certified interval
-    # e2 +- (trunc_bound + TIE_SLACK) of the best rule at N = 739, the first
-    # prime above the Minkowski start 733, so the scan stops there instead
-    # of reading rounding bits as a decision
+    # e2 +- band of the best rule at N = 739, the first prime above the
+    # Minkowski start 733, so the scan stops there instead of reading
+    # rounding bits as a decision
     with pytest.raises(CertificateError, match=r"prime 739\b.*eps = 1e-08"):
         empirical_info_complexity([1e-8], 2, linear_model)
+
+
+def test_empirical_interval_is_the_band(linear_model, monkeypatch):
+    # the feasibility interval is value +- ErrorEstimate.band: a slack wider
+    # than eps^2 makes the first prime scanned straddle it
+    monkeypatch.setattr(korobov.wce, "TIE_SLACK", 1.0)
+    start = minkowski_start(0.1, 2, linear_model)
+    with pytest.raises(CertificateError, match=rf"prime {next_prime(start + 1)}\b.*eps = 0.1"):
+        empirical_info_complexity([0.1], 2, linear_model)
 
 
 def test_search_error_below_bound_all_grid(linear_model):

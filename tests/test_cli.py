@@ -376,6 +376,130 @@ def test_bad_rule_or_polynomial_file_exits_two(tmp_path, capsys, poly, rule):
     assert json.loads(captured.err)["error"]["type"] == "config"
 
 
+RULE = {"n": 101, "g": [1, 12]}
+POLY = {"terms": [{"h": [1, 0], "re": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "poly, rule, message",
+    [
+        pytest.param(
+            {"terms": [{"h": [1, 0], "re": 0.5}, {"h": [-1, 0], "re": 0.5}], "real_symmetric": "no"}, RULE,
+            "real_symmetric must be a boolean, got 'no'", id="poly-string-real-symmetric",
+        ),
+        pytest.param(
+            {"terms": [{"h": [1, 0], "re": "0.5"}]}, RULE, "re must be a number, got '0.5'", id="poly-string-re"
+        ),
+        pytest.param(
+            {"terms": [{"h": [1, 0], "im": True}]}, RULE, "im must be a number, got True", id="poly-boolean-im"
+        ),
+        pytest.param({"terms": [{"h": "10", "re": 1.0}]}, RULE, "h must be an array, got '10'", id="poly-string-h"),
+        pytest.param({"terms": POLY["terms"][0]}, RULE, "terms must be an array", id="poly-object-terms"),
+        pytest.param(POLY, {"n": 101, "g": "112"}, "g must be an array, got '112'", id="rule-string-g"),
+    ],
+)
+def test_mistyped_rule_or_polynomial_field_exits_two(tmp_path, capsys, poly, rule, message):
+    pp, rp = tmp_path / "poly.json", tmp_path / "rule.json"
+    pp.write_text(json.dumps(poly))
+    rp.write_text(json.dumps(rule))
+    assert run_cli(["integrate", "--poly", str(pp), "--rule", str(rp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in json.loads(captured.err)["error"]["message"]
+
+
+def _model_with(**fields):
+    return {**MODEL, **fields}
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        pytest.param(_model_with(omega="0.5"), "omega must be a number, got '0.5'", id="string-omega"),
+        pytest.param(
+            _model_with(a={"kind": "linear", "kappa": True}), "kappa must be a number, got True", id="boolean-kappa"
+        ),
+        pytest.param(
+            _model_with(a={"kind": "linear", "kappa": 10**400}), "kappa lies beyond the float range",
+            id="integer-kappa-past-float-range",
+        ),
+        pytest.param(
+            _model_with(a={"kind": "explicit", "values": "12"}), "values must be an array, got '12'",
+            id="string-values",
+        ),
+        pytest.param(
+            _model_with(a={"kind": "explicit", "values": [1.0, "2"]}), "values entry must be a number, got '2'",
+            id="string-values-entry",
+        ),
+        pytest.param(
+            _model_with(b={"kind": "power", "kappa": 1.0, "p": "2"}), "p must be a number, got '2'",
+            id="string-power-p",
+        ),
+        pytest.param(_model_with(prefix_a="5"), "prefix_a must be an array, got '5'", id="string-prefix-a"),
+        pytest.param(
+            _model_with(prefix_b=[1.0, False]), "prefix_b entry must be a number, got False",
+            id="boolean-prefix-b-entry",
+        ),
+    ],
+)
+def test_mistyped_model_field_exits_two(tmp_path, capsys, model, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli(["wce", "--model", str(path), "--n", "13", "--g", "1,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["message"] == f"invalid weight model: {message}"
+
+
+def test_model_file_takes_integers_for_numbers(tmp_path):
+    explicit, constant = {"kind": "explicit", "values": [1, 2]}, {"kind": "constant", "kappa": 1}
+    path, out = tmp_path / "model.json", tmp_path / "wce.json"
+    path.write_text(json.dumps(_model_with(a=explicit, b=constant, prefix_b=[2])))
+    assert run_cli(["wce", "--model", str(path), "--n", "13", "--g", "1,5", "--out", str(out)]) == 0
+    echoed = json.loads(out.read_text())["config"]["model"]
+    assert echoed["a"]["values"] == [1.0, 2.0] and echoed["b"]["kappa"] == 1.0 and echoed["prefix_b"] == [2.0]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["search", "--n", "13", "--d", "0"], "dimension must be >= 1, got 0", id="search-d-zero"),
+        pytest.param(["search", "--n", "13", "--d", "-1"], "dimension must be >= 1, got -1", id="search-d-negative"),
+        pytest.param(
+            ["search", "--n", "7", "--d", "0", "--variant", "general"], "dimension must be >= 1, got 0",
+            id="search-general-d-zero",
+        ),
+        pytest.param(
+            ["convergence", "--d", "0", "--primes", "5"], "dimension must be >= 1, got 0", id="convergence-d-zero"
+        ),
+        pytest.param(["bound", "--n", "0", "--d", "3"], "modulus must be >= 1, got 0", id="bound-n-zero"),
+        pytest.param(["bound", "--n", "-5", "--d", "3"], "modulus must be >= 1, got -5", id="bound-n-negative"),
+        pytest.param(
+            ["bound", "--n", "0", "--d", "3", "--lambda", "0.5"], "modulus must be >= 1, got 0",
+            id="bound-lambda-n-zero",
+        ),
+        pytest.param(["bound", "--n", "13", "--d", "0"], "dimension must be >= 1, got 0", id="bound-d-zero"),
+        pytest.param(["nofe", "--epsilon", "0.1", "--d", "0"], "dimension must be >= 1, got 0", id="nofe-d-zero"),
+        pytest.param(
+            ["search", "--n", "13", "--d", "2", "--threads", "0"], "threads must be >= 1, got 0", id="threads-zero"
+        ),
+        pytest.param(
+            ["search", "--n", "13", "--d", "2", "--threads", "-4", "--format", "csv"],
+            "threads must be >= 1, got -4", id="threads-negative-csv",
+        ),
+        pytest.param(
+            ["search", "--n", "7", "--d", "2", "--threads", "0", "--variant", "general"],
+            "threads must be >= 1, got 0", id="threads-zero-general",
+        ),
+    ],
+)
+def test_bad_size_or_threads_exits_two_naming_it(model_path, capsys, argv, message):
+    assert main([argv[0], "--model", model_path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {"type": "config", "message": message}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -15,6 +15,8 @@ from korobov import (
     search_korobov,
     wce2_theta_product,
 )
+import korobov.wce
+from korobov.search import _eval_korobov, _general_block, family_errors
 from korobov.wce import theta_table
 
 from conftest import make_model
@@ -123,6 +125,26 @@ def test_search_deterministic_and_thread_invariant(linear_model):
     assert g1 == g2
 
 
+@pytest.mark.parametrize("family, n, d", [("korobov", 31, 2), ("general", 7, 2)])
+def test_ties_follow_the_band(linear_model, monkeypatch, family, n, d):
+    # raising the slack of ErrorEstimate.band widens the tie set of both
+    # searches to exactly the members within the new band of the minimum
+    e2, bound = family_errors(n, d, linear_model, family=family)
+    search = search_korobov if family == "korobov" else search_general
+    narrow = search(n, d, linear_model).ties
+    slack = float(np.median(e2) - np.min(e2))
+    monkeypatch.setattr(korobov.wce, "TIE_SLACK", slack)
+    tied = np.flatnonzero(e2 <= np.min(e2) + (bound + slack))
+    res = search(n, d, linear_model)
+    assert res.ties == tied.size > narrow
+    if family == "korobov":
+        best = korobov_vector(KorobovParam(n, int(tied[0]), d))
+    else:
+        best = LatticeRule(n, tuple(_general_block(n, d, tied[:1])[0]))
+    assert res.best_rule == best
+    assert res.best_e2.value == e2[tied[0]]
+
+
 KERNEL_MODELS = {
     "linear": make_model(a=("linear", 1.0)),
     "slow_decay": make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5)),
@@ -145,7 +167,7 @@ def test_eval_korobov_matches_eval_vectors(name):
         for d in range(1, 6):
             for lam in (1.0, 0.5):
                 table = theta_table(model.scaled(lam), n, d, DEFAULT_TOL)
-                fast = table.eval_korobov()
+                fast = _eval_korobov(table)
                 tol = 1e-15 * math.prod(table.majors)
                 assert np.max(np.abs(fast - _oracle_korobov_errors(table))) <= tol, (n, d, lam)
                 # g and N - g share one evaluation, so they tie bitwise

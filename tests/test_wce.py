@@ -346,6 +346,16 @@ def test_error_estimate_flags_zero_region():
     assert est.e == 0.0
 
 
+def test_zero_indistinguishable_reads_the_band():
+    # a value above its truncation bound but inside the band cannot be
+    # told apart from zero; one above the band can
+    est = korobov.wce.ErrorEstimate(1e-14, 1e-15, "theta_product")
+    assert est.trunc_bound < est.value < est.band
+    assert est.band == est.trunc_bound + korobov.wce.TIE_SLACK
+    assert est.zero_indistinguishable
+    assert not korobov.wce.ErrorEstimate(2.0 * est.band, 1e-15, "theta_product").zero_indistinguishable
+
+
 def test_dominant_dual_frequency_simple(unit_model):
     h = dominant_dual_frequency(LatticeRule(2, (1,)), unit_model)
     assert abs(h[0]) == 2
