@@ -209,7 +209,7 @@ def _cmd_integrate(args, model: WeightModel | None, config: dict) -> None:
     try:
         poly = qmc.FourierPolynomial.from_dict(_load_json(args.poly))
         rule_data = _load_json(args.rule)
-        if "g_scalar" in rule_data:
+        if isinstance(rule_data, dict) and "g_scalar" in rule_data:
             rule = korobov_vector(KorobovParam.from_dict(rule_data))
         else:
             rule = LatticeRule.from_dict(rule_data)

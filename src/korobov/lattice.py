@@ -50,6 +50,21 @@ def as_list(value, name: str) -> list:
     raise ValueError(f"{name} must be an array, got {value!r}")
 
 
+def as_object(value, name: str, required: tuple, optional: tuple = ()) -> dict:
+    """``value`` if it is a JSON object with every ``required`` field and no
+    field outside ``required`` and ``optional``; ``ValueError`` naming the
+    object and the field otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown fields {sorted(unknown)} in {name}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{name} is missing field {key!r}")
+    return value
+
+
 def check_dimension(d: int) -> None:
     """``ValueError`` naming d unless d >= 1."""
     if d < 1:
@@ -154,9 +169,7 @@ class LatticeRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeRule":
-        unknown = set(data) - {"n", "g"}
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)} in lattice rule")
+        as_object(data, "lattice rule", ("n", "g"))
         g = tuple(as_int(v, "g entry") for v in as_list(data["g"], "g"))
         return cls(n=as_int(data["n"], "n"), g=g)
 
@@ -183,9 +196,7 @@ class KorobovParam:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KorobovParam":
-        unknown = set(data) - {"n", "g_scalar", "d"}
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)} in Korobov parameter")
+        as_object(data, "Korobov parameter", ("n", "g_scalar", "d"))
         n, g, d = (as_int(data[key], key) for key in ("n", "g_scalar", "d"))
         return cls(n=n, g=g, d=d)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import SCAN_N_CAP, error_bound_min
 from .errors import CapExceededError
-from .lattice import LatticeRule, as_float, as_int, as_list
+from .lattice import LatticeRule, as_float, as_int, as_list, as_object
 from .search import search_korobov
 from .space import DEFAULT_TOL, WeightModel, rho
 from .wce import dominant_dual_frequency, dual_enum_work_estimate, wce2_dual_enum, wce2_theta_product
@@ -91,14 +91,10 @@ class FourierPolynomial:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierPolynomial":
-        unknown = set(data) - {"terms", "real_symmetric"}
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)} in polynomial")
+        as_object(data, "polynomial", ("terms",), ("real_symmetric",))
         terms = {}
         for item in as_list(data["terms"], "terms"):
-            extra = set(item) - {"h", "re", "im"}
-            if extra:
-                raise ValueError(f"unknown fields {sorted(extra)} in polynomial term")
+            as_object(item, "polynomial term", ("h",), ("re", "im"))
             h = tuple(as_int(v, "frequency entry") for v in as_list(item["h"], "h"))
             if h in terms:
                 raise ValueError(f"frequency {list(h)} appears twice in polynomial")

@@ -2,9 +2,10 @@
 
 Every family is evaluated here, in chunks over ``threads`` workers: all N
 scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
-of contiguous slices of a primitive-root-permuted theta table, and all N^d
-vectors of a tiny instance by ``ThetaTable.eval_vectors``.  Both searches
-select the lambda = 1 error minimizer on one path: members within
+of strided windows over tiles of a primitive-root-permuted theta table,
+in chunks of rows that depend on N and d, and all N^d vectors of a tiny
+instance by ``ThetaTable.eval_vectors``.  Both searches select the
+lambda = 1 error minimizer on one path: members within
 ``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
 order (smallest scalar / lexicographically smallest vector) wins, so
 results do not depend on chunking or thread count.
@@ -77,13 +78,18 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     gamma^(a + j b) / N.  theta is even and gamma^m = -1 for
     m = (N-1)/2, so the permuted table T_j[a] = theta_j(gamma^a / N) has
     period m and the k != 0 terms of candidate b sum to
-    2 * sum_{a<m} prod_j T_j[(a + j b) mod m], a product of contiguous
-    slices of the doubled table.  g = gamma^b and N - g = gamma^(b+m)
-    share that row, so they tie exactly.  The k = 0 term prod_j
-    theta_j(0) is added separately and g = 0 goes through
-    :meth:`ThetaTable.eval_vectors`, as do d = 1 and N < 5.  Each row is
-    reduced on its own and chunks depend only on N, so results do not
-    depend on ``threads``.
+    2 * sum_{a<m} prod_j T_j[(a + j b) mod m].  Across a block of rows
+    the start of coordinate j's slice moves by s_j = j mod m, so T_j is
+    tiled once to 2m + s_j (chunk - 1) cells and the block reads a
+    strided run of its windows, with no gather (s_j = 0 reads T_j[:m]).
+    With chunk = CHUNK_CELLS // (m + sum_j s_j) the tiled tables hold at
+    most N d + CHUNK_CELLS cells, and the first product is the block's
+    only new array: the other coordinates multiply into it in place.
+    g = gamma^b and N - g = gamma^(b+m) share a row, so they tie
+    exactly.  The k = 0 term prod_j theta_j(0) is added separately and
+    g = 0 goes through :meth:`ThetaTable.eval_vectors`, as do d = 1 and
+    N < 5.  Each row is reduced on its own and chunks depend only on N
+    and d, so results do not depend on ``threads``.
     """
     n, d = table.n, table.d
     if d == 1:
@@ -99,18 +105,27 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
         powers.append(power)
         power = power * gamma % n
     powers = np.array(powers, dtype=np.int64)
-    doubled = [np.tile(vals[powers], 2) for vals in table.values]
-    windows = [sliding_window_view(t, m) for t in doubled]
+    steps = [j % m for j in range(d)]
+    chunk = max(1, CHUNK_CELLS // (m + sum(steps)))
+    # row b of a block starting at lo reads T_j from (s_j lo) mod m +
+    # s_j (b - lo): a strided run of windows over T_j tiled to cover it
+    windows = [
+        sliding_window_view(np.resize(vals[powers], 2 * m + s * (chunk - 1)), m)
+        for vals, s in zip(table.values, steps)
+    ]
     k0 = math.prod(vals[0] for vals in table.values)
 
+    def factor(j: int, lo: int, hi: int) -> np.ndarray:
+        s = steps[j]
+        return windows[j][s * lo % m :: s][: hi - lo] if s else windows[j][0]
+
     def rows(lo: int, hi: int) -> np.ndarray:
-        bs = np.arange(lo, hi, dtype=np.int64)
-        acc = windows[1][lo:hi] * doubled[0][:m]
+        acc = factor(1, lo, hi) * factor(0, lo, hi)
         for j in range(2, d):
-            acc *= windows[j][j * bs % m]
+            acc *= factor(j, lo, hi)
         return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
 
-    half = _map_chunks(rows, m, max(1, CHUNK_CELLS // m), threads)
+    half = _map_chunks(rows, m, chunk, threads)
     e2 = np.empty(n, dtype=np.float64)
     e2[powers] = half
     e2[n - powers] = half

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SummationCapError
-from .lattice import as_float, as_list
+from .lattice import as_float, as_list, as_object
 
 DEFAULT_TOL = 1e-14
 
@@ -153,12 +153,8 @@ class WeightFamily:
         kind = data["kind"]
         if kind not in FAMILY_KINDS:
             raise ValueError(f"unknown weight family kind {kind!r}")
-        allowed = {"explicit": {"kind", "values"}, "power": {"kind", "kappa", "p"}}.get(
-            kind, {"kind", "kappa"}
-        )
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)} in weight family {kind!r}")
+        fields = {"explicit": ("kind", "values"), "power": ("kind", "kappa", "p")}.get(kind, ("kind", "kappa"))
+        as_object(data, f"weight family {kind!r}", fields)
         if kind == "explicit":
             return cls(kind=kind, values=_floats(data["values"], "values"))
         if kind == "power":
@@ -266,14 +262,7 @@ class WeightModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightModel":
-        if not isinstance(data, dict):
-            raise ValueError("weight model must be a JSON object")
-        unknown = set(data) - {"omega", "a", "b", "prefix_a", "prefix_b"}
-        if unknown:
-            raise ValueError(f"unknown fields {sorted(unknown)} in weight model")
-        for key in ("omega", "a", "b"):
-            if key not in data:
-                raise ValueError(f"weight model is missing field {key!r}")
+        as_object(data, "weight model", ("omega", "a", "b"), ("prefix_a", "prefix_b"))
         return cls(
             omega=as_float(data["omega"], "omega"),
             a=WeightFamily.from_dict(data["a"]),

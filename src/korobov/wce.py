@@ -391,7 +391,8 @@ def wce2_kernel_double_sum(
     factor_j((k - l) g_j mod N) over l, with no per-pair modulo.
     Oracle use only: ``DOUBLE_SUM_WORK_CAP`` caps the N^2 pairs and the
     N * sum_j H_j factor cells, and both loops run in ``CHUNK_CELLS``-cell
-    blocks.
+    blocks.  Each block of pairs starts from a copy of its first window
+    and multiplies the others into it in place, so it allocates one array.
     """
     n, d = rule.n, rule.d
     if n * n > DOUBLE_SUM_WORK_CAP:
@@ -415,8 +416,8 @@ def wce2_kernel_double_sum(
     total = 0.0
     chunk = max(1, CHUNK_CELLS // n)
     for start in range(0, n, chunk):
-        acc = np.ones((min(chunk, n - start), n), dtype=np.float64)
-        for window in windows:
+        acc = windows[0][start : start + chunk].copy()
+        for window in windows[1:]:
             acc *= window[start : start + chunk]
         total += float(np.sum(acc))
     return ErrorEstimate(total / float(n) ** 2 - 1.0, bound, "kernel_double_sum")

@@ -396,6 +396,20 @@ POLY = {"terms": [{"h": [1, 0], "re": 1.0}]}
         pytest.param({"terms": [{"h": "10", "re": 1.0}]}, RULE, "h must be an array, got '10'", id="poly-string-h"),
         pytest.param({"terms": POLY["terms"][0]}, RULE, "terms must be an array", id="poly-object-terms"),
         pytest.param(POLY, {"n": 101, "g": "112"}, "g must be an array, got '112'", id="rule-string-g"),
+        pytest.param({"real_symmetric": False}, RULE, "polynomial is missing field 'terms'", id="poly-no-terms"),
+        pytest.param({"terms": [{"re": 1.0}]}, RULE, "polynomial term is missing field 'h'", id="poly-term-no-h"),
+        pytest.param({"terms": [5]}, RULE, "polynomial term must be a JSON object, got 5", id="poly-int-term"),
+        pytest.param(
+            {"terms": ["ab"]}, RULE, "polynomial term must be a JSON object, got 'ab'", id="poly-string-term"
+        ),
+        pytest.param([POLY], RULE, "polynomial must be a JSON object, got [", id="poly-array-document"),
+        pytest.param(POLY, {"n": 101}, "lattice rule is missing field 'g'", id="rule-no-g"),
+        pytest.param(POLY, {"g": [1, 12]}, "lattice rule is missing field 'n'", id="rule-no-n"),
+        pytest.param(POLY, [13], "lattice rule must be a JSON object, got [13]", id="rule-array-document"),
+        pytest.param(POLY, 13, "lattice rule must be a JSON object, got 13", id="rule-int-document"),
+        pytest.param(
+            POLY, {"n": 101, "g_scalar": 12}, "Korobov parameter is missing field 'd'", id="param-no-d"
+        ),
     ],
 )
 def test_mistyped_rule_or_polynomial_field_exits_two(tmp_path, capsys, poly, rule, message):
@@ -440,6 +454,17 @@ def _model_with(**fields):
             _model_with(prefix_b=[1.0, False]), "prefix_b entry must be a number, got False",
             id="boolean-prefix-b-entry",
         ),
+        pytest.param(
+            _model_with(a={"kind": "linear"}), "weight family 'linear' is missing field 'kappa'", id="no-kappa"
+        ),
+        pytest.param(
+            _model_with(b={"kind": "power", "kappa": 1.0}), "weight family 'power' is missing field 'p'",
+            id="no-power-p",
+        ),
+        pytest.param(
+            {key: MODEL[key] for key in ("a", "b")}, "weight model is missing field 'omega'", id="no-omega"
+        ),
+        pytest.param(5, "weight model must be a JSON object, got 5", id="int-document"),
     ],
 )
 def test_mistyped_model_field_exits_two(tmp_path, capsys, model, message):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from korobov import (
     DEFAULT_TOL,
@@ -11,12 +13,14 @@ from korobov import (
     a_lambda,
     korobov_vector,
     mean_pow_error,
+    primitive_root,
     search_general,
     search_korobov,
     wce2_theta_product,
 )
 import korobov.wce
 from korobov.search import _eval_korobov, _general_block, family_errors
+from korobov.space import CHUNK_CELLS
 from korobov.wce import theta_table
 
 from conftest import make_model
@@ -160,11 +164,41 @@ def _oracle_korobov_errors(table):
     return table.eval_vectors(vectors)
 
 
+def _gather_korobov_errors(table):
+    """The gather formulation of the Korobov kernel (N >= 5, d >= 2): every
+    coordinate's rows are gathered out of the doubled permuted table at
+    j * b mod m into a new array, in chunks of CHUNK_CELLS // m rows."""
+    n, d = table.n, table.d
+    m = (n - 1) // 2
+    gamma = primitive_root(n)
+    powers = np.array([pow(gamma, a, n) for a in range(m)], dtype=np.int64)
+    doubled = [np.tile(vals[powers], 2) for vals in table.values]
+    windows = [sliding_window_view(t, m) for t in doubled]
+    k0 = math.prod(vals[0] for vals in table.values)
+    half = []
+    chunk = max(1, CHUNK_CELLS // m)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        bs = np.arange(lo, hi, dtype=np.int64)
+        acc = windows[1][lo:hi] * doubled[0][:m]
+        for j in range(2, d):
+            acc *= windows[j][j * bs % m]
+        half.append((k0 + 2.0 * acc.sum(axis=1)) / n - 1.0)
+    half = np.concatenate(half)
+    e2 = np.empty(n, dtype=np.float64)
+    e2[powers] = half
+    e2[n - powers] = half
+    unit = np.zeros((1, d), dtype=np.int64)
+    unit[0, 0] = 1
+    e2[0] = table.eval_vectors(unit)[0]
+    return e2
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_eval_korobov_matches_eval_vectors(name):
     model = KERNEL_MODELS[name]
     for n in (2, 3, 5, 7, 13, 101, 1009):
-        for d in range(1, 6):
+        for d in range(1, 7):
             for lam in (1.0, 0.5):
                 table = theta_table(model.scaled(lam), n, d, DEFAULT_TOL)
                 fast = _eval_korobov(table)
@@ -172,6 +206,10 @@ def test_eval_korobov_matches_eval_vectors(name):
                 assert np.max(np.abs(fast - _oracle_korobov_errors(table))) <= tol, (n, d, lam)
                 # g and N - g share one evaluation, so they tie bitwise
                 assert all(fast[g] == fast[n - g] for g in range(1, n)), (n, d, lam)
+                if n >= 5 and d >= 2:
+                    # the strided windows multiply the same factors in the
+                    # same order and reduce each row the same way
+                    assert np.array_equal(fast, _gather_korobov_errors(table)), (n, d, lam)
 
 
 def test_mean_pow_error_korobov_matches_oracle():
@@ -181,3 +219,33 @@ def test_mean_pow_error_korobov_matches_oracle():
         tol = 1e-15 * math.prod(table.majors)
         oracle = float(np.mean(_oracle_korobov_errors(table)))
         assert mean_pow_error(n, d, 0.5, model, family="korobov") == pytest.approx(oracle, abs=tol)
+
+
+@pytest.mark.parametrize("n, d", [(5, 12), (11, 40)])
+def test_eval_korobov_bitwise_when_steps_wrap(n, d):
+    # d > m = (N - 1) / 2: the step j mod m wraps, and is 0 where m | j
+    for lam in (1.0, 0.5):
+        table = theta_table(KERNEL_MODELS["linear"].scaled(lam), n, d, DEFAULT_TOL)
+        assert np.array_equal(_eval_korobov(table), _gather_korobov_errors(table)), lam
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_eval_korobov_bitwise_thread_invariant(d):
+    n, m = 1009, 504
+    assert CHUNK_CELLS // (m + d * (d - 1) // 2) < m  # several chunks
+    table = theta_table(KERNEL_MODELS["linear"], n, d, DEFAULT_TOL)
+    assert np.array_equal(_eval_korobov(table, threads=1), _eval_korobov(table, threads=2))
+
+
+def test_eval_korobov_tables_stay_bounded():
+    # the tiled tables hold at most N d + CHUNK_CELLS cells; a (j + 1)-fold
+    # tiling of every coordinate would need about m d^2 / 2 = 8 MB here
+    n, d = 101, 200
+    table = theta_table(KERNEL_MODELS["linear"], n, d, DEFAULT_TOL)
+    tracemalloc.start()
+    try:
+        _eval_korobov(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (n * d + CHUNK_CELLS)
