@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, CertificateError, SummationCapError
 from .lattice import check_dimension, next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
-from .search import search_korobov
+from .search import FAMILIES, search_korobov
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
 # around the grid minimum sharpens minimized bounds reproducibly.
@@ -47,12 +47,9 @@ SCAN_N_CAP = 100_000
 # and every modulus up to the margined floor is truly excluded.
 MINKOWSKI_MARGIN = 1e-9
 
-VARIANTS = ("general", "korobov")
-
-
 def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant not in FAMILIES:
+        raise ValueError(f"variant must be one of {FAMILIES}, got {variant!r}")
 
 
 def _check_eps(eps: float) -> None:
@@ -66,7 +63,7 @@ def _check_size(n: int, d: int) -> None:
     check_dimension(d)
 
 
-def _exp_or_inf(log_val: float, count: bool = False) -> float:
+def exp_or_inf(log_val: float, count: bool = False) -> float:
     """exp(log_val), rounded up for counts; the float('inf') sentinel past 2**62."""
     if log_val > _OVERFLOW_LOG:
         return math.inf
@@ -104,7 +101,7 @@ def log_product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAU
 
 def product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """prod_{j<=d} (1 + 2*A_lam*omega**(lam*a_j)); inf sentinel on overflow."""
-    return _exp_or_inf(log_product_bound(d, lam, model, tol))
+    return exp_or_inf(log_product_bound(d, lam, model, tol))
 
 
 def error_bound(
@@ -148,7 +145,7 @@ def bound_report(
     return BoundReport(
         lam=lam,
         a_lam=a_lambda(lam, model, tol),
-        product_term=_exp_or_inf(log_product),
+        product_term=exp_or_inf(log_product),
         bound_value=_error_bound(n, d, lam, variant, log_product),
         variant=variant,
     )
@@ -246,7 +243,7 @@ def m_lambda(
     postulate) admits a rule with error <= eps.  Returns a float('inf')
     sentinel when the value would exceed 2**62.
     """
-    return _exp_or_inf(_log_m(eps, d, lam, model, variant, tol), count=True)
+    return exp_or_inf(_log_m(eps, d, lam, model, variant, tol), count=True)
 
 
 def log_info_complexity_bound(
@@ -281,7 +278,7 @@ def info_complexity_bound(
     float('inf') sentinel when it would exceed 2**62.
     """
     log_val, lam = log_info_complexity_bound(eps, d, model, variant, tol)
-    return _exp_or_inf(log_val, count=True), lam
+    return exp_or_inf(log_val, count=True), lam
 
 
 def minkowski_start(eps: float, d: int, model: WeightModel) -> int:

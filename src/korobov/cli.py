@@ -15,7 +15,9 @@ The parser declares the whole argument contract: required flags, the
 exclusive pairs --g/--g-scalar and --primes/--primes-up-to, and the
 combinations it rejects (``_check_combinations``), among them every tract
 flag that the chosen --mode does not read.  A flag is honoured or
-rejected, never accepted and then ignored.  Handlers only compute.
+rejected, never accepted and then ignored.  Handlers only compute: a rule
+document is read by ``LatticeRule.from_dict``, and the family names and
+the general-family layout are those of ``search``.
 
 Exit codes: 0 success, 2 configuration error (argument errors included),
 3 size cap exceeded, 4 numerical certificate failure (``CertificateError``:
@@ -61,10 +63,6 @@ _TRACT_FLAG_MODES = {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(x) -> str:
     """CSV cell: '.' decimal point, 17 significant digits for floats."""
     if isinstance(x, float):
@@ -77,14 +75,14 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _load_model(path: str) -> WeightModel:
     try:
         return WeightModel.from_dict(_load_json(path))
     except ValueError as exc:
-        raise ConfigError(f"invalid weight model: {exc}") from exc
+        raise ValueError(f"invalid weight model: {exc}") from exc
 
 
 def _atomic_write(path: str | None, text: str) -> None:
@@ -123,7 +121,7 @@ def _parse_list(raw: str, kind: type, name: str) -> list:
     try:
         return [kind(part) for part in raw.split(",") if part != ""]
     except ValueError as exc:
-        raise ConfigError(f"{name} must be a comma-separated {kind.__name__} list") from exc
+        raise ValueError(f"{name} must be a comma-separated {kind.__name__} list") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +147,7 @@ def _cmd_search(args, model: WeightModel, config: dict) -> None:
         if args.variant == "korobov":
             labels = range(e2.size)
         else:
-            vectors = search._general_block(args.n, args.d, np.arange(e2.size)).tolist()
+            vectors = search.general_vectors(args.n, args.d, np.arange(e2.size)).tolist()
             labels = (";".join(map(str, g)) for g in vectors)
         rows = [{"g": label, "e2": float(v), "trunc_bound": bound} for label, v in zip(labels, e2)]
         _emit(args, config, rows, ["g", "e2", "trunc_bound"])
@@ -206,15 +204,8 @@ def _cmd_tract(args, model: WeightModel, config: dict) -> None:
 
 
 def _cmd_integrate(args, model: WeightModel | None, config: dict) -> None:
-    try:
-        poly = qmc.FourierPolynomial.from_dict(_load_json(args.poly))
-        rule_data = _load_json(args.rule)
-        if isinstance(rule_data, dict) and "g_scalar" in rule_data:
-            rule = korobov_vector(KorobovParam.from_dict(rule_data))
-        else:
-            rule = LatticeRule.from_dict(rule_data)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    poly = qmc.FourierPolynomial.from_dict(_load_json(args.poly))
+    rule = LatticeRule.from_dict(_load_json(args.rule))
     config.update({"poly": poly.to_dict(), "rule": rule.to_dict()})
     q = qmc.qmc_apply(poly, rule)
     exact = poly.integral()
@@ -240,7 +231,7 @@ def _cmd_convergence(args, model: WeightModel, config: dict) -> None:
         primes = _parse_list(args.primes, int, "--primes")
         bad = [p for p in primes if not is_prime(p)]
         if bad:
-            raise ConfigError(f"values {bad} are not prime")
+            raise ValueError(f"values {bad} are not prime")
     else:
         if args.primes_up_to > bounds.SCAN_N_CAP:  # before the prime list is built
             raise CapExceededError(f"--primes-up-to exceeds the scan cap {bounds.SCAN_N_CAP}")
@@ -294,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("search", _cmd_search, "exhaustive generating-vector search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
+    p.add_argument("--variant", choices=search.FAMILIES, default="korobov")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -302,12 +293,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", type=float, default=None, dest="lam")
-    p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
+    p.add_argument("--variant", choices=search.FAMILIES, default="korobov")
 
     p = add("nofe", _cmd_nofe, "information-complexity bound and empirical value")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--variant", choices=("general", "korobov"), default="korobov")
+    p.add_argument("--variant", choices=search.FAMILIES, default="korobov")
 
     # mode-specific flags (--tol included) default to None so that
     # _check_combinations can tell a given flag from an absent one;
@@ -373,7 +364,7 @@ def main(argv=None) -> int:
             model = _load_model(args.model)
             config["model"] = model.to_dict()
         args.fn(args, model, config)
-    except (ValueError, KeyError, TypeError) as exc:  # ConfigError included
+    except (ValueError, KeyError, TypeError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     except CapExceededError as exc:
         return _fail(EXIT_CAP, "cap_exceeded", str(exc))

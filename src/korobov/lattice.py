@@ -3,6 +3,9 @@
 A rule is a prime modulus N together with a generating vector g in
 G_N^d = {0, ..., N-1}^d; its node set is x_k = {(k/N) * g}, k = 0..N-1.
 Korobov rules use the one-parameter vectors (1, g, g^2, ..., g^(d-1)) mod N.
+This module owns the rules: ``check_modulus`` holds the cap and primality
+checks of every modulus, and ``LatticeRule.from_dict`` reads every rule
+document, a vector {n, g} or a Korobov parameter {n, g_scalar, d}.
 All modular arithmetic is exact: coordinates are kept as integer numerators
 until a single final division, so point sets are bit-reproducible.
 """
@@ -69,6 +72,14 @@ def check_dimension(d: int) -> None:
     """``ValueError`` naming d unless d >= 1."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+
+
+def check_modulus(n: int) -> None:
+    """``ValueError`` naming n unless it is a prime no larger than the cap."""
+    if n > MODULUS_CAP:
+        raise ValueError(f"modulus {n} exceeds the cap {MODULUS_CAP}")
+    if not is_prime(n):
+        raise ValueError(f"modulus must be prime, got {n}")
 
 
 def is_prime(n: int) -> bool:
@@ -141,10 +152,7 @@ class LatticeRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g", tuple(int(v) for v in self.g))
-        if self.n > MODULUS_CAP:
-            raise ValueError(f"modulus {self.n} exceeds the cap {MODULUS_CAP}")
-        if not is_prime(self.n):
-            raise ValueError(f"modulus must be prime, got {self.n}")
+        check_modulus(self.n)
         if len(self.g) < 1:
             raise ValueError("generating vector must have dimension >= 1")
         if any(not (0 <= v < self.n) for v in self.g):
@@ -169,6 +177,10 @@ class LatticeRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeRule":
+        """The rule of a document: {n, g}, or {n, g_scalar, d} expanded
+        by :func:`korobov_vector`."""
+        if isinstance(data, dict) and "g_scalar" in data:
+            return korobov_vector(KorobovParam.from_dict(data))
         as_object(data, "lattice rule", ("n", "g"))
         g = tuple(as_int(v, "g entry") for v in as_list(data["g"], "g"))
         return cls(n=as_int(data["n"], "n"), g=g)
@@ -183,10 +195,7 @@ class KorobovParam:
     d: int
 
     def __post_init__(self) -> None:
-        if self.n > MODULUS_CAP:
-            raise ValueError(f"modulus {self.n} exceeds the cap {MODULUS_CAP}")
-        if not is_prime(self.n):
-            raise ValueError(f"modulus must be prime, got {self.n}")
+        check_modulus(self.n)
         if not (0 <= self.g < self.n):
             raise ValueError(f"scalar generator must lie in {{0, ..., n-1}}, got {self.g}")
         check_dimension(self.d)

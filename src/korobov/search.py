@@ -1,6 +1,9 @@
 """Exhaustive generating-vector searches and family averages.
 
-Every family is evaluated here, in chunks over ``threads`` workers: all N
+This module owns the families: their names (``FAMILIES``, which the
+bounds and the CLI read) and the layout of the general family, whose
+index i is the vector ``general_vectors(n, d, i)`` in C order.  Every
+family is evaluated here, in chunks over ``threads`` workers: all N
 scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
 of strided windows over tiles of a primitive-root-permuted theta table,
 in chunks of rows that depend on N and d, and all N^d vectors of a tiny
@@ -40,6 +43,8 @@ from .wce import ErrorEstimate, theta_table
 
 GENERAL_SEARCH_CAP = 10**6
 
+FAMILIES = ("general", "korobov")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -59,14 +64,11 @@ class SearchResult:
         }
 
 
-def _general_block(n: int, d: int, idx: np.ndarray) -> np.ndarray:
-    """Decode lexicographic indices into vectors (g_1 most significant)."""
-    out = np.empty((idx.size, d), dtype=np.int64)
-    rem = idx.astype(np.int64)
-    for j in range(d - 1, -1, -1):
-        out[:, j] = rem % n
-        rem //= n
-    return out
+def general_vectors(n: int, d: int, idx) -> np.ndarray:
+    """The general-family members at indices ``idx``: lexicographic
+    vectors, g_1 most significant (C order), one row per index, or one
+    vector for a scalar index."""
+    return np.stack(np.unravel_index(idx, (n,) * d), axis=-1)
 
 
 def _eval_korobov(table, threads: int = 1) -> np.ndarray:
@@ -95,10 +97,7 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     if d == 1:
         return np.full(n, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
     if n < 5:
-        vectors = np.ones((n, d), dtype=np.int64)
-        for j in range(1, d):
-            vectors[:, j] = vectors[:, j - 1] * np.arange(n) % n
-        return table.eval_vectors(vectors)
+        return table.eval_vectors(np.array([korobov_vector(KorobovParam(n, g, d)).g for g in range(n)]))
     m = (n - 1) // 2
     gamma, power, powers = primitive_root(n), 1, []
     for _ in range(m):
@@ -152,7 +151,7 @@ def _eval_all(table, threads: int) -> np.ndarray:
     n, d = table.n, table.d
 
     def run(lo: int, hi: int) -> np.ndarray:
-        return table.eval_vectors(_general_block(n, d, np.arange(lo, hi, dtype=np.int64)))
+        return table.eval_vectors(general_vectors(n, d, np.arange(lo, hi)))
 
     return _map_chunks(run, n**d, max(1, CHUNK_CELLS // n), threads)
 
@@ -173,7 +172,7 @@ def family_errors(
     check_dimension(d)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if family not in ("korobov", "general"):
+    if family not in FAMILIES:
         raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
     if family == "general" and n**d > GENERAL_SEARCH_CAP:
         raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
@@ -192,7 +191,7 @@ def _select(n: int, d: int, model: WeightModel, tol: float, family: str, threads
     if family == "korobov":
         rule = korobov_vector(KorobovParam(n=n, g=best, d=d))
     else:
-        rule = LatticeRule(n=n, g=tuple(int(v) for v in _general_block(n, d, np.array([best]))[0]))
+        rule = LatticeRule(n=n, g=general_vectors(n, d, best))
     best_e2 = ErrorEstimate(float(e2[best]), bound, "theta_product")
     return SearchResult(rule, best_e2, evaluated=e2.size, ties=int(tied.size))
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 from .bounds import (
     LAMBDA_GRID,
-    _exp_or_inf,
     empirical_info_complexity,
+    exp_or_inf,
     log_info_complexity_bound,
 )
 from .errors import CapExceededError
@@ -99,7 +99,7 @@ def st_ratio_trace(
         check_dimension(d)
         if source == "bound":
             log_ns = [log_info_complexity_bound(e, d, model, "korobov", tol)[0] for e in eps_grid]
-            n_vals = [float(_exp_or_inf(log_n, count=True)) for log_n in log_ns]
+            n_vals = [float(exp_or_inf(log_n, count=True)) for log_n in log_ns]
         else:
             n_vals = [float(n) for n in empirical_info_complexity(eps_grid, d, model, tol)]
             log_ns = [math.log(n) for n in n_vals]

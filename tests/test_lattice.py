@@ -131,3 +131,40 @@ def test_from_dict_integral_floats_load_as_before():
     for bad in ({"n": 101, "g_scalar": 12, "d": 3.99}, {"n": 101, "g_scalar": False, "d": 3}):
         with pytest.raises(ValueError, match="must be an integer"):
             KorobovParam.from_dict(bad)
+
+
+def test_rule_document_with_g_scalar_is_a_korobov_rule():
+    rule = LatticeRule.from_dict({"n": 13, "g_scalar": 5, "d": 3})
+    assert rule == korobov_vector(KorobovParam(13, 5, 3))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"n": 13, "g": [1, 5], "g_scalar": 5, "d": 2}, "unknown fields ['g'] in Korobov parameter"),
+        ({"n": 13, "g_scalar": 5, "d": 2, "x": 1}, "unknown fields ['x'] in Korobov parameter"),
+        ({"n": 13, "g": [1, 5], "x": 1}, "unknown fields ['x'] in lattice rule"),
+        (13, "lattice rule must be a JSON object, got 13"),
+    ],
+    ids=["g-and-g-scalar", "korobov-extra-field", "rule-extra-field", "non-object"],
+)
+def test_rule_document_errors_name_the_document(data, message):
+    with pytest.raises(ValueError) as info:
+        LatticeRule.from_dict(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (2**31 + 11, f"modulus {2**31 + 11} exceeds the cap {2**31}"),
+        (2**31 + 1, f"modulus {2**31 + 1} exceeds the cap {2**31}"),
+        (6, "modulus must be prime, got 6"),
+    ],
+    ids=["prime-above-cap", "composite-above-cap", "composite"],
+)
+def test_rules_and_parameters_share_the_modulus_check(n, message):
+    for make in (lambda: LatticeRule(n, (1,)), lambda: KorobovParam(n, 1, 1)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message

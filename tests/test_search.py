@@ -19,7 +19,7 @@ from korobov import (
     wce2_theta_product,
 )
 import korobov.wce
-from korobov.search import _eval_korobov, _general_block, family_errors
+from korobov.search import _eval_korobov, family_errors, general_vectors
 from korobov.space import CHUNK_CELLS
 from korobov.wce import theta_table
 
@@ -80,6 +80,28 @@ def test_d1_general_equals_korobov_minimum(linear_model):
 def test_general_cap():
     with pytest.raises(CapExceededError):
         search_general(101, 3, make_model())
+
+
+def _general_block(n: int, d: int, idx: np.ndarray) -> np.ndarray:
+    """The hand-written lexicographic decoder that ``general_vectors``
+    replaced: digits of idx in base n, g_1 most significant."""
+    out = np.empty((idx.size, d), dtype=np.int64)
+    rem = idx.astype(np.int64)
+    for j in range(d - 1, -1, -1):
+        out[:, j] = rem % n
+        rem //= n
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11])
+def test_general_vectors_keep_the_lexicographic_layout(n):
+    for d in range(1, 5):
+        idx = np.arange(n**d)
+        vectors = general_vectors(n, d, idx)
+        assert vectors.dtype == np.int64 and vectors.shape == (n**d, d)
+        assert np.array_equal(vectors, _general_block(n, d, idx)), (n, d)
+        mid = n**d // 2
+        assert np.array_equal(general_vectors(n, d, mid), _general_block(n, d, np.array([mid]))[0]), (n, d)
 
 
 def test_mean_pow_error_single_vector_family(unit_model):
@@ -144,7 +166,7 @@ def test_ties_follow_the_band(linear_model, monkeypatch, family, n, d):
     if family == "korobov":
         best = korobov_vector(KorobovParam(n, int(tied[0]), d))
     else:
-        best = LatticeRule(n, tuple(_general_block(n, d, tied[:1])[0]))
+        best = LatticeRule(n, tuple(general_vectors(n, d, tied[:1])[0]))
     assert res.best_rule == best
     assert res.best_e2.value == e2[tied[0]]
 
