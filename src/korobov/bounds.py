@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, CertificateError, SummationCapError
 from .lattice import check_dimension, next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
-from .search import FAMILIES, search_korobov
+from .search import check_family, search_korobov
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
 # around the grid minimum sharpens minimized bounds reproducibly.
@@ -46,11 +46,6 @@ SCAN_N_CAP = 100_000
 # add up to less than 10**3 the volume is off by less than 1e-12 relative,
 # and every modulus up to the margined floor is truly excluded.
 MINKOWSKI_MARGIN = 1e-9
-
-def _check_variant(variant: str) -> None:
-    if variant not in FAMILIES:
-        raise ValueError(f"variant must be one of {FAMILIES}, got {variant!r}")
-
 
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 1.0):
@@ -119,7 +114,7 @@ def error_bound(
     general-vector bound is used there (in d = 1 all Korobov vectors are
     (1), whose error equals the general minimum by scalar invariance).
     """
-    _check_variant(variant)
+    check_family(variant)
     _check_size(n, d)
     return _error_bound(n, d, lam, variant, log_product_bound(d, lam, model, tol))
 
@@ -139,7 +134,7 @@ def bound_report(
     tol: float = DEFAULT_TOL,
 ) -> BoundReport:
     """The existence bound at one lambda, with A_lam and the product term."""
-    _check_variant(variant)
+    check_family(variant)
     _check_size(n, d)
     log_product = log_product_bound(d, lam, model, tol)
     return BoundReport(
@@ -219,7 +214,7 @@ def error_bound_min(
 def _log_m(eps: float, d: int, lam: float, model: WeightModel, variant: str, tol: float) -> float:
     """log of c_d * eps**(-2*lam) * product term, after the input checks."""
     _check_eps(eps)
-    _check_variant(variant)
+    check_family(variant)
     check_dimension(d)
     c_d = 1.0 if variant == "general" else float(d)
     return (

@@ -147,10 +147,15 @@ def error_vs_wce(
 
     Returns the triple (realized, bound, ratio) plus the truncation slack
     of the error evaluation; ratio <= 1 up to that slack, by definition of
-    the worst-case error as a supremum over the unit ball.
+    the worst-case error as a supremum over the unit ball.  An e^2 of the
+    character sum below its band, where rounding can read it as 0, is
+    taken from the dual sum instead, whose positive terms give it as
+    itself, so the ratio stays finite.
     """
     realized = abs(exact_qmc_error(f, rule))
     est = wce2_theta_product(rule, model, 1.0, tol)
+    if est.zero_indistinguishable:
+        est = wce2_dual_enum(rule, model, 1.0, tol)
     e_upper = math.sqrt(max(est.value, 0.0) + est.trunc_bound)
     bound = est.e * f.norm(model)
     return {

@@ -1,7 +1,8 @@
 """Exhaustive generating-vector searches and family averages.
 
 This module owns the families: their names (``FAMILIES``, which the
-bounds and the CLI read) and the layout of the general family, whose
+CLI reads, and ``check_family``, the one check of a family or variant
+name, which the bounds call) and the layout of the general family, whose
 index i is the vector ``general_vectors(n, d, i)`` in C order.  Every
 family is evaluated here, in chunks over ``threads`` workers: all N
 scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
@@ -15,7 +16,9 @@ results do not depend on chunking or thread count.
 Korobov generators g and N - g give the same rule up to a reflection and
 get bitwise equal errors: ``ties`` counts both members of each pair, and
 the smaller g wins.  The shared truncation bound of a family is the
-product certificate of ``space.theta_factors``, at most the tolerance.
+product certificate of the theta table, at most the tolerance and 0 when
+every b_j = 1.  ``family_errors`` checks its modulus with
+``lattice.check_modulus``, like every rule.
 Family means of the lambda-scaled dual sums (``mean_pow_error``) average
 the errors of the space at base omega**lam.
 """
@@ -34,7 +37,7 @@ from .lattice import (
     KorobovParam,
     LatticeRule,
     check_dimension,
-    is_prime,
+    check_modulus,
     korobov_vector,
     primitive_root,
 )
@@ -62,6 +65,12 @@ class SearchResult:
             "evaluated": self.evaluated,
             "ties": self.ties,
         }
+
+
+def check_family(family: str) -> None:
+    """``ValueError`` naming the family unless it is one of ``FAMILIES``."""
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
 def general_vectors(n: int, d: int, idx) -> np.ndarray:
@@ -166,14 +175,13 @@ def family_errors(
 ) -> tuple[np.ndarray, float]:
     """Squared errors of every member of a family, in enumeration order
     (scalar g, or lexicographic vectors), with their shared truncation
-    bound.  The modulus must be prime, d and ``threads`` at least 1."""
-    if not is_prime(n):
-        raise ValueError(f"search modulus must be prime, got {n}")
+    bound.  The modulus must pass ``check_modulus``, d and ``threads`` be
+    at least 1."""
+    check_modulus(n)
     check_dimension(d)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if family not in FAMILIES:
-        raise ValueError(f"family must be 'korobov' or 'general', got {family!r}")
+    check_family(family)
     if family == "general" and n**d > GENERAL_SEARCH_CAP:
         raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
     table = theta_table(model, n, d, tol)

@@ -17,11 +17,15 @@ evaluator takes a space and a tolerance only; only ``a_lambda``, which
 serves the closed-form bounds, keeps lambda.  ``theta_factors`` builds the
 d truncated theta series of a space together with their first-order
 product certificate, giving each coordinate a share of the tolerance so
-that the certificate stays at most the tolerance; the product forms of
-``wce`` all take their factors from it.  ``theta_majorant`` is a row's
-theta_j(0) + tau_j, which that certificate and the Rankin cut of the dual
-sum both read.  The per-coordinate Fourier mass is controlled by the tail
-constant
+that the certificate stays at most the tolerance; the kernel double sum
+of ``wce`` takes its factors from it.  ``theta_rows`` builds the theta
+table of ``wce``, the values at the n fractions r/n.  For b_j = 1 the
+theta series is the Poisson kernel (1 - q^2) / (1 - 2q cos 2 pi t + q^2),
+q = omega**a_j, which ``theta_rows`` evaluates in closed form: such a
+coordinate carries no truncation and takes no share of the tolerance.
+``theta_majorant`` is a row's theta_j(0) + tau_j, which that certificate
+and the Rankin cut of the dual sum both read.  The per-coordinate Fourier
+mass is controlled by the tail constant
 
     a_lambda(lam) = sum_{h >= 1} omega**(lam * a_1 * (h**b_star - 1)).
 
@@ -371,37 +375,133 @@ def theta_factors(
     model: WeightModel, d: int, tol: float = DEFAULT_TOL
 ) -> tuple[list[np.ndarray], list[float], float]:
     """The truncated theta series of coordinates 1..d and their product
-    certificate, for the product forms of ``wce`` and ``kernel_with_bound``.
+    certificate, for ``wce2_kernel_double_sum`` and ``kernel_with_bound``.
 
     Returns ``(terms, majors, bound)``: the ``theta_terms`` weights of each
     coordinate, their ``theta_majorant``s (tau_j = 2 * tail_j is the row's
     per-evaluation truncation bound), and the first-order bound
     sum_j tau_j * prod_{i != j} major_i <= ``tol`` on the truncation error
-    of any product of one evaluation per coordinate.
-
-    Each coordinate gets a share of ``tol``.  A first pass at ``tol`` gives
-    majorants M_i >= theta_i(0); row j is rebuilt at
-    share_j = tol / (d * prod_{i != j} (M_i + tol/d)) unless its tau_j
-    already meets that share (always so at d = 1).
+    of any product of one evaluation per coordinate.  Every coordinate,
+    b_j = 1 included, is a series here; ``theta_rows`` evaluates the
+    b_j = 1 ones in closed form.
     """
-    rows = [theta_terms(j, model, tol) for j in range(1, d + 1)]
-    pad = [theta_majorant(*row) + tol / d for row in rows]
-    shares = [tol / (d * math.prod(pad[:j] + pad[j + 1 :])) for j in range(d)]
-    # Every share is at most tol/d, so each final majorant satisfies
-    # major_i <= theta_i(0) + tau_i <= M_i + tol/d, and the bound is at most
-    # sum_j share_j * prod_{i != j} (M_i + tol/d) = tol.  Should rounding
-    # land the evaluated bound above tol, the shares are halved and the
-    # rows that miss them rebuilt, as _enum_cut steps its threshold.
+    series, majors, bound = _share_tolerance(model, d, tol, {})
+    return [series[j][0] for j in range(d)], majors, bound
+
+
+def _share_tolerance(
+    model: WeightModel, d: int, tol: float, exact: dict[int, float]
+) -> tuple[dict[int, tuple[np.ndarray, float]], list[float], float]:
+    """``theta_terms`` rows of the coordinates 0..d-1 not in ``exact``, the
+    majorants of all d coordinates and the product certificate.
+
+    ``exact`` maps the coordinates evaluated without truncation to their
+    theta_j(0): they have tau_j = 0 and take no share of ``tol``, and the
+    bound is 0 when every coordinate is exact.  Each of the k series rows
+    gets a share.  A first pass at ``tol`` gives majorants
+    M_i >= theta_i(0); row j is rebuilt at
+    share_j = tol / (k * prod_{i != j} P_i), where P_i = M_i + tol/k for a
+    series row and M_i for an exact one, unless its tau_j already meets
+    that share (always so at d = 1).
+    """
+    rows = {j: theta_terms(j + 1, model, tol) for j in range(d) if j not in exact}
+    majors = [exact[j] if j in exact else theta_majorant(*rows[j]) for j in range(d)]
+    if not rows:
+        return rows, majors, 0.0
+    k = len(rows)
+    pad = [m + tol / k if j in rows else m for j, m in enumerate(majors)]
+    shares = {j: tol / (k * math.prod(pad[:j] + pad[j + 1 :])) for j in rows}
+    # Every share is at most tol/k, so each final majorant satisfies
+    # major_i <= theta_i(0) + tau_i <= P_i, and the bound is at most
+    # sum_j share_j * prod_{i != j} P_i = tol.  Should rounding land the
+    # evaluated bound above tol, the shares are halved and the rows that
+    # miss them rebuilt, as _enum_cut steps its threshold.
     while True:
-        rows = [
-            row if 2.0 * row[1] <= share else theta_terms(j, model, share)
-            for j, row, share in zip(range(1, d + 1), rows, shares)
-        ]
-        taus, majors = [2.0 * tail for _, tail in rows], [theta_majorant(*row) for row in rows]
-        bound = sum(tau * math.prod(majors[:j] + majors[j + 1 :]) for j, tau in enumerate(taus))
+        rows = {
+            j: row if 2.0 * row[1] <= shares[j] else theta_terms(j + 1, model, shares[j])
+            for j, row in rows.items()
+        }
+        majors = [theta_majorant(*rows[j]) if j in rows else m for j, m in enumerate(majors)]
+        bound = sum(2.0 * tail * math.prod(majors[:j] + majors[j + 1 :]) for j, (_, tail) in rows.items())
         if bound <= tol:
-            return [w for w, _ in rows], majors, bound
-        shares = [share / 2.0 for share in shares]
+            return rows, majors, bound
+        shares = {j: share / 2.0 for j, share in shares.items()}
+
+
+def fold_terms(w: np.ndarray, n: int) -> np.ndarray:
+    """Bucket series terms w_h (h = 1..H) by h mod n, pairwise-summed.
+
+    cos(2*pi*h*t) at t = r/n depends only on h mod n, so theta values at
+    all n fractions come from one length-n DFT of these buckets.  The
+    reduction runs along the contiguous axis so numpy's pairwise summation
+    applies (a long sequential accumulation would cost ~1e-10 absolute on
+    slowly decaying series).
+    """
+    padded = np.zeros(math.ceil(w.size / n) * n, dtype=np.float64)
+    padded[: w.size] = w
+    col_sums = padded.reshape(-1, n).T.copy().sum(axis=1)
+    return np.roll(col_sums, 1)  # column j holds residue (j + 1) mod n
+
+
+def _poisson_row(c: float, n: int) -> np.ndarray:
+    """theta(r/n) for r = 0..n-1 of a b_j = 1 row, q = exp(-c), c > 0.
+
+    1 + 2 sum_{h >= 1} q^h cos(2 pi h t) is the Poisson kernel
+    (1 - q^2) / (1 - 2q cos 2 pi t + q^2), taken in the stable form
+    (1 - q)(1 + q) / ((1 - q)^2 + 4q sin^2(pi m/n)) at the exact residue
+    m = min(r, n - r), with 1 - q = -expm1(-c): every operation acts on
+    positive numbers.  The row is even in m, so its n//2 + 1 distinct
+    entries are computed once and mirrored.
+
+    Rounding, in Higham's standard model (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3): each operation carries a factor
+    1 + delta with |delta| <= u = 2**-53, and theta_k, a product of k such
+    factors or their inverses, has |theta_k| <= gamma_k = k u / (1 - k u).
+    Given exp, expm1 and numpy's sin within 1 ulp (theta_2 each):
+
+    - q and 1 - q carry theta_2;
+    - x = (pi / n) * m carries theta_3; as |sin x' - sin x| <= |x' - x|
+      and sin x >= 2x/pi on [0, pi/2], sin x' is within (pi/2) gamma_3
+      <= gamma_5 of sin x, so s carries theta_7;
+    - the numerator (1 - q) * (1 + q) carries theta_{2+3+1} = theta_6, as
+      1 + q adds positive numbers;
+    - (1 - q)^2 carries theta_5 and ((4q) s) s theta_{2+7+1+7+1} =
+      theta_18, so their sum carries theta_19;
+    - the quotient carries theta_{6+19+1} = theta_26.
+
+    So every entry is within gamma_26 (about 2.9e-15) relative of the
+    Poisson kernel at the same c.
+    """
+    q, p = math.exp(-c), -math.expm1(-c)
+    s = np.sin((math.pi / n) * np.arange(n // 2 + 1, dtype=np.float64))
+    half = p * (1.0 + q) / (p * p + 4.0 * q * s * s)
+    return np.concatenate([half, half[n - half.size : 0 : -1]])
+
+
+def theta_rows(
+    model: WeightModel, n: int, d: int, tol: float = DEFAULT_TOL
+) -> tuple[list[np.ndarray], list[float], float]:
+    """theta_j(r/n) for r = 0..n-1 and j = 1..d, with majorants and the
+    product certificate: the rows of the theta table of ``wce``.
+
+    A coordinate with b_j = 1 is the Poisson kernel in closed form
+    (``_poisson_row``), exact up to rounding: no series, no fold and no
+    FFT, tau_j = 0 and major_j = theta_j(0), its entry at r = 0.  Every
+    other row is its truncated series, folded by ``fold_terms`` and put
+    through one FFT of length n, with major_j = theta_j(0) + tau_j.  The
+    certificate covers the series rows only, and their shares of ``tol``
+    (``_share_tolerance``); it is 0 when every b_j = 1.
+    """
+    closed = {
+        j: _poisson_row(model.a_j(j + 1) * model.rate, n) for j in range(d) if model.b_j(j + 1) == 1.0
+    }
+    exact = {j: float(row[0]) for j, row in closed.items()}
+    series, majors, bound = _share_tolerance(model, d, tol, exact)
+    values = [
+        closed[j] if j in closed else 1.0 + 2.0 * np.real(np.fft.fft(fold_terms(series[j][0], n)))
+        for j in range(d)
+    ]
+    return values, majors, bound
 
 
 def _theta_at(w: np.ndarray, t: float) -> float:

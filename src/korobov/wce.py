@@ -14,18 +14,23 @@ which by character orthogonality also equals
 ``wce2_theta_product`` is the O(N d) workhorse, and ``ThetaTable`` the
 table of theta values that the searches of ``search`` evaluate whole
 families on; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
-slower oracles used for cross-validation.  One residue-fold dual engine
-serves both ``wce2_dual_enum`` (sum of rho) and ``dominant_dual_frequency``
-(heaviest dual frequency): numpy blocks of the prefixes (h_j)_{j != c},
-each completed in coordinate c by one gather over its residue class.
+slower oracles used for cross-validation.  The table's rows come from
+``space.theta_rows``: a row with b_j = 1 is the Poisson kernel in closed
+form, with no truncation, no series and no FFT.  One residue-fold dual
+engine serves both ``wce2_dual_enum`` (sum of rho) and
+``dominant_dual_frequency`` (heaviest dual frequency): numpy blocks of
+the prefixes (h_j)_{j != c}, each completed in coordinate c by one
+gather over its residue class.
 The double sum forms all N^2 pair products, each row of pairs a window of
 one difference table per coordinate, from factors summed term by term off
 one table of N cosines at exact residues: no fold, no FFT.  Every
 evaluator reports its certified truncation bound alongside the value, at
-most the requested tolerance; the two product forms take their theta
-series and that bound from ``space.theta_factors``, which gives each
-coordinate a share of it; the dual sum's cut reads only the majorants
-``space.theta_majorant``.  ``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.
+most the requested tolerance; the table takes its certificate from
+``space.theta_rows``, which gives the truncated (b_j != 1) rows a share
+of it, and the double sum takes a series for every coordinate, and that
+bound, from ``space.theta_factors``; the dual sum's cut reads only the
+majorants ``space.theta_majorant``.
+``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -49,9 +54,11 @@ from .space import (
     CHUNK_CELLS,
     DEFAULT_TOL,
     WeightModel,
+    fold_terms,
     log_region_volume,
     theta_factors,
     theta_majorant,
+    theta_rows,
     theta_terms,
 )
 
@@ -111,26 +118,14 @@ class ErrorEstimate:
 # Theta tables: per-coordinate values at the N fractions r/N
 # ---------------------------------------------------------------------------
 
-def _fold_terms(w: np.ndarray, n: int) -> np.ndarray:
-    """Bucket series terms w_h (h = 1..H) by h mod n, pairwise-summed.
-
-    cos(2*pi*h*t) at t = r/n depends only on h mod n, so theta values at
-    all n fractions come from one length-n DFT of these buckets.  The
-    reduction runs along the contiguous axis so numpy's pairwise summation
-    applies (a long sequential accumulation would cost ~1e-10 absolute on
-    slowly decaying series).
-    """
-    padded = np.zeros(math.ceil(w.size / n) * n, dtype=np.float64)
-    padded[: w.size] = w
-    col_sums = padded.reshape(-1, n).T.copy().sum(axis=1)
-    return np.roll(col_sums, 1)  # column j holds residue (j + 1) mod n
-
 class ThetaTable:
     """Per-coordinate theta values at t = r/N for r = 0..N-1.
 
-    One row per coordinate j from the series of ``theta_factors``, with
-    their majorants theta_j(0) + tau_j and their product certificate
-    ``product_bound``, one for every k.  N * d is checked against
+    The rows, their majorants and their product certificate
+    ``product_bound`` come from ``space.theta_rows``: a row with b_j = 1 is
+    the Poisson kernel in closed form, every other row a truncated series
+    put through one FFT of length N.  ``product_bound`` holds for every k
+    and is 0 when every b_j = 1.  N * d is checked against
     ``THETA_TABLE_CELL_CAP`` before any allocation.  Read-only after
     construction, hence safe to share across workers.
     """
@@ -142,8 +137,7 @@ class ThetaTable:
             )
         self.n = n
         self.d = d
-        terms, self.majors, self.product_bound = theta_factors(model, d, tol)
-        self.values = [1.0 + 2.0 * np.real(np.fft.fft(_fold_terms(w, n))) for w in terms]
+        self.values, self.majors, self.product_bound = theta_rows(model, n, d, tol)
 
     def eval_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Squared errors for a block of generating vectors, shape (m, d).
@@ -315,7 +309,7 @@ def wce2_dual_enum(
         table = np.zeros(modulus)
         for lo in range(1, limit + 1, step):
             hs = np.arange(lo, min(lo + step, limit + 1), dtype=np.float64)
-            table += _fold_terms(np.exp(-model.rate * a_c * hs**b_c), modulus)
+            table += fold_terms(np.exp(-model.rate * a_c * hs**b_c), modulus)
         table += table[-np.arange(modulus) % modulus]
     sums = []
     for _, expo, resid in prefixes:

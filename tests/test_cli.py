@@ -239,6 +239,18 @@ def test_exit_code_cap_exceeded_by_theta_table(model_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "cap_exceeded"
 
 
+def test_search_modulus_above_the_cap_exits_two_like_wce(model_path, capsys):
+    # search checks its modulus with the rules' own check before any table
+    # is sized, so a prime above the cap is a config error, not a table cap
+    errors = []
+    for argv in (["search", "--n", "2147483659", "--d", "1"], ["wce", "--n", "2147483659", "--g", "1"]):
+        assert main([argv[0], "--model", model_path, *argv[1:]]) == 2
+        errors.append(json.loads(capsys.readouterr().err)["error"])
+    assert errors == [{"type": "config", "message": "modulus 2147483659 exceeds the cap 2147483648"}] * 2
+    assert main(["search", "--model", model_path, "--n", "9", "--d", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == "modulus must be prime, got 9"
+
+
 @pytest.mark.parametrize(
     "g, e2", [("1,2", 2.0 / 15.0), ("1,1073741824", 2.0 / 31.0)], ids=["g2", "g2-inverse"]
 )

@@ -91,6 +91,19 @@ def test_error_dominated_by_wce_times_norm():
         assert rep["ratio"] <= 1.0 + 1e-8
 
 
+def test_ratio_stays_finite_below_the_character_sum_noise():
+    # e^2 = 2 * 0.3**37 ~ 9e-20: the closed-form character sum reads it as
+    # 0, so the comparison takes it from the dual sum
+    model = make_model(omega=0.3, a=("linear", 1.0))
+    rule = LatticeRule(37, (11,))
+    f = dual_witness(rule, model)
+    rep = error_vs_wce(f, rule, model)
+    e2 = 2.0 * 0.3**37
+    assert rep["bound"] == pytest.approx(math.sqrt(e2) * f.norm(model), rel=1e-12)
+    assert rep["ratio"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert rep["realized"] <= rep["bound_upper"]
+
+
 def test_witness_nearly_saturates_bound():
     # max saturation over a witness corpus reaches 1/2 (single instances can
     # fall short when the dominant mass splits across symmetric frequencies)

@@ -11,6 +11,7 @@ from korobov import (
     KorobovParam,
     LatticeRule,
     a_lambda,
+    error_bound,
     korobov_vector,
     mean_pow_error,
     primitive_root,
@@ -271,3 +272,13 @@ def test_eval_korobov_tables_stay_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * (n * d + CHUNK_CELLS)
+
+
+def test_family_and_variant_share_one_check(linear_model):
+    # the searches and the bounds name an unknown family in one message
+    message = "family must be one of ('general', 'korobov'), got 'cbc'"
+    with pytest.raises(ValueError) as searched:
+        family_errors(13, 2, linear_model, family="cbc")
+    with pytest.raises(ValueError) as bounded:
+        error_bound(13, 2, 1.0, linear_model, variant="cbc")
+    assert str(searched.value) == str(bounded.value) == message

@@ -297,6 +297,60 @@ def test_dual_enum_does_not_build_the_product_certificate(monkeypatch):
     assert abs(est.value - ref.value) <= est.trunc_bound + ref.trunc_bound + 1e-14
 
 
+def test_closed_form_rows_build_no_series(monkeypatch):
+    # b = 1 rows are the Poisson kernel in closed form: no theta_terms
+    # series, no FFT and nothing truncated; the kernel double sum keeps its
+    # term-by-term series and their truncation bound
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    model, tol = make_model(a=("linear", 1.0)), 1e-12
+    rule = LatticeRule(101, (1, 12, 43))
+    with monkeypatch.context() as patch:
+        patch.setattr(korobov.space, "theta_terms", refuse("theta_terms"))
+        patch.setattr(korobov.wce, "theta_terms", refuse("theta_terms"))
+        patch.setattr(np.fft, "fft", refuse("np.fft.fft"))
+        table = korobov.wce.ThetaTable(model, rule.n, rule.d, tol)
+    assert table.product_bound == 0.0
+    assert wce2_kernel_double_sum(rule, model, tol).trunc_bound > 0.0
+    # mixed b: the tolerance goes to the series row alone
+    mixed = make_model(a=("linear", 1.0), prefix_b=(1.0, 0.5, 1.0))
+    est = wce2_theta_product(rule, mixed, 1.0, tol)
+    ref = wce2_dual_enum(rule, mixed, 1.0, tol)
+    assert 0.0 < est.trunc_bound <= tol
+    assert abs(est.value - ref.value) <= est.band + ref.band
+
+
+def test_closed_form_rows_within_their_rounding_bound():
+    # every b = 1 table entry against the Poisson kernel
+    # (1 - q^2) / (1 - 2q cos(2 pi m/N) + q^2), q = exp(-c), in 40-digit
+    # mpmath fed the same c = a * rate; the bound is the gamma_26 that
+    # space._poisson_row's docstring derives from its operation count
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    gamma_26 = 26 * u / (1 - 26 * u)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for n in (5, 101, 1009, 5003):
+            cosines = [mpmath.cos(2 * mpmath.pi * m / n) for m in range(n // 2 + 1)]
+            residues = np.minimum(np.arange(n), n - np.arange(n))
+            for omega, a in itertools.product((0.1, 0.5, 0.9, 0.99, 0.999), (0.25, 1.0, 3.5)):
+                model = make_model(omega=omega, a=("constant", a))
+                q = mpmath.exp(-mpmath.mpf(model.a_j(1) * model.rate))
+                ref = [(1 - q * q) / (1 - 2 * q * cm + q * q) for cm in cosines]
+                # each reference as a float pair hi + lo, so the error is
+                # read at far below u
+                hi = np.array([float(v) for v in ref])
+                lo = np.array([float(v - mpmath.mpf(h)) for v, h in zip(ref, hi)])
+                row = korobov.wce.ThetaTable(model, n, 1, 1e-14).values[0]
+                rel = np.abs((row - hi[residues]) - lo[residues]) / hi[residues]
+                assert rel.max() <= gamma_26, (omega, a, n, rel.max() / u)
+                worst = max(worst, float(rel.max()))
+    assert worst > 0.0  # the grid reaches rounding
+
+
 @pytest.mark.parametrize(
     "model, rule, cap_mb",
     [
