@@ -58,6 +58,7 @@ from .wce import (
     ErrorEstimate,
     dominant_dual_frequency,
     dual_enum_work_estimate,
+    korobov_survivors,
     wce2_dual_enum,
     wce2_kernel_double_sum,
     wce2_theta_product,
@@ -96,6 +97,7 @@ __all__ = [
     "info_complexity_bound",
     "is_prime",
     "kernel",
+    "korobov_survivors",
     "korobov_vector",
     "m_lambda",
     "mean_pow_error",

@@ -17,7 +17,11 @@ of saturating silently.  The empirical information complexity walks the
 primes once for a whole list of eps, so a trace scans once per (model, d),
 and it starts where Minkowski's convex body theorem stops excluding: every
 modulus up to ``minkowski_start(eps, d, model)`` is infeasible for every
-rank-1 rule.
+rank-1 rule.  Each prime is sieved before any character sum runs: the
+Korobov sieve of ``wce`` drops every generator with a nonzero dual h of
+E(h) <= T', the exponent that ``minkowski_start`` reads too, and a prime
+with no survivor is skipped.  ``error_bound_min`` checks its inputs once;
+each of its lambda probes is one ``log_product_bound`` call.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapExceededError, CertificateError, SummationCapError
+from .errors import CapExceededError, CertificateError, OracleInfeasibleError, SummationCapError
 from .lattice import check_dimension, next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
-from .search import check_family, search_korobov
+from .search import check_family, korobov_errors, search_korobov
+from .wce import ErrorEstimate, korobov_survivors
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
 # around the grid minimum sharpens minimized bounds reproducibly.
@@ -46,6 +51,12 @@ SCAN_N_CAP = 100_000
 # add up to less than 10**3 the volume is off by less than 1e-12 relative,
 # and every modulus up to the margined floor is truly excluded.
 MINKOWSKI_MARGIN = 1e-9
+
+# Most sieve survivors a prime scan evaluates one by one through
+# ``search.korobov_errors``; more go through the whole-family search.  On a
+# 2-vCPU Xeon (linear model, table builds included) the two cost the same at
+# about 40 survivors for N = 503..2003 and 60..130 at N = 5569, d = 2..3.
+SIEVE_EVAL_MAX = 32
 
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 1.0):
@@ -202,8 +213,16 @@ def error_bound_min(
     variant: str = "korobov",
     tol: float = DEFAULT_TOL,
 ) -> BoundReport:
-    """Smallest error bound over the lambda grid, reported at its lambda."""
-    value, lam = _minimize_lambda(lambda l: error_bound(n, d, l, model, variant, tol))
+    """Smallest error bound over the lambda grid, reported at its lambda.
+
+    The inputs are checked once; each lambda probe is one
+    ``log_product_bound`` call.
+    """
+    check_family(variant)
+    _check_size(n, d)
+    value, lam = _minimize_lambda(
+        lambda l: _error_bound(n, d, l, variant, log_product_bound(d, l, model, tol))
+    )
     if math.isfinite(value):
         return bound_report(n, d, lam, model, variant, tol)
     return BoundReport(
@@ -276,6 +295,13 @@ def info_complexity_bound(
     return exp_or_inf(log_val, count=True), lam
 
 
+def _t_prime(eps: float, model: WeightModel) -> float:
+    """T' = (2 log(1/eps) + log 2) / (-log omega): a nonzero dual h with
+    E(h) < T' gives e^2 >= rho(h) + rho(-h) = 2 omega**E(h) > eps^2.  The
+    Minkowski start and the Korobov sieve of the prime scan both read it."""
+    return (2.0 * -math.log(eps) + math.log(2.0)) / model.rate
+
+
 def minkowski_start(eps: float, d: int, model: WeightModel) -> int:
     """Largest modulus that Minkowski's convex body theorem excludes at eps.
 
@@ -295,7 +321,7 @@ def minkowski_start(eps: float, d: int, model: WeightModel) -> int:
     """
     _check_eps(eps)
     check_dimension(d)
-    t_prime = (2.0 * -math.log(eps) + math.log(2.0)) / model.rate
+    t_prime = _t_prime(eps, model)
     weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
 
     def log_volume(k: int) -> float:
@@ -318,7 +344,7 @@ def empirical_info_complexity(
     each eps of ``eps_list`` in input order.
 
     One scan over the primes in increasing order answers every eps, and
-    searches each prime at most once.  It skips the moduli up to
+    evaluates each prime at most once.  It skips the moduli up to
     :func:`minkowski_start`, which are infeasible for every rank-1 rule,
     not only for Korobov rules: the scan starts above the start of the
     largest eps still pending, and after answering one eps jumps to the
@@ -332,8 +358,19 @@ def empirical_info_complexity(
     search, and so does a scan that passes the cap without answering every
     eps.
 
-    Feasibility is decided on the certified interval value +- band of the
-    best e^2 (``ErrorEstimate.band``, the tie band of the search): eps^2
+    Each prime is first sieved (``wce.korobov_survivors``) at
+    T'(1 - ``MINKOWSKI_MARGIN``), with T' of the largest pending eps, the
+    exponent that the Minkowski start reads too: a generator with a nonzero
+    dual h of E(h) at most that has e^2 > eps^2 for every pending eps.  A
+    prime with no survivor is infeasible for all of them and is skipped
+    before any theta table is built.  Otherwise the least e^2 comes from
+    the survivors' vectors through ``search.korobov_errors`` when they are
+    at most ``SIEVE_EVAL_MAX``, else from the whole family's
+    ``search_korobov``; when the sieve's walk exceeds the enumeration cap,
+    every prime goes to the whole-family search.
+
+    Feasibility is decided on the certified interval value +- band of that
+    least e^2 (``ErrorEstimate.band``, the tie band of the search): eps^2
     above the interval is feasible, below it infeasible, and an interval
     that straddles eps^2 raises :class:`CertificateError` naming the
     prime, the interval and eps.
@@ -343,12 +380,24 @@ def empirical_info_complexity(
         raise CapExceededError(f"Minkowski start {top} lies above the cap {SCAN_N_CAP}")
     pending = sorted(start)
     found: dict[float, int] = {}
-    n = 1
+    n, sieve = 1, True
     while pending:
         n = next_prime(max(n, start[pending[-1]]) + 1)
         if n > SCAN_N_CAP:
             raise CapExceededError(f"no feasible prime modulus below the cap {SCAN_N_CAP}")
-        best = search_korobov(n, d, model, tol).best_e2
+        survivors, t_cut = None, _t_prime(pending[-1], model) * (1.0 - MINKOWSKI_MARGIN)
+        if sieve:
+            try:
+                survivors = korobov_survivors(n, d, model, t_cut)
+            except OracleInfeasibleError:
+                sieve = False
+        if survivors is not None and survivors.size == 0:
+            continue
+        if survivors is not None and survivors.size <= SIEVE_EVAL_MAX:
+            e2, bound = korobov_errors(n, d, model, survivors, tol)
+            best = ErrorEstimate(float(e2.min()), bound, "theta_product")
+        else:
+            best = search_korobov(n, d, model, tol).best_e2
         lo, hi = best.value - best.band, best.value + best.band
         while pending and start[pending[-1]] < n and pending[-1] ** 2 >= lo:
             if pending[-1] ** 2 <= hi:

@@ -5,7 +5,9 @@ true integral is the h = 0 coefficient, the space norm is a finite sum, and
 the quadrature error of a lattice rule equals the coefficient sum over the
 nonzero dual frequencies.  This makes the worst-case error bound
 |error| <= e(rule) * ||f|| checkable without any approximation on the
-function side.
+function side.  The convergence study builds once per call what does not
+depend on N; the prime scans of ``bounds`` sieve each prime before any
+character sum runs, at the exponent T' that ``minkowski_start`` reads.
 """
 
 from __future__ import annotations
@@ -249,6 +251,13 @@ def convergence_study(
     character sum come out as their true tiny values (0 once every dual
     point leaves the truncation region).  Primes above ``bounds.SCAN_N_CAP``
     raise :class:`CapExceededError` before any search runs.
+
+    Per prime only the work that depends on N runs: the theta table and
+    its Korobov kernel, the dual walk and the lambda probes of the bound.
+    What does not is built once per call: the dual sum's region threshold
+    and its theta_j(0) majorants (memoised per model, d and tol) and the
+    model's ``rate``, ``a_star`` and ``b_star``; ``error_bound_min``
+    checks its inputs once per prime, not once per lambda probe.
     """
     primes = list(primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):

@@ -8,7 +8,9 @@ family is evaluated here, in chunks over ``threads`` workers: all N
 scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
 of strided windows over tiles of a primitive-root-permuted theta table,
 in chunks of rows that depend on N and d, and all N^d vectors of a tiny
-instance by ``ThetaTable.eval_vectors``.  Both searches select the
+instance by ``ThetaTable.eval_vectors``, which also evaluates the few
+Korobov generators of ``korobov_errors`` (the survivors of a prime
+scan's sieve).  Both searches select the
 lambda = 1 error minimizer on one path: members within
 ``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
 order (smallest scalar / lexicographically smallest vector) wins, so
@@ -30,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapExceededError
 from .lattice import (
@@ -91,44 +93,52 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     period m and the k != 0 terms of candidate b sum to
     2 * sum_{a<m} prod_j T_j[(a + j b) mod m].  Across a block of rows
     the start of coordinate j's slice moves by s_j = j mod m, so T_j is
-    tiled once to 2m + s_j (chunk - 1) cells and the block reads a
-    strided run of its windows, with no gather (s_j = 0 reads T_j[:m]).
+    tiled once to 2m + s_j (chunk - 1) cells, viewed as its windows by
+    one strided view, and the block reads a strided run of them, with no
+    gather (s_j = 0 reads T_j[:m]).  The powers gamma^a come by doubling:
+    gamma^(s + i) = gamma^s gamma^i fills the next s of them at once.
     With chunk = CHUNK_CELLS // (m + sum_j s_j) the tiled tables hold at
-    most N d + CHUNK_CELLS cells, and the first product is the block's
-    only new array: the other coordinates multiply into it in place.
-    g = gamma^b and N - g = gamma^(b+m) share a row, so they tie
-    exactly.  The k = 0 term prod_j theta_j(0) is added separately and
-    g = 0 goes through :meth:`ThetaTable.eval_vectors`, as do d = 1 and
-    N < 5.  Each row is reduced on its own and chunks depend only on N
-    and d, so results do not depend on ``threads``.
+    most N d + CHUNK_CELLS cells.  The first product goes into one block
+    buffer that the blocks reuse (a new array per block when threads > 1),
+    and the other coordinates multiply into it in place.  g = gamma^b and
+    N - g = gamma^(b+m) share a row, so they tie exactly.  The k = 0 term
+    prod_j theta_j(0) is added separately.  g = 0, the vector
+    (1, 0, ..., 0), is the one row theta_1(k/N) * prod_{j>=2} theta_j(0),
+    multiplied in the order of :meth:`ThetaTable.eval_vectors`, which
+    evaluates d = 1 and N < 5.  Each row is reduced on its own and chunks
+    depend only on N and d, so results do not depend on ``threads``.
     """
     n, d = table.n, table.d
     if d == 1:
         return np.full(n, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
     if n < 5:
-        return table.eval_vectors(np.array([korobov_vector(KorobovParam(n, g, d)).g for g in range(n)]))
+        return table.eval_vectors(_korobov_vectors(n, d, np.arange(n)))
     m = (n - 1) // 2
-    gamma, power, powers = primitive_root(n), 1, []
-    for _ in range(m):
-        powers.append(power)
-        power = power * gamma % n
-    powers = np.array(powers, dtype=np.int64)
+    gamma, powers, size = primitive_root(n), np.ones(m, dtype=np.int64), 1
+    while size < m:  # gamma^(size + i) = gamma^size * gamma^i, doubling the run
+        step = min(size, m - size)
+        powers[size : size + step] = powers[:step] * pow(gamma, size, n) % n
+        size += step
     steps = [j % m for j in range(d)]
     chunk = max(1, CHUNK_CELLS // (m + sum(steps)))
     # row b of a block starting at lo reads T_j from (s_j lo) mod m +
-    # s_j (b - lo): a strided run of windows over T_j tiled to cover it
-    windows = [
-        sliding_window_view(np.resize(vals[powers], 2 * m + s * (chunk - 1)), m)
-        for vals, s in zip(table.values, steps)
-    ]
+    # s_j (b - lo): a strided run of the windows of T_j tiled to cover it
+    tiled = np.resize(powers, 2 * m + max(steps) * (chunk - 1))
+    windows = []
+    for vals, s in zip(table.values, steps):
+        tile = vals[tiled[: 2 * m + s * (chunk - 1)]]
+        windows.append(as_strided(tile, (tile.size - m + 1, m), tile.strides * 2, writeable=False))
     k0 = math.prod(vals[0] for vals in table.values)
+    # one block buffer, reused when the blocks run one after another
+    buffer = np.empty((min(chunk, m), m)) if threads == 1 else None
 
     def factor(j: int, lo: int, hi: int) -> np.ndarray:
         s = steps[j]
         return windows[j][s * lo % m :: s][: hi - lo] if s else windows[j][0]
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        acc = factor(1, lo, hi) * factor(0, lo, hi)
+        out = None if buffer is None else buffer[: hi - lo]
+        acc = np.multiply(factor(1, lo, hi), factor(0, lo, hi), out=out)
         for j in range(2, d):
             acc *= factor(j, lo, hi)
         return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
@@ -137,9 +147,11 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     e2 = np.empty(n, dtype=np.float64)
     e2[powers] = half
     e2[n - powers] = half
-    unit = np.zeros((1, d), dtype=np.int64)
-    unit[0, 0] = 1
-    e2[0] = table.eval_vectors(unit)[0]
+    # g = 0: the vector (1, 0, ..., 0), as eval_vectors forms it
+    row = table.values[0] * table.values[1][0]
+    for vals in table.values[2:]:
+        row *= vals[0]
+    e2[0] = row.mean() - 1.0
     return e2
 
 
@@ -187,6 +199,28 @@ def family_errors(
     table = theta_table(model, n, d, tol)
     e2 = (_eval_korobov if family == "korobov" else _eval_all)(table, threads)
     return e2, table.product_bound
+
+
+def _korobov_vectors(n: int, d: int, generators: np.ndarray) -> np.ndarray:
+    """Rows (1, g, ..., g^(d-1)) mod n for the int64 generators g in [0, n)."""
+    vectors = np.ones((generators.size, d), dtype=np.int64)
+    for j in range(1, d):
+        vectors[:, j] = vectors[:, j - 1] * generators % n
+    return vectors
+
+
+def korobov_errors(
+    n: int, d: int, model: WeightModel, generators, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, float]:
+    """Squared errors of the Korobov vectors of ``generators`` (integers in
+    [0, n)) by ``ThetaTable.eval_vectors``, with the table's truncation
+    bound: O(N d) per generator, where ``family_errors`` costs O(N^2 d / 4)
+    for all N."""
+    check_modulus(n)
+    check_dimension(d)
+    table = theta_table(model, n, d, tol)
+    vectors = _korobov_vectors(n, d, np.asarray(generators, dtype=np.int64))
+    return table.eval_vectors(vectors), table.product_bound
 
 
 def _select(n: int, d: int, model: WeightModel, tol: float, family: str, threads: int) -> SearchResult:

@@ -54,6 +54,7 @@ import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,6 +180,8 @@ class WeightModel:
     - 0 < omega < 1, so every series decays at :attr:`rate` > 0;
     - the combined a-sequence is nondecreasing with a_1 > 0;
     - inf_j b_j > 0 (available in closed form as :attr:`b_star`).
+
+    ``rate``, ``a_star`` and ``b_star`` are computed once per model.
     """
 
     omega: float
@@ -224,17 +227,17 @@ class WeightModel:
             return self.prefix_b[j - 1]
         return self.b.value(j)
 
-    @property
+    @cached_property
     def a_star(self) -> float:
         """inf_j a_j, which equals a_1 by monotonicity."""
         return self.a_j(1)
 
-    @property
+    @cached_property
     def rate(self) -> float:
         """Decay rate -log(omega); log(1/omega) would be off by up to 16 ulps."""
         return -math.log(self.omega)
 
-    @property
+    @cached_property
     def b_star(self) -> float:
         """inf_j b_j, computed in closed form per family."""
         candidates = list(self.prefix_b)

@@ -16,11 +16,17 @@ table of theta values that the searches of ``search`` evaluate whole
 families on; ``wce2_dual_enum`` and ``wce2_kernel_double_sum`` are
 slower oracles used for cross-validation.  The table's rows come from
 ``space.theta_rows``: a row with b_j = 1 is the Poisson kernel in closed
-form, with no truncation, no series and no FFT.  One residue-fold dual
-engine serves both ``wce2_dual_enum`` (sum of rho) and
-``dominant_dual_frequency`` (heaviest dual frequency): numpy blocks of
-the prefixes (h_j)_{j != c}, each completed in coordinate c by one
-gather over its residue class.
+form, with no truncation, no series and no FFT.  One prefix walk, numpy
+blocks of (h, E(h)) over the coordinates other than a solved one c that
+depend on no generating vector, serves three callers, each forming its
+own residues -h . g mod N: ``wce2_dual_enum`` (sum of rho, each prefix
+completed in coordinate c by one gather), ``dominant_dual_frequency``
+(heaviest dual frequency) and ``korobov_survivors``, the Korobov sieve
+of the prime scans, which walks coordinates 2..d once for every g of a
+family and keeps the g with mu(g) > T, mu(g) the least E(h) over nonzero
+dual h; the prime scans of ``bounds`` sieve each prime with it, at the
+exponent T' that ``bounds.minkowski_start`` reads, before any character
+sum runs.
 The double sum forms all N^2 pair products, each row of pairs a window of
 one difference table per coordinate, from factors summed term by term off
 one table of N cosines at exact residues: no fold, no FFT.  Every
@@ -30,7 +36,10 @@ most the requested tolerance; the table takes its certificate from
 of it, and the double sum takes a series for every coordinate, and that
 bound, from ``space.theta_factors``; the dual sum's cut reads only the
 majorants ``space.theta_majorant``.
-``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.
+``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.  The dual sum's
+region threshold ``_enum_cut`` is memoised per (model, d, tol), so a
+scan that calls the dual sum at every prime builds its theta_j(0)
+majorants once.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -49,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
-from .lattice import LatticeRule
+from .lattice import LatticeRule, check_dimension, check_modulus
 from .space import (
     CHUNK_CELLS,
     DEFAULT_TOL,
@@ -69,6 +78,12 @@ ENUM_CAP = 10**8
 # Cells per block of the dual engine, about 0.5 MB of temporaries at d = 4:
 # 2**16-cell blocks raised a process's peak memory by 5 MB, no faster.
 BLOCK_CELLS = CHUNK_CELLS // 16
+
+# Cells per block of the Korobov sieve, prefixes times live generators: with
+# a quarter of CHUNK_CELLS the sieve's temporaries stay in L2, and on the
+# linear model at eps = 1e-8, d = 3 (135 primes from 4421) it ran in about
+# half the time of BLOCK_CELLS blocks on a 2-vCPU Xeon.
+SIEVE_CELLS = CHUNK_CELLS // 4
 
 # Work cap of the kernel double sum, on its N^2 pairs and on its N * sum_j H_j
 # factor cells, each checked before its loop; both loops run in blocks.
@@ -180,9 +195,10 @@ def wce2_theta_product(
 # Dual-lattice enumeration
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     """Region threshold T of the dual sum at tolerance ``tol``, with its tail
-    certificate.
+    certificate; memoised per (model, d, tol).
 
     T makes the mass outside {h : sum_j a_j*|h_j|**b_j <= T}, bounded by
     omega**(T/2) * prod_j theta_j(0) in the space at base omega**(1/2)
@@ -201,6 +217,11 @@ def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     return t_cut, tail
 
 
+def _weights(model: WeightModel, d: int) -> list[tuple[float, float]]:
+    """(a_j, b_j) of the coordinates j = 1..d."""
+    return [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
+
+
 def _enum_plan(rule: LatticeRule, model: WeightModel, t_cut: float):
     """``(weights, limits, c, g, modulus, fold, est)`` for the dual h with
     E(h) = sum_j a_j*|h_j|**b_j <= t_cut, limits[j] = H_j the range of h_j.
@@ -211,11 +232,11 @@ def _enum_plan(rule: LatticeRule, model: WeightModel, t_cut: float):
     modulus is at most that, else 0; ``est`` adds the prefix region's volume.
     """
     n, d = rule.n, rule.d
-    weights = [(model.a_j(j), model.b_j(j)) for j in range(1, d + 1)]
+    weights = _weights(model, d)
     limits = [int((t_cut / a) ** (1.0 / b)) for a, b in weights]
     c = max([j for j in range(d) if rule.g[j] % n] or range(d), key=limits.__getitem__)
     modulus = n if rule.g[c] % n else 1
-    g = [gj * pow(rule.g[c], -1, modulus) % modulus for gj in rule.g]
+    g = np.array([gj * pow(rule.g[c], -1, modulus) % modulus for gj in rule.g], dtype=np.int64)
     fold = 2 * limits[c] + 1 if modulus <= 2 * limits[c] + 1 else 0
     est = math.exp(log_region_volume(t_cut, weights[:c] + weights[c + 1 :])) + fold
     return weights, limits, c, g, modulus, fold, est
@@ -234,15 +255,18 @@ def dual_enum_work_estimate(
     return _enum_plan(rule, model, t_cut)[-1]
 
 
-def _dual_prefixes(t_cut: float, plan):
-    """Blocks ``(h, E(h), -h . g mod modulus)`` of {h : h_c = 0, E(h) <= t_cut},
-    h of shape (m, d); the residue is the class a dual h_c must lie in.  The
-    region grows a coordinate at a time, narrowest first, in blocks of at most
-    ``BLOCK_CELLS`` cells per level.  The folded frequencies and each block
-    count against ``ENUM_CAP`` before allocation; :class:`OracleInfeasibleError`
-    when the count exceeds it or the estimate exceeds 4 * ENUM_CAP.
+def _dual_walk(t_cut: float, weights: list[tuple[float, float]], c: int, done: int, est: float):
+    """Blocks ``(h, E(h))`` of {h : h_c = 0, E(h) <= t_cut}, h of shape
+    (m, d), E(h) = sum_j a_j*|h_j|**b_j for ``weights`` = [(a_j, b_j)].
+
+    The walk reads no generating vector, so one walk serves one rule and a
+    whole family; its callers form the residues (:func:`_residues`).  The
+    region grows a coordinate at a time, narrowest first, in blocks of at
+    most ``BLOCK_CELLS`` cells per level.  The ``done`` cells of the
+    caller (its folded frequencies) and each block count against
+    ``ENUM_CAP`` before allocation; :class:`OracleInfeasibleError` when the
+    count exceeds it or the estimate ``est`` exceeds 4 * ENUM_CAP.
     """
-    weights, limits, c, g, modulus, fold, est = plan
     work = 0
     if est > 4.0 * ENUM_CAP:
         raise OracleInfeasibleError(f"estimated enumeration work {est:.3g} exceeds the cap {ENUM_CAP}")
@@ -255,7 +279,7 @@ def _dual_prefixes(t_cut: float, plan):
 
     def expand(parents, j: int):
         a, b = weights[j]
-        for h, expo, resid in parents:
+        for h, expo in parents:
             # clipped at 0: E(h) may round a few ulps above t_cut
             half = np.floor((np.maximum(t_cut - expo, 0.0) / a) ** (1.0 / b)).astype(np.int64)
             ends = np.cumsum(2 * half + 1)
@@ -269,17 +293,34 @@ def _dual_prefixes(t_cut: float, plan):
                 hj = np.arange(lo, hi, dtype=np.int64) - np.take(offset, parent)
                 child = np.take(h, parent, axis=0)
                 child[:, j] = hj
-                yield (
-                    child,
-                    np.take(expo, parent) + a * np.abs(hj).astype(np.float64) ** b,
-                    (np.take(resid, parent) - hj % modulus * g[j]) % modulus,
-                )
+                yield child, np.take(expo, parent) + a * np.abs(hj).astype(np.float64) ** b
 
-    count(fold)
-    blocks = iter([(np.zeros((1, len(weights)), dtype=np.int64), np.zeros(1), np.zeros(1, dtype=np.int64))])
+    count(done)
+    limits = [int((t_cut / a) ** (1.0 / b)) for a, b in weights]
+    blocks = iter([(np.zeros((1, len(weights)), dtype=np.int64), np.zeros(1))])
     for j in sorted((j for j in range(len(weights)) if j != c), key=limits.__getitem__):
         blocks = expand(blocks, j)
     return blocks
+
+
+def _residues(h: np.ndarray, g: np.ndarray, modulus: int, reach: int, shift=0) -> np.ndarray:
+    """(shift - h . g) mod ``modulus`` for the rows of h, shape (m, k), with
+    |h_j| <= ``reach``, and g of shape (k,) or (k, A) with entries in
+    [0, modulus); 0 <= shift <= modulus.  With shift = 0 it is the residue
+    class that a dual completion h_c of each row must lie in.
+
+    Where k * reach * modulus < 2**62 no product or partial sum can
+    overflow int64, and h . g is one matrix product reduced once (an int64
+    modulo costs several times a product).  Otherwise each h_j is reduced
+    mod ``modulus`` before it multiplies g_j, so every product is below
+    2**62, and the sum is reduced after each term.
+    """
+    if h.shape[1] * reach * modulus < 2**62:
+        return (shift - h @ g) % modulus
+    acc = shift
+    for j in range(h.shape[1]):
+        acc = (acc - np.multiply.outer(h[:, j] % modulus, g[j])) % modulus
+    return acc
 
 
 def wce2_dual_enum(
@@ -294,16 +335,18 @@ def wce2_dual_enum(
     superset of {E(h) <= T}, the region of ``_enum_cut``, so the omitted
     mass is certified below ``tol``.  Terms are positive and h = 0 is left
     out, not subtracted, so errors far below the character sum's noise floor
-    come out as themselves.  Prefix blocks are completed in coordinate c from
-    F_c[r] = sum_{0 < |h| <= H_c, h == r} rho_c(h), or from the one
-    representative of r in [-H_c, H_c] when the modulus exceeds 2 H_c + 1.
+    come out as themselves.  Each prefix of the walk is completed in
+    coordinate c by one gather: from F_c[r] = sum_{|h| <= H_c, h == r}
+    rho_c(h), or, when the modulus exceeds 2 H_c + 1, from the 2 H_c + 2
+    entries rho_c(-H_c .. H_c) and 0, at the residue shifted by H_c and
+    clipped; h_c = 0 is dropped for the zero prefix alone.  Nothing of
+    length N is allocated.
     """
     model = model.scaled(lam)
     t_cut, tail_bound = _enum_cut(model, rule.d, tol)
-    plan = _enum_plan(rule, model, t_cut)
-    weights, limits, c, _, modulus, fold, _ = plan
+    weights, limits, c, g, modulus, fold, est = _enum_plan(rule, model, t_cut)
     (a_c, b_c), limit = weights[c], limits[c]
-    prefixes = _dual_prefixes(t_cut, plan)
+    prefixes = _dual_walk(t_cut, weights, c, fold, est)
     if fold:
         step = modulus * max(1, BLOCK_CELLS // modulus)
         table = np.zeros(modulus)
@@ -311,14 +354,20 @@ def wce2_dual_enum(
             hs = np.arange(lo, min(lo + step, limit + 1), dtype=np.float64)
             table += fold_terms(np.exp(-model.rate * a_c * hs**b_c), modulus)
         table += table[-np.arange(modulus) % modulus]
-    sums = []
-    for _, expo, resid in prefixes:
-        if fold:
-            mass = table[resid] + ((resid == 0) & (expo > 0.0))
-        else:
-            rep = np.where(resid <= limit, resid, resid - modulus)
-            ok = (np.abs(rep) <= limit) & ((rep != 0) | (expo > 0.0))
-            mass = np.where(ok, np.exp(-model.rate * a_c * np.abs(rep) ** b_c), 0.0)
+        masses, zero_mass, shift = table.copy(), table[0], 0
+        masses[0] += 1.0
+    else:
+        reps = np.abs(np.arange(-limit, limit + 1, dtype=np.int64))
+        masses, zero_mass, shift = np.append(np.exp(-model.rate * a_c * reps**b_c), 0.0), 0.0, limit
+    sums, zero_pending = [], True
+    for h, expo in prefixes:
+        index = _residues(h, g, modulus, max(limits), shift)
+        if not fold:
+            np.minimum(index, 2 * limit + 1, out=index)
+        mass = masses[index]
+        if zero_pending and (zero := np.flatnonzero(expo == 0.0)).size:
+            mass[zero] = zero_mass
+            zero_pending = False
         # a pairwise sum, not a BLAS dot, whose parallel workers stall on a busy core
         sums.append(float((np.exp(-model.rate * expo) * mass).sum()))
     return ErrorEstimate(math.fsum(sums), tail_bound, "dual_enum")
@@ -333,7 +382,7 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
     for every g_i != 0, at the smaller of |r| and |r - N|.  The walk covers
     {E(h) <= that least E + 1} (the + 1 absorbs rounding).
     """
-    n, weights = rule.n, [(model.a_j(j), model.b_j(j)) for j in range(1, rule.d + 1)]
+    n, weights = rule.n, _weights(model, rule.d)
     known = [a * float(n) ** b for a, b in weights]
     for (j, (a_j, _)), (i, (a_i, b_i)) in itertools.permutations(enumerate(weights), 2):
         if rule.g[i]:
@@ -349,11 +398,11 @@ def _dominant_within(rule: LatticeRule, model: WeightModel, t_cut: float) -> tup
     Completions within a relative 1e-9 of the least are ranked by
     (``model.exponent(h)``, h), so the walk order does not matter.
     """
-    plan = _enum_plan(rule, model, t_cut)
-    weights, limits, c, _, modulus, _, _ = plan
+    weights, limits, c, g, modulus, fold, est = _enum_plan(rule, model, t_cut)
     a_c, b_c = weights[c]
     near, best = [], math.inf
-    for h, expo, resid in _dual_prefixes(t_cut, plan):
+    for h, expo in _dual_walk(t_cut, weights, c, fold, est):
+        resid = _residues(h, g, modulus, max(limits))
         small = np.minimum(resid, modulus - resid)
         small[(resid == 0) & (expo == 0.0)] = modulus  # h = 0 is not a candidate
         total = np.where(small <= limits[c], expo + a_c * small.astype(np.float64) ** b_c, math.inf)
@@ -363,6 +412,94 @@ def _dominant_within(rule: LatticeRule, model: WeightModel, t_cut: float) -> tup
             h[:, c] = sign * small
             near += h[keep & ((h[:, c] - resid) % modulus == 0)].tolist()
     return tuple(min(near, key=lambda h: (model.exponent(h), h)))
+
+
+# ---------------------------------------------------------------------------
+# Korobov sieve: mu(g) > T for every g of a family
+# ---------------------------------------------------------------------------
+
+def _sieve_walk(model: WeightModel, d: int, t_cut: float):
+    """Blocks ``(h_2..h_d, E, H_1)`` of the prefixes of
+    :func:`korobov_survivors` in walk order: the rows of {E(h) <= t_cut,
+    h_1 = 0} whose first nonzero entry is positive (h and -h complete
+    alike, and the zero prefix goes), with H_1 the largest |h_1| that keeps
+    E(h) <= t_cut, clipped at 2**40."""
+    weights = _weights(model, d)
+    a, b = weights[0]
+    for h, expo in _dual_walk(t_cut, weights, 0, 0, _sieve_estimate(weights, t_cut)):
+        h = h[:, 1:]
+        keep = h[np.arange(len(h)), (h != 0).argmax(axis=1)] > 0 if d > 1 else np.zeros(len(h), dtype=bool)
+        room = np.minimum((np.maximum(t_cut - expo[keep], 0.0) / a) ** (1.0 / b), 2.0**40)
+        yield h[keep], expo[keep], np.floor(room).astype(np.int64)
+
+
+def _sieve_estimate(weights: list[tuple[float, float]], t_cut: float) -> float:
+    """Volume of the sieve's prefix region, the walk's work estimate."""
+    return math.exp(log_region_volume(t_cut, weights[1:]))
+
+
+@lru_cache(maxsize=8)
+def _sieve_rows(model: WeightModel, d: int, t_cut: float):
+    """``(h_2..h_d, H_1)`` of every prefix of :func:`_sieve_walk`, read-only
+    and in ascending E, or None when the region's estimate exceeds
+    ``CHUNK_CELLS`` rows.  Memoised: the rows depend on neither the modulus
+    nor the generator."""
+    if _sieve_estimate(_weights(model, d), t_cut) > CHUNK_CELLS:
+        return None
+    h, expo, limit = (np.concatenate(parts) for parts in zip(*_sieve_walk(model, d, t_cut)))
+    order = np.argsort(expo, kind="stable")
+    h, limit = h[order], limit[order]
+    h.flags.writeable = limit.flags.writeable = False  # shared by every caller
+    return h, limit
+
+
+def korobov_survivors(n: int, d: int, model: WeightModel, t_cut: float) -> np.ndarray:
+    """Every g in [0, n), ascending, for which no nonzero dual h of the
+    Korobov vector (1, g, ..., g**(d-1)) has E(h) <= ``t_cut``: the g with
+    mu(g) > t_cut, where mu(g) is the least E(h) over nonzero dual h.
+
+    h = n e_1 is dual to every such vector, so no g survives when
+    a_1 n**b_1 <= t_cut.  Otherwise the sieve walks coordinates 2..d with
+    c = 1, since g_1 = 1: a prefix (h_2..h_d) with E <= t_cut completes to a
+    dual h with E(h) <= t_cut exactly when |h_1| = min(r, n - r), at
+    r = -sum_j h_j g**(j-1) mod n, fits the budget
+    a_1 |h_1|**b_1 <= t_cut - E, and each g is dropped at the first
+    prefix that does so.  Where the prefix region holds at most
+    ``CHUNK_CELLS`` rows the prefixes come in ascending E, so most g go at
+    the first few; the rows are memoised per (model, d, t_cut), as they
+    depend on neither n nor g.  h and -h complete alike, as do g and n - g
+    (negate the even-indexed h_j), so only prefixes whose first nonzero
+    entry is positive and g <= n // 2 are walked.  Each block of prefixes
+    times live generators holds at most about ``SIEVE_CELLS`` cells.  E is
+    summed in floating point, so a dual h within a few ulps of t_cut may
+    fall on either side; the walk counts against ``ENUM_CAP`` and raises
+    :class:`OracleInfeasibleError` as :func:`wce2_dual_enum` does.  The
+    modulus must pass ``check_modulus`` and d be at least 1.
+    """
+    check_modulus(n)
+    check_dimension(d)
+    a_1, b_1 = model.a_j(1), model.b_j(1)
+    if a_1 * float(n) ** b_1 <= t_cut:
+        return np.empty(0, dtype=np.int64)
+    rows = _sieve_rows(model, d, t_cut)
+    blocks = [rows] if rows else ((h, limit) for h, _, limit in _sieve_walk(model, d, t_cut))
+    reach = max(int((t_cut / a) ** (1.0 / b)) for a, b in _weights(model, d))
+    alive = np.arange(n // 2 + 1, dtype=np.int64)
+    powers = np.empty((d - 1, alive.size), dtype=np.int64)
+    for j in range(d - 1):
+        powers[j] = alive * (powers[j - 1] if j else 1) % n
+    for h, limit in blocks:
+        lo = 0
+        while lo < len(h) and alive.size:
+            hi = lo + max(1, SIEVE_CELLS // alive.size)
+            shift = np.minimum(limit[lo:hi], n)[:, None]
+            hit = _residues(h[lo:hi], powers, n, reach, shift) <= 2 * shift
+            live = ~hit.any(axis=0)
+            alive, powers = alive[live], powers[:, live]
+            lo = hi
+        if not alive.size:
+            break
+    return np.concatenate([alive, n - alive[(alive > 0) & (2 * alive < n)][::-1]])
 
 
 # ---------------------------------------------------------------------------

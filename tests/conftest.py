@@ -88,3 +88,32 @@ def unit_model():
 def linear_model():
     """omega = 1/2, a_j = j, b_j = 1: the canonical decaying-weight model."""
     return make_model(a=("linear", 1.0))
+
+
+def brute_korobov_survivors(n, d, model, t_cut):
+    """Every g in [0, n) whose Korobov vector (1, g, ..., g^(d-1)) has no
+    nonzero dual h with E(h) <= t_cut, by enumerating the box
+    |h_j| <= (t_cut / a_j)**(1/b_j), which holds {E <= t_cut}."""
+    reach = [int((t_cut / model.a_j(j)) ** (1.0 / model.b_j(j))) for j in range(1, d + 1)]
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in reach]
+    h = np.stack([gr.ravel() for gr in np.meshgrid(*axes, indexing="ij")], axis=1)
+    expo = np.zeros(h.shape[0])
+    for j in range(d):
+        expo += model.a_j(j + 1) * np.abs(h[:, j]).astype(float) ** model.b_j(j + 1)
+    h = h[(expo <= t_cut) & np.any(h != 0, axis=1)]
+    survivors = []
+    for g in range(n):
+        v = np.array([pow(g, j, n) for j in range(d)], dtype=np.int64)
+        if not np.any(h @ v % n == 0):
+            survivors.append(g)
+    return survivors
+
+
+def first_sieved_prime(n, d, model, t_cut):
+    """The first prime above n whose Korobov family keeps a generator with
+    no nonzero dual h of E(h) <= t_cut, by trial division and box
+    enumeration."""
+    n += 1
+    while not (trial_division_is_prime(n) and brute_korobov_survivors(n, d, model, t_cut)):
+        n += 1
+    return n

@@ -27,9 +27,9 @@ from korobov import (
     SummationCapError,
 )
 
-from korobov.bounds import bound_report
+from korobov.bounds import MINKOWSKI_MARGIN, bound_report
 
-from conftest import make_model
+from conftest import first_sieved_prime, make_model
 
 
 def test_product_bound_geometric(unit_model):
@@ -301,19 +301,27 @@ def test_minkowski_start_is_sound(omega, a, b):
 
 def test_empirical_straddled_interval_is_a_certificate_error(linear_model):
     # at eps = 1e-8, eps^2 = 1e-16 lies inside the certified interval
-    # e2 +- band of the best rule at N = 739, the first prime above the
-    # Minkowski start 733, so the scan stops there instead of reading
-    # rounding bits as a decision
-    with pytest.raises(CertificateError, match=r"prime 739\b.*eps = 1e-08"):
+    # e2 +- band of the best survivor at the first prime above the
+    # Minkowski start 733 whose family keeps a generator with no dual h of
+    # E(h) <= T': 757, found here by box enumeration.  The primes before
+    # it (739, 743, 751) are infeasible for every generator and skipped.
+    # The scan stops there instead of reading rounding bits as a decision
+    t_cut = _t_prime(1e-8, 0.5) * (1.0 - MINKOWSKI_MARGIN)
+    n = first_sieved_prime(minkowski_start(1e-8, 2, linear_model), 2, linear_model, t_cut)
+    assert n == 757
+    with pytest.raises(CertificateError, match=rf"prime {n}\b.*eps = 1e-08"):
         empirical_info_complexity([1e-8], 2, linear_model)
 
 
 def test_empirical_interval_is_the_band(linear_model, monkeypatch):
     # the feasibility interval is value +- ErrorEstimate.band: a slack wider
-    # than eps^2 makes the first prime scanned straddle it
+    # than eps^2 makes the first prime whose family the sieve keeps straddle
+    # it (19, found here by box enumeration)
     monkeypatch.setattr(korobov.wce, "TIE_SLACK", 1.0)
-    start = minkowski_start(0.1, 2, linear_model)
-    with pytest.raises(CertificateError, match=rf"prime {next_prime(start + 1)}\b.*eps = 0.1"):
+    t_cut = _t_prime(0.1, 0.5) * (1.0 - MINKOWSKI_MARGIN)
+    n = first_sieved_prime(minkowski_start(0.1, 2, linear_model), 2, linear_model, t_cut)
+    assert n == 19
+    with pytest.raises(CertificateError, match=rf"prime {n}\b.*eps = 0.1"):
         empirical_info_complexity([0.1], 2, linear_model)
 
 
@@ -321,3 +329,62 @@ def test_search_error_below_bound_all_grid(linear_model):
     best = search_korobov(13, 2, linear_model).best_e2.e
     for lam in LAMBDA_GRID:
         assert best <= error_bound(13, 2, lam, linear_model, "korobov") + 1e-12
+
+
+def _reference_scan(eps, d, model):
+    """First prime above the Minkowski start whose best Korobov e2 interval
+    lies below eps^2, searching every prime with search_korobov."""
+    n = minkowski_start(eps, d, model)
+    while True:
+        n = next_prime(n + 1)
+        best = search_korobov(n, d, model).best_e2
+        if best.value + best.band < eps**2:
+            return n
+        assert best.value - best.band > eps**2, (eps, d, n)
+
+
+@pytest.mark.parametrize("eval_max", [None, 0], ids=["survivors", "family"])
+@pytest.mark.parametrize(
+    "model",
+    [make_model(a=("linear", 1.0)), make_model(omega=0.1)],
+    ids=["linear", "constant-0.1"],
+)
+def test_sieved_scan_matches_a_full_search_scan(model, eval_max, monkeypatch):
+    # the sieve skips only primes that a search of every generator finds
+    # infeasible, and the survivors' least e2 decides like the family's;
+    # every survivor set here is small, so eval_max = 0 sends each kept
+    # prime to the whole-family search instead
+    if eval_max is not None:
+        monkeypatch.setattr(korobov.bounds, "SIEVE_EVAL_MAX", eval_max)
+    eps_list = [0.4, 0.1, 1e-2, 1e-3]
+    for d in (1, 2, 3):
+        expected = [_reference_scan(eps, d, model) for eps in eps_list]
+        assert empirical_info_complexity(eps_list, d, model) == expected, d
+        assert [empirical_info_complexity([eps], d, model)[0] for eps in eps_list] == expected
+
+
+def test_sieved_scan_respects_the_bounds_at_small_eps(linear_model):
+    # nofe's n_lower <= n_upper <= n_bound where the sieve settles most primes
+    for eps, d in ((1e-4, 2), (1e-4, 3), (1e-5, 2), (1e-5, 3)):
+        [n_upper] = empirical_info_complexity([eps], d, linear_model)
+        n_bound, _ = info_complexity_bound(eps, d, linear_model)
+        assert minkowski_start(eps, d, linear_model) <= n_upper <= n_bound, (eps, d)
+    assert empirical_info_complexity([1e-4], 3, linear_model) == [937]
+
+
+def test_scan_searches_every_prime_when_the_sieve_walk_is_over_the_cap(linear_model, monkeypatch):
+    # a sieve walk over the enumeration cap sends every prime the scan visits
+    # to the whole-family search, with the same answers
+    visited, searched = [], []
+    sieve, search = korobov.bounds.korobov_survivors, korobov.bounds.search_korobov
+    monkeypatch.setattr(korobov.bounds, "korobov_survivors", lambda n, *args: visited.append(n) or sieve(n, *args))
+    monkeypatch.setattr(korobov.bounds, "search_korobov", lambda n, *args: searched.append(n) or search(n, *args))
+    expected = empirical_info_complexity([1e-2, 1e-3], 3, linear_model)
+    visits = list(visited)
+    assert len(searched) < len(visits)
+    korobov.wce._sieve_rows.cache_clear()
+    monkeypatch.setattr(korobov.wce, "ENUM_CAP", 1)
+    searched.clear()
+    assert empirical_info_complexity([1e-2, 1e-3], 3, linear_model) == expected
+    assert searched == visits
+    korobov.wce._sieve_rows.cache_clear()

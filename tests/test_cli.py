@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from korobov.qmc import convergence_study
 from korobov.search import family_errors
 from korobov.tract import ALG_D_MAX_CAP, alg_classify
 
-from conftest import make_model
+from conftest import first_sieved_prime, make_model
 
 MODEL = {"omega": 0.5, "a": {"kind": "linear", "kappa": 1.0}, "b": {"kind": "constant", "kappa": 1.0}}
 
@@ -337,13 +338,29 @@ def test_exit_code_certificate_failure(tmp_path, capsys):
 
 
 def test_straddled_certificate_exits_four(model_path, capsys):
-    # eps^2 = 1e-16 lies inside the certified interval of prime 739, the
-    # first prime above the Minkowski start
+    # eps^2 = 1e-16 lies inside the certified interval of prime 757, the
+    # first prime above the Minkowski start whose Korobov family keeps a
+    # generator with no dual h of E(h) <= T' = log(2 / eps^2) / log 2,
+    # found here by box enumeration
+    t_cut = math.log(2.0 / 1e-16) / math.log(2.0) * (1.0 - bounds.MINKOWSKI_MARGIN)
+    model = WeightModel.from_dict(MODEL)
+    n = first_sieved_prime(bounds.minkowski_start(1e-8, 2, model), 2, model, t_cut)
+    assert n == 757
     code = run_cli(["nofe", "--model", model_path, "--epsilon", "1e-8", "--d", "2"])
     assert code == 4
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "certificate"
-    assert "prime 739" in err["message"]
+    assert f"prime {n}:" in err["message"]
+
+
+def test_straddle_at_the_first_sieved_prime_in_three_dimensions(model_path, capsys):
+    # at d = 3 the sieve skips every prime from the Minkowski start 4421 up
+    # to 5569, the first whose Korobov family keeps a generator
+    code = run_cli(["nofe", "--model", model_path, "--epsilon", "1e-8", "--d", "3"])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "certificate"
+    assert "prime 5569:" in err["message"]
 
 
 def test_parser_survives_an_argument_error(model_path, tmp_path):

@@ -52,13 +52,13 @@ def test_empirical_below_bound_per_record(linear_model):
 
 def test_empirical_trace_scans_each_prime_once_per_d(linear_model, monkeypatch):
     searched = []
-    search = korobov.bounds.search_korobov
+    sieve = korobov.bounds.korobov_survivors
 
     def counting(n, d, *args, **kwargs):
         searched.append((d, n))
-        return search(n, d, *args, **kwargs)
+        return sieve(n, d, *args, **kwargs)
 
-    monkeypatch.setattr(korobov.bounds, "search_korobov", counting)
+    monkeypatch.setattr(korobov.bounds, "korobov_survivors", counting)
     eps_grid = [1e-2, 1e-3, 1e-4, 1e-5]
     trace = wt_ratio_trace([2, 3], eps_grid, linear_model, source="empirical")
     expected_n = {
@@ -68,9 +68,9 @@ def test_empirical_trace_scans_each_prime_once_per_d(linear_model, monkeypatch):
     assert {(r.d, r.epsilon): r.n_value for r in trace.records} == expected_n
     for r in trace.records:
         assert r.ratio == math.log(r.n_value) / (r.d + math.log(1.0 / r.epsilon))
-    # one ascending scan per d, over the primes of each segment from an
-    # eps's Minkowski start to its answer: 18 + 173 primes of the 67 + 257
-    # up to the largest answers
+    # one ascending scan per d, each prime sieved once, over the primes of
+    # each segment from an eps's Minkowski start to its answer: 18 + 173
+    # primes of the 67 + 257 up to the largest answers
     for d in (2, 3):
         segments = sorted(
             (minkowski_start(eps, d, linear_model), expected_n[d, eps]) for eps in eps_grid

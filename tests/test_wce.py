@@ -11,6 +11,7 @@ from korobov import (
     dominant_dual_frequency,
     is_prime,
     kernel,
+    korobov_survivors,
     korobov_vector,
     KorobovParam,
     rho,
@@ -27,7 +28,7 @@ from korobov.space import kernel_with_bound
 from korobov.wce import theta_table
 
 from conftest import brute_dual_e2, make_model
-from conftest import brute_dominant_frequency
+from conftest import brute_dominant_frequency, brute_korobov_survivors
 
 EVALUATORS = (wce2_dual_enum, wce2_theta_product, wce2_kernel_double_sum)
 
@@ -514,3 +515,120 @@ def test_methods_agree_at_scaled_lambda():
             assert abs(est.value - expected) <= est.trunc_bound + 1e-12, (lam, est)
         for e1, e2 in itertools.combinations(ests, 2):
             assert abs(e1.value - e2.value) <= e1.trunc_bound + e2.trunc_bound + 1e-12, lam
+
+
+# Values taken before the dual engine's walk stopped carrying residues, as
+# float.hex of (e2, trunc_bound): (omega, a family, b, N, g, lam, tol).  Rows
+# 1, 2, 5-7, 10, 11, 13 and 14 fold the solved coordinate (N <= 2 H_c + 1);
+# the others read single representatives.
+DUAL_ENUM_PINS = [
+    (0.3, "constant", 1.0, 37, (1, 11, 10), 1.0, 1e-14, "0x1.da9c7fbd7bc58p-5", "0x1.6849b86a12b88p-47"),
+    (0.5, "linear", 1.0, 101, (1, 27, 22), 1.0, 1e-14, "0x1.a9315eaa62b47p-9", "0x1.6849b86a12b98p-47"),
+    (0.5, "linear", 1.0, 1009, (1, 71, 995, 25), 1.0, 1e-14, "0x1.2e7434c124b2cp-12", "0x1.6849b86a12b93p-47"),
+    (0.3, "constant", 1.0, 4001, (1, 1732, 2941, 1000), 1.0, 1e-12, "0x1.3f66900110255p-8", "0x1.19799812dea0dp-40"),
+    (0.5, "linear", 0.5, 37, (1, 9), 1.0, 1e-10, "0x1.54446bf6d1bc6p-2", "0x1.b7cdfd9d7bda8p-34"),
+    (0.3, "constant", 0.5, 37, (1, 16), 1.0, 1e-14, "0x1.9c25577fe8fb5p-4", "0x1.6849b86a12b95p-47"),
+    (0.3, "linear", 0.5, 101, (1, 40, 85), 1.0, 1e-10, "0x1.a85a0b44ea3fbp-9", "0x1.b7cdfd9d7bdb2p-34"),
+    (0.3, "constant", 2.0, 1009, (1, 300, 201, 716), 1.0, 1e-14, "0x1.9ae1805ace58dp-24", "0x1.6849b86a12b84p-47"),
+    (0.5, "linear", 2.0, 4001, (1, 1234, 2222, 77), 1.0, 1e-14, "0x1.0000000000079p-100", "0x1.6849b86a12b86p-47"),
+    (0.5, "constant", 1.0, 13, (0, 5, 0), 1.0, 1e-14, "0x1.0012009004802p+3", "0x1.6849b86a12b8cp-47"),
+    (0.5, "constant", 1.0, 13, (0, 0), 1.0, 1e-14, "0x1.0000000000000p+3", "0x1.6849b86a12b7ep-47"),
+    (0.5, "constant", 1.0, 2003, (5,), 1.0, 1e-14, "0x0.0p+0", "0x1.6849b86a12b90p-47"),
+    (0.5, "linear", 1.0, 211, (1, 49, 80), 0.5, 1e-14, "0x1.34eacf9c2087cp-4", "0x1.6849b86a12b8cp-47"),
+    (0.9, "linear", 1.0, 53, (1, 20), 1.0, 1e-12, "0x1.52a5599c4987fp+1", "0x1.19799812dea09p-40"),
+    (0.5, "linear", 2.0, 53, (3, 7, 11, 5), 1.0, 1e-14, "0x1.8368008f15021p-10", "0x1.6849b86a12b86p-47"),
+]
+
+# (omega, a family, b, N, g, dominant dual frequency), taken at the same time
+DOMINANT_PINS = [
+    (0.3, "constant", 1.0, 37, (1, 11, 10), (-1, 1, -1)),
+    (0.5, "linear", 1.0, 1009, (1, 71, 995, 25), (-3, 0, -2, -1)),
+    (0.5, "linear", 0.5, 101, (1, 40, 85), (-2, -5, 0)),
+    (0.3, "constant", 2.0, 1009, (1, 300, 201, 716), (0, -3, -2, -1)),
+    (0.9, "linear", 2.0, 61, (1, 17, 45, 33), (-1, 1, 1, 0)),
+    (0.5, "constant", 1.0, 13, (0, 5, 0), (-1, 0, 0)),
+    (0.5, "constant", 1.0, 13, (0, 0), (-1, 0)),
+    (0.5, "linear", 1.0, 283, (1, 100, 95), (-5, 1, -1)),
+    (0.3, "linear", 0.5, 7, (2,), (-7,)),
+]
+
+
+@pytest.mark.parametrize("omega, a, b, n, g, lam, tol, e2, bound", DUAL_ENUM_PINS)
+def test_dual_enum_pinned_across_the_walk(omega, a, b, n, g, lam, tol, e2, bound):
+    model = make_model(omega=omega, a=(a, 1.0), b=("constant", b))
+    est = wce2_dual_enum(LatticeRule(n, g), model, lam, tol)
+    assert (est.value.hex(), est.trunc_bound.hex()) == (e2, bound)
+
+
+def test_dominant_dual_frequency_pinned_across_the_walk():
+    for omega, a, b, n, g, h_star in DOMINANT_PINS:
+        model = make_model(omega=omega, a=(a, 1.0), b=("constant", b))
+        assert dominant_dual_frequency(LatticeRule(n, g), model) == h_star, (n, g)
+
+
+def test_residues_reduce_before_they_overflow():
+    # near the modulus cap the products h_j g_j and their sum leave int64,
+    # so each h_j is reduced first; both paths agree with Python integers
+    rng = np.random.default_rng(5)
+    for n, reach in ((2147483647, 10**6), (1009, 50)):
+        h = rng.integers(-reach, reach + 1, size=(64, 4))
+        g = rng.integers(0, n, size=4)
+        shift = int(rng.integers(0, n))
+        got = korobov.wce._residues(h, g, n, reach, shift)
+        ref = [(shift - sum(int(x) * int(y) for x, y in zip(row, g))) % n for row in h]
+        assert got.tolist() == ref
+        # a matrix of generators, as the Korobov sieve passes them
+        gs = rng.integers(0, n, size=(4, 3))
+        got = korobov.wce._residues(h, gs, n, reach)
+        assert got.tolist() == [[-sum(int(x) * int(y) for x, y in zip(row, col)) % n for col in gs.T] for row in h]
+
+
+def _sieve_cases(count, seed):
+    """Random (N, d, model, t_cut) with prime N <= 60 and d <= 4; t_cut is
+    T' of a random eps, shrunk until the box of brute_korobov_survivors
+    holds at most 10**5 points."""
+    rng = np.random.default_rng(seed)
+    primes = [p for p in range(2, 61) if is_prime(p)]
+    for _ in range(count):
+        omega = float(rng.choice([0.3, 0.5, 0.9]))
+        b = float(rng.choice([0.5, 1.0, 2.0]))
+        model = make_model(omega=omega, a=(str(rng.choice(["constant", "linear"])), 1.0), b=("constant", b))
+        n, d = int(rng.choice(primes)), int(rng.integers(1, 5))
+        t_cut = math.log(2.0 / float(10.0 ** rng.uniform(-3, -0.3)) ** 2) / math.log(1.0 / omega)
+        while math.prod(2 * int((t_cut / model.a_j(j)) ** (1.0 / b)) + 1 for j in range(1, d + 1)) > 10**5:
+            t_cut *= 0.8
+        yield n, d, model, t_cut
+
+
+def test_korobov_survivors_match_box_enumeration():
+    # a generator survives exactly when every nonzero dual h of E(h) <= t_cut
+    # is missing from a box that holds that region
+    seen = {"d=1": 0, "g=0 kept": 0, "g=0 dropped": 0, "some dropped": 0}
+    for n, d, model, t_cut in _sieve_cases(240, 11):
+        got = korobov_survivors(n, d, model, t_cut).tolist()
+        assert got == brute_korobov_survivors(n, d, model, t_cut), (n, d, model, t_cut)
+        seen["d=1"] += d == 1
+        seen["g=0 kept" if 0 in got else "g=0 dropped"] += 1
+        seen["some dropped"] += 0 < len(got) < n
+    assert min(seen.values()) >= 10, seen
+
+
+def test_korobov_survivors_walk_order_matches(monkeypatch):
+    # a prefix region above CHUNK_CELLS rows is walked in walk order, not
+    # sorted and memoised; the survivors are the same
+    monkeypatch.setattr(korobov.wce, "CHUNK_CELLS", 4)
+    korobov.wce._sieve_rows.cache_clear()
+    walked = 0
+    for n, d, model, t_cut in _sieve_cases(60, 12):
+        assert korobov_survivors(n, d, model, t_cut).tolist() == brute_korobov_survivors(n, d, model, t_cut)
+        walked += korobov.wce._sieve_rows(model, d, t_cut) is None
+    korobov.wce._sieve_rows.cache_clear()
+    assert walked >= 20
+
+
+def test_korobov_survivors_rejects_bad_sizes():
+    model = make_model(a=("linear", 1.0))
+    with pytest.raises(ValueError, match="modulus must be prime, got 9"):
+        korobov_survivors(9, 2, model, 5.0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        korobov_survivors(7, 0, model, 5.0)
