@@ -17,21 +17,23 @@ of saturating silently.  The empirical information complexity walks the
 primes once for a whole list of eps, so a trace scans once per (model, d),
 and it starts where Minkowski's convex body theorem stops excluding: every
 modulus up to ``minkowski_start(eps, d, model)`` is infeasible for every
-rank-1 rule.  Each prime is sieved before any character sum runs: the
-Korobov sieve of ``wce`` drops every generator with a nonzero dual h of
-E(h) <= T', the exponent that ``minkowski_start`` reads too, and a prime
-with no survivor is skipped.  ``error_bound_min`` checks its inputs once;
-each of its lambda probes is one ``log_product_bound`` call.
+rank-1 rule.  Every prime takes one path: the Korobov sieve of ``wce``
+drops every generator with a nonzero dual h of E(h) <= T', the exponent
+that ``minkowski_start`` reads too, and the survivors decide the prime.
+The lambda minimisations check their inputs once; each of their lambda
+probes is one ``log_product_bound`` call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import CapExceededError, CertificateError, OracleInfeasibleError, SummationCapError
 from .lattice import check_dimension, next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
+# search_korobov is not called here: bench/run.py's self-test wraps this import site
 from .search import check_family, korobov_errors, search_korobov
 from .wce import ErrorEstimate, korobov_survivors
 
@@ -51,12 +53,6 @@ SCAN_N_CAP = 100_000
 # add up to less than 10**3 the volume is off by less than 1e-12 relative,
 # and every modulus up to the margined floor is truly excluded.
 MINKOWSKI_MARGIN = 1e-9
-
-# Most sieve survivors a prime scan evaluates one by one through
-# ``search.korobov_errors``; more go through the whole-family search.  On a
-# 2-vCPU Xeon (linear model, table builds included) the two cost the same at
-# about 40 survivors for N = 503..2003 and 60..130 at N = 5569, d = 2..3.
-SIEVE_EVAL_MAX = 32
 
 def _check_eps(eps: float) -> None:
     if not (0.0 < eps < 1.0):
@@ -147,7 +143,12 @@ def bound_report(
     """The existence bound at one lambda, with A_lam and the product term."""
     check_family(variant)
     _check_size(n, d)
-    log_product = log_product_bound(d, lam, model, tol)
+    return _report(n, d, lam, model, variant, tol, log_product_bound(d, lam, model, tol))
+
+
+def _report(
+    n: int, d: int, lam: float, model: WeightModel, variant: str, tol: float, log_product: float
+) -> BoundReport:
     return BoundReport(
         lam=lam,
         a_lam=a_lambda(lam, model, tol),
@@ -216,25 +217,21 @@ def error_bound_min(
     """Smallest error bound over the lambda grid, reported at its lambda.
 
     The inputs are checked once; each lambda probe is one
-    ``log_product_bound`` call.
+    ``log_product_bound`` call, and the report reads the winning probe's.
     """
     check_family(variant)
     _check_size(n, d)
-    value, lam = _minimize_lambda(
-        lambda l: _error_bound(n, d, l, variant, log_product_bound(d, l, model, tol))
-    )
+    log_product = cache(lambda lam: log_product_bound(d, lam, model, tol))
+    value, lam = _minimize_lambda(lambda l: _error_bound(n, d, l, variant, log_product(l)))
     if math.isfinite(value):
-        return bound_report(n, d, lam, model, variant, tol)
+        return _report(n, d, lam, model, variant, tol, log_product(lam))
     return BoundReport(
         lam=lam, a_lam=math.inf, product_term=math.inf, bound_value=value, variant=variant
     )
 
 
 def _log_m(eps: float, d: int, lam: float, model: WeightModel, variant: str, tol: float) -> float:
-    """log of c_d * eps**(-2*lam) * product term, after the input checks."""
-    _check_eps(eps)
-    check_family(variant)
-    check_dimension(d)
+    """log of c_d * eps**(-2*lam) * product term; its callers check the inputs."""
     c_d = 1.0 if variant == "general" else float(d)
     return (
         math.log(c_d)
@@ -257,6 +254,9 @@ def m_lambda(
     postulate) admits a rule with error <= eps.  Returns a float('inf')
     sentinel when the value would exceed 2**62.
     """
+    _check_eps(eps)
+    check_family(variant)
+    check_dimension(d)
     return exp_or_inf(_log_m(eps, d, lam, model, variant, tol), count=True)
 
 
@@ -272,6 +272,9 @@ def log_info_complexity_bound(
     Stays finite where the exponentiated count would overflow the 2**62
     sentinel threshold; ratio diagnostics are computed from this form.
     """
+    _check_eps(eps)
+    check_family(variant)
+    check_dimension(d)
 
     def log_bound(lam: float) -> float:
         return math.log(4.0) + _log_m(eps, d, lam, model, variant, tol)
@@ -358,16 +361,17 @@ def empirical_info_complexity(
     search, and so does a scan that passes the cap without answering every
     eps.
 
-    Each prime is first sieved (``wce.korobov_survivors``) at
-    T'(1 - ``MINKOWSKI_MARGIN``), with T' of the largest pending eps, the
-    exponent that the Minkowski start reads too: a generator with a nonzero
-    dual h of E(h) at most that has e^2 > eps^2 for every pending eps.  A
-    prime with no survivor is infeasible for all of them and is skipped
-    before any theta table is built.  Otherwise the least e^2 comes from
-    the survivors' vectors through ``search.korobov_errors`` when they are
-    at most ``SIEVE_EVAL_MAX``, else from the whole family's
-    ``search_korobov``; when the sieve's walk exceeds the enumeration cap,
-    every prime goes to the whole-family search.
+    Every prime takes one path.  It is sieved (``wce.korobov_survivors``)
+    at T'(1 - ``MINKOWSKI_MARGIN``), with T' of the largest pending eps,
+    the exponent that the Minkowski start reads too: a generator with a
+    nonzero dual h of E(h) at most that has e^2 > eps^2 for every pending
+    eps.  A prime with no survivor is infeasible for all of them and is
+    skipped before any theta table is built.  Otherwise the least e^2 of
+    ``search.korobov_errors`` at one g per distinct survivor rule decides
+    it: the survivors g <= N/2, as N - g gives the same rule up to
+    reflecting the odd coordinates, and at d = 1, where every g gives (1),
+    one g.  A sieve walk over the enumeration cap raises
+    :class:`OracleInfeasibleError` naming the prime and eps.
 
     Feasibility is decided on the certified interval value +- band of that
     least e^2 (``ErrorEstimate.band``, the tie band of the search): eps^2
@@ -380,24 +384,21 @@ def empirical_info_complexity(
         raise CapExceededError(f"Minkowski start {top} lies above the cap {SCAN_N_CAP}")
     pending = sorted(start)
     found: dict[float, int] = {}
-    n, sieve = 1, True
+    n = 1
     while pending:
         n = next_prime(max(n, start[pending[-1]]) + 1)
         if n > SCAN_N_CAP:
             raise CapExceededError(f"no feasible prime modulus below the cap {SCAN_N_CAP}")
-        survivors, t_cut = None, _t_prime(pending[-1], model) * (1.0 - MINKOWSKI_MARGIN)
-        if sieve:
-            try:
-                survivors = korobov_survivors(n, d, model, t_cut)
-            except OracleInfeasibleError:
-                sieve = False
-        if survivors is not None and survivors.size == 0:
+        t_cut = _t_prime(pending[-1], model) * (1.0 - MINKOWSKI_MARGIN)
+        try:
+            survivors = korobov_survivors(n, d, model, t_cut)
+        except OracleInfeasibleError as exc:
+            raise OracleInfeasibleError(f"prime {n}, eps = {pending[-1]:.6g}: sieve {exc}") from exc
+        if not survivors.size:
             continue
-        if survivors is not None and survivors.size <= SIEVE_EVAL_MAX:
-            e2, bound = korobov_errors(n, d, model, survivors, tol)
-            best = ErrorEstimate(float(e2.min()), bound, "theta_product")
-        else:
-            best = search_korobov(n, d, model, tol).best_e2
+        reps = survivors[:1] if d == 1 else survivors[2 * survivors <= n]
+        e2, bound = korobov_errors(n, d, model, reps, tol)
+        best = ErrorEstimate(float(e2.min()), bound, "theta_product")
         lo, hi = best.value - best.band, best.value + best.band
         while pending and start[pending[-1]] < n and pending[-1] ** 2 >= lo:
             if pending[-1] ** 2 <= hi:

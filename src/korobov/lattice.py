@@ -2,7 +2,7 @@
 
 A rule is a prime modulus N together with a generating vector g in
 G_N^d = {0, ..., N-1}^d; its node set is x_k = {(k/N) * g}, k = 0..N-1.
-Korobov rules use the one-parameter vectors (1, g, g^2, ..., g^(d-1)) mod N.
+Korobov rules use the vectors (1, g, ..., g^(d-1)) mod N of ``korobov_vectors``.
 This module owns the rules: ``check_modulus`` holds the cap and primality
 checks of every modulus, and ``LatticeRule.from_dict`` reads every rule
 document, a vector {n, g} or a Korobov parameter {n, g_scalar, d}.
@@ -210,15 +210,17 @@ class KorobovParam:
         return cls(n=n, g=g, d=d)
 
 
-def korobov_vector(param: KorobovParam) -> LatticeRule:
-    """Expand a scalar Korobov parameter into its lattice rule.
+def korobov_vectors(n: int, d: int, generators) -> np.ndarray:
+    """Rows (1, g, ..., g^(d-1)) mod n, int64, one per scalar generator g in
+    [0, n); the first component is always 1 (also for g = 0)."""
+    generators = np.asarray(generators, dtype=np.int64)
+    vectors = np.ones((generators.size, d), dtype=np.int64)
+    for j in range(1, d):
+        vectors[:, j] = vectors[:, j - 1] * generators % n
+    return vectors
 
-    Components are g^(j-1) mod n via repeated modular multiplication; the
-    first component is always 1 (also for g = 0).
-    """
-    comps = []
-    power = 1
-    for _ in range(param.d):
-        comps.append(power)
-        power = power * param.g % param.n
-    return LatticeRule(n=param.n, g=tuple(comps))
+
+def korobov_vector(param: KorobovParam) -> LatticeRule:
+    """Expand a scalar Korobov parameter into its lattice rule, the one row
+    of :func:`korobov_vectors` as Python integers."""
+    return LatticeRule(n=param.n, g=tuple(pow(param.g, j, param.n) for j in range(param.d)))

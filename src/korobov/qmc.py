@@ -6,8 +6,7 @@ the quadrature error of a lattice rule equals the coefficient sum over the
 nonzero dual frequencies.  This makes the worst-case error bound
 |error| <= e(rule) * ||f|| checkable without any approximation on the
 function side.  The convergence study builds once per call what does not
-depend on N; the prime scans of ``bounds`` sieve each prime before any
-character sum runs, at the exponent T' that ``minkowski_start`` reads.
+depend on N.
 """
 
 from __future__ import annotations

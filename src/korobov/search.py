@@ -8,9 +8,9 @@ family is evaluated here, in chunks over ``threads`` workers: all N
 scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
 of strided windows over tiles of a primitive-root-permuted theta table,
 in chunks of rows that depend on N and d, and all N^d vectors of a tiny
-instance by ``ThetaTable.eval_vectors``, which also evaluates the few
-Korobov generators of ``korobov_errors`` (the survivors of a prime
-scan's sieve).  Both searches select the
+instance by ``ThetaTable.eval_vectors``, which also evaluates the Korobov
+generators of ``korobov_errors``, one per distinct rule that the sieve of
+a prime scan keeps.  Both searches select the
 lambda = 1 error minimizer on one path: members within
 ``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
 order (smallest scalar / lexicographically smallest vector) wins, so
@@ -41,6 +41,7 @@ from .lattice import (
     check_dimension,
     check_modulus,
     korobov_vector,
+    korobov_vectors,
     primitive_root,
 )
 from .space import CHUNK_CELLS, DEFAULT_TOL, WeightModel
@@ -112,7 +113,7 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     if d == 1:
         return np.full(n, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
     if n < 5:
-        return table.eval_vectors(_korobov_vectors(n, d, np.arange(n)))
+        return table.eval_vectors(korobov_vectors(n, d, np.arange(n)))
     m = (n - 1) // 2
     gamma, powers, size = primitive_root(n), np.ones(m, dtype=np.int64), 1
     while size < m:  # gamma^(size + i) = gamma^size * gamma^i, doubling the run
@@ -201,26 +202,22 @@ def family_errors(
     return e2, table.product_bound
 
 
-def _korobov_vectors(n: int, d: int, generators: np.ndarray) -> np.ndarray:
-    """Rows (1, g, ..., g^(d-1)) mod n for the int64 generators g in [0, n)."""
-    vectors = np.ones((generators.size, d), dtype=np.int64)
-    for j in range(1, d):
-        vectors[:, j] = vectors[:, j - 1] * generators % n
-    return vectors
-
-
 def korobov_errors(
     n: int, d: int, model: WeightModel, generators, tol: float = DEFAULT_TOL
 ) -> tuple[np.ndarray, float]:
-    """Squared errors of the Korobov vectors of ``generators`` (integers in
-    [0, n)) by ``ThetaTable.eval_vectors``, with the table's truncation
-    bound: O(N d) per generator, where ``family_errors`` costs O(N^2 d / 4)
-    for all N."""
+    """Squared errors of the Korobov vectors of ``generators`` (at least
+    one integer in [0, n)) by ``ThetaTable.eval_vectors`` in blocks of at
+    most ``CHUNK_CELLS`` cells, with the table's truncation bound: O(N d)
+    per generator, where ``family_errors`` costs O(N^2 d / 4) for all N."""
     check_modulus(n)
     check_dimension(d)
     table = theta_table(model, n, d, tol)
-    vectors = _korobov_vectors(n, d, np.asarray(generators, dtype=np.int64))
-    return table.eval_vectors(vectors), table.product_bound
+    generators = np.asarray(generators, dtype=np.int64)
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        return table.eval_vectors(korobov_vectors(n, d, generators[lo:hi]))
+
+    return _map_chunks(run, generators.size, max(1, CHUNK_CELLS // n), 1), table.product_bound
 
 
 def _select(n: int, d: int, model: WeightModel, tol: float, family: str, threads: int) -> SearchResult:

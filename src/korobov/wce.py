@@ -24,9 +24,7 @@ completed in coordinate c by one gather), ``dominant_dual_frequency``
 (heaviest dual frequency) and ``korobov_survivors``, the Korobov sieve
 of the prime scans, which walks coordinates 2..d once for every g of a
 family and keeps the g with mu(g) > T, mu(g) the least E(h) over nonzero
-dual h; the prime scans of ``bounds`` sieve each prime with it, at the
-exponent T' that ``bounds.minkowski_start`` reads, before any character
-sum runs.
+dual h.
 The double sum forms all N^2 pair products, each row of pairs a window of
 one difference table per coordinate, from factors summed term by term off
 one table of N cosines at exact residues: no fold, no FFT.  Every
@@ -58,7 +56,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapExceededError, OracleInfeasibleError
-from .lattice import LatticeRule, check_dimension, check_modulus
+from .lattice import LatticeRule, check_dimension, check_modulus, korobov_vectors
 from .space import (
     CHUNK_CELLS,
     DEFAULT_TOL,
@@ -485,9 +483,7 @@ def korobov_survivors(n: int, d: int, model: WeightModel, t_cut: float) -> np.nd
     blocks = [rows] if rows else ((h, limit) for h, _, limit in _sieve_walk(model, d, t_cut))
     reach = max(int((t_cut / a) ** (1.0 / b)) for a, b in _weights(model, d))
     alive = np.arange(n // 2 + 1, dtype=np.int64)
-    powers = np.empty((d - 1, alive.size), dtype=np.int64)
-    for j in range(d - 1):
-        powers[j] = alive * (powers[j - 1] if j else 1) % n
+    powers = korobov_vectors(n, d, alive)[:, 1:].T.copy()  # g**j, one row per j = 1..d-1
     for h, limit in blocks:
         lo = 0
         while lo < len(h) and alive.size:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from korobov import (
     wce2_theta_product,
     KorobovParam,
     LatticeRule,
+    OracleInfeasibleError,
     SummationCapError,
 )
 
@@ -78,6 +80,17 @@ def test_error_bound_min_is_the_report_at_its_lambda(linear_model):
     rep = error_bound_min(13, 3, linear_model, "korobov")
     assert rep == bound_report(13, 3, rep.lam, linear_model, "korobov")
     assert rep.bound_value == error_bound(13, 3, rep.lam, linear_model, "korobov")
+
+
+def test_error_bound_min_reports_its_winning_probe(linear_model, monkeypatch):
+    # at N = 1009 the minimum lies inside the grid; the report reads the
+    # winning probe's product term instead of evaluating it a second time
+    probes, product = [], korobov.bounds.log_product_bound
+    monkeypatch.setattr(korobov.bounds, "log_product_bound", lambda d, lam, *args: probes.append(lam) or product(d, lam, *args))
+    rep = error_bound_min(1009, 3, linear_model, "korobov")
+    assert 0.5 < rep.lam < 1.0 and len(set(probes)) == len(probes) <= 54
+    monkeypatch.undo()
+    assert rep == bound_report(1009, 3, rep.lam, linear_model, "korobov")
 
 
 @pytest.mark.parametrize(
@@ -343,21 +356,22 @@ def _reference_scan(eps, d, model):
         assert best.value - best.band > eps**2, (eps, d, n)
 
 
-@pytest.mark.parametrize("eval_max", [None, 0], ids=["survivors", "family"])
 @pytest.mark.parametrize(
-    "model",
-    [make_model(a=("linear", 1.0)), make_model(omega=0.1)],
-    ids=["linear", "constant-0.1"],
+    "model, dims, eps_list",
+    [
+        (make_model(a=("linear", 1.0)), (1, 2, 3), [0.4, 0.1, 1e-2, 1e-3]),
+        (make_model(omega=0.1), (1, 2, 3), [0.4, 0.1, 1e-2, 1e-3]),
+        (make_model(a=("linear", 1.0), b=("constant", 2.0)), (1, 2, 3), [0.4, 0.1, 1e-2, 1e-3]),
+        (make_model(a=("linear", 1.0), b=("constant", 0.5)), (1, 2), [0.4, 0.1, 1e-2]),
+    ],
+    ids=["linear", "constant-0.1", "linear-b2", "linear-b0.5"],
 )
-def test_sieved_scan_matches_a_full_search_scan(model, eval_max, monkeypatch):
+def test_sieved_scan_matches_a_full_search_scan(model, dims, eps_list):
     # the sieve skips only primes that a search of every generator finds
-    # infeasible, and the survivors' least e2 decides like the family's;
-    # every survivor set here is small, so eval_max = 0 sends each kept
-    # prime to the whole-family search instead
-    if eval_max is not None:
-        monkeypatch.setattr(korobov.bounds, "SIEVE_EVAL_MAX", eval_max)
-    eps_list = [0.4, 0.1, 1e-2, 1e-3]
-    for d in (1, 2, 3):
+    # infeasible, and the least e2 over one representative g <= N/2 of each
+    # survivor pair decides like the family's; b != 1 rows are not
+    # mirrored bitwise, so g and N - g may differ in their last bits there
+    for d in dims:
         expected = [_reference_scan(eps, d, model) for eps in eps_list]
         assert empirical_info_complexity(eps_list, d, model) == expected, d
         assert [empirical_info_complexity([eps], d, model)[0] for eps in eps_list] == expected
@@ -372,19 +386,31 @@ def test_sieved_scan_respects_the_bounds_at_small_eps(linear_model):
     assert empirical_info_complexity([1e-4], 3, linear_model) == [937]
 
 
-def test_scan_searches_every_prime_when_the_sieve_walk_is_over_the_cap(linear_model, monkeypatch):
-    # a sieve walk over the enumeration cap sends every prime the scan visits
-    # to the whole-family search, with the same answers
-    visited, searched = [], []
-    sieve, search = korobov.bounds.korobov_survivors, korobov.bounds.search_korobov
-    monkeypatch.setattr(korobov.bounds, "korobov_survivors", lambda n, *args: visited.append(n) or sieve(n, *args))
-    monkeypatch.setattr(korobov.bounds, "search_korobov", lambda n, *args: searched.append(n) or search(n, *args))
-    expected = empirical_info_complexity([1e-2, 1e-3], 3, linear_model)
-    visits = list(visited)
-    assert len(searched) < len(visits)
+def test_scan_stops_at_the_prime_where_the_sieve_walk_is_over_the_cap(linear_model, monkeypatch):
+    # a sieve walk over the enumeration cap ends the scan at the first prime
+    # it sieves, with a cap error that names the prime and eps
+    n = next_prime(minkowski_start(1e-2, 3, linear_model) + 1)
     korobov.wce._sieve_rows.cache_clear()
     monkeypatch.setattr(korobov.wce, "ENUM_CAP", 1)
-    searched.clear()
-    assert empirical_info_complexity([1e-2, 1e-3], 3, linear_model) == expected
-    assert searched == visits
-    korobov.wce._sieve_rows.cache_clear()
+    with pytest.raises(OracleInfeasibleError, match=rf"^prime {n}, eps = 0.01: sieve .*cap 1$"):
+        empirical_info_complexity([1e-2, 1e-3], 3, linear_model)
+
+
+def test_one_dimensional_scan_evaluates_one_generator_per_prime(monkeypatch):
+    # at d = 1 every g gives the vector (1), so each kept prime is decided
+    # on one generator: near omega = 1 each kept family keeps every g
+    model = make_model(omega=0.999)
+    evaluate, sizes = korobov.bounds.korobov_errors, []
+    monkeypatch.setattr(
+        korobov.bounds, "korobov_errors", lambda n, d, m, gens, *args: sizes.append(len(gens)) or evaluate(n, d, m, gens, *args)
+    )
+    tracemalloc.start()
+    try:
+        assert empirical_info_complexity([1e-4], 1, model) == [19121]
+        with pytest.raises(CertificateError, match=r"^prime 37517: .* \(eps = 1e-08\)$"):
+            empirical_info_complexity([1e-8], 1, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes and set(sizes) == {1}
+    assert peak < 8 * 2**20, peak

@@ -281,15 +281,30 @@ def test_exit_code_cap_exceeded_by_convergence(model_path, capsys, primes):
 
 def test_exit_code_cap_exceeded_by_minkowski_start(model_path, capsys, monkeypatch):
     # at eps = 1e-25, d = 3 Minkowski excludes every modulus up to 129598,
-    # above the scan cap, so nofe exits 3 before it searches any prime
+    # above the scan cap, so nofe exits 3 before it sieves any prime
     searched = []
-    monkeypatch.setattr(bounds, "search_korobov", lambda *args: searched.append(args))
+    monkeypatch.setattr(bounds, "korobov_survivors", lambda *args: searched.append(args))
     code = run_cli(["nofe", "--model", model_path, "--epsilon", "1e-25", "--d", "3"])
     assert code == 3
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "cap_exceeded"
     assert "129598" in err["message"]
     assert searched == []
+
+
+def test_exit_code_cap_exceeded_by_the_sieve_walk(tmp_path, capsys):
+    # omega = 0.1, constant a, b = 1/2, d = 9: the sieve's prefix region at
+    # eps = 1e-6 holds about 8.6e8 cells, over the enumeration cap, so nofe
+    # exits 3 at the first prime above the Minkowski start 17770
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({"omega": 0.1, "a": {"kind": "constant", "kappa": 1.0}, "b": {"kind": "constant", "kappa": 0.5}})
+    )
+    code = run_cli(["nofe", "--model", str(path), "--epsilon", "1e-6", "--d", "9"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "cap_exceeded"
+    assert err["message"].startswith("prime 17783, eps = 1e-06: sieve ")
 
 
 def test_exit_code_cap_exceeded_by_integrate(tmp_path, capsys):
