@@ -19,7 +19,7 @@ and it starts where Minkowski's convex body theorem stops excluding: every
 modulus up to ``minkowski_start(eps, d, model)`` is infeasible for every
 rank-1 rule.  Every prime takes one path: the Korobov sieve of ``wce``
 drops every generator with a nonzero dual h of E(h) <= T', the exponent
-that ``minkowski_start`` reads too, and the survivors decide the prime.
+that ``minkowski_start`` reads too; one g per surviving rule decides the prime.
 The lambda minimisations check their inputs once; each of their lambda
 probes is one ``log_product_bound`` call.
 """
@@ -367,10 +367,9 @@ def empirical_info_complexity(
     nonzero dual h of E(h) at most that has e^2 > eps^2 for every pending
     eps.  A prime with no survivor is infeasible for all of them and is
     skipped before any theta table is built.  Otherwise the least e^2 of
-    ``search.korobov_errors`` at one g per distinct survivor rule decides
-    it: the survivors g <= N/2, as N - g gives the same rule up to
-    reflecting the odd coordinates, and at d = 1, where every g gives (1),
-    one g.  A sieve walk over the enumeration cap raises
+    ``search.korobov_errors`` at the survivors decides it: the sieve
+    returns one g per distinct surviving rule.  A sieve walk over the
+    enumeration cap raises
     :class:`OracleInfeasibleError` naming the prime and eps.
 
     Feasibility is decided on the certified interval value +- band of that
@@ -396,8 +395,7 @@ def empirical_info_complexity(
             raise OracleInfeasibleError(f"prime {n}, eps = {pending[-1]:.6g}: sieve {exc}") from exc
         if not survivors.size:
             continue
-        reps = survivors[:1] if d == 1 else survivors[2 * survivors <= n]
-        e2, bound = korobov_errors(n, d, model, reps, tol)
+        e2, bound = korobov_errors(n, d, model, survivors, tol)
         best = ErrorEstimate(float(e2.min()), bound, "theta_product")
         lo, hi = best.value - best.band, best.value + best.band
         while pending and start[pending[-1]] < n and pending[-1] ** 2 >= lo:

@@ -9,9 +9,9 @@ scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
 of strided windows over tiles of a primitive-root-permuted theta table,
 in chunks of rows that depend on N and d, and all N^d vectors of a tiny
 instance by ``ThetaTable.eval_vectors``, which also evaluates the Korobov
-generators of ``korobov_errors``, one per distinct rule that the sieve of
-a prime scan keeps.  Both searches select the
-lambda = 1 error minimizer on one path: members within
+generators of ``korobov_errors``: the generators that the sieve of a
+prime scan returns, one per distinct surviving rule.  Both searches
+select the lambda = 1 error minimizer on one path: members within
 ``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
 order (smallest scalar / lexicographically smallest vector) wins, so
 results do not depend on chunking or thread count.
@@ -104,10 +104,10 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     and the other coordinates multiply into it in place.  g = gamma^b and
     N - g = gamma^(b+m) share a row, so they tie exactly.  The k = 0 term
     prod_j theta_j(0) is added separately.  g = 0, the vector
-    (1, 0, ..., 0), is the one row theta_1(k/N) * prod_{j>=2} theta_j(0),
-    multiplied in the order of :meth:`ThetaTable.eval_vectors`, which
-    evaluates d = 1 and N < 5.  Each row is reduced on its own and chunks
-    depend only on N and d, so results do not depend on ``threads``.
+    (1, 0, ..., 0), d = 1 and N < 5 are evaluated by
+    :meth:`ThetaTable.eval_vectors`.  Each row is reduced on its own and
+    chunks depend only on N and d, so results do not depend on
+    ``threads``.
     """
     n, d = table.n, table.d
     if d == 1:
@@ -148,11 +148,7 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
     e2 = np.empty(n, dtype=np.float64)
     e2[powers] = half
     e2[n - powers] = half
-    # g = 0: the vector (1, 0, ..., 0), as eval_vectors forms it
-    row = table.values[0] * table.values[1][0]
-    for vals in table.values[2:]:
-        row *= vals[0]
-    e2[0] = row.mean() - 1.0
+    e2[0] = table.eval_vectors(korobov_vectors(n, d, [0]))[0]
     return e2
 
 

@@ -75,10 +75,9 @@ CHUNK_CELLS = 2**16
 FAMILY_KINDS = ("constant", "linear", "logarithmic", "power", "explicit")
 
 
-def _check_tol(tol: float) -> float:
+def _check_tol(tol: float) -> None:
     if not (tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol}")
-    return tol
 
 
 @dataclass(frozen=True)
@@ -288,13 +287,13 @@ def _floats(value, name: str) -> tuple[float, ...]:
 # Certified summation of sum_{h >= 1} exp(-c * h**b)
 # ---------------------------------------------------------------------------
 
-def _tail_bound_b_ge1(c: float, b: float, horizon: int) -> float:
+def _tail_bound_b_ge1(c: float, b: float, horizon: int, shift: float) -> float:
     # h**b - H**b >= h - H for h > H >= 1 and b >= 1, so the tail is
     # dominated by a geometric series with ratio exp(-c).
     q = math.exp(-c)
-    return math.exp(-c * float(horizon) ** b) * q / -math.expm1(-c)
+    return math.exp(shift - c * float(horizon) ** b) * q / -math.expm1(-c)
 
-def _tail_bound_b_lt1(c: float, b: float, horizon: int) -> float:
+def _tail_bound_b_lt1(c: float, b: float, horizon: int, shift: float) -> float:
     # f(t) = exp(-c * t**b) decreases, so with y = H + 1 the tail is at most
     # f(y) + int_y^inf f.  Substituting u = c * t**b, the integral equals
     # Gamma(s, x) / (b * c**s) with s = 1/b > 1 and x = c * y**b, and
@@ -308,16 +307,17 @@ def _tail_bound_b_lt1(c: float, b: float, horizon: int) -> float:
     s = 1.0 / b
     if x <= s - 1.0:
         return math.inf
-    return math.exp(-x) * (1.0 + y ** (1.0 - b) / (b * c * (1.0 - (s - 1.0) / x)))
+    return math.exp(shift - x) * (1.0 + y ** (1.0 - b) / (b * c * (1.0 - (s - 1.0) / x)))
 
-def series_tail_bound(c: float, b: float, horizon: int) -> float:
-    """Rigorous upper bound on sum_{h > horizon} exp(-c * h**b); inf for
-    b < 1 when c * (horizon + 1)**b <= 1/b - 1."""
+def series_tail_bound(c: float, b: float, horizon: int, shift: float = 0.0) -> float:
+    """Rigorous upper bound on sum_{h > horizon} exp(shift - c * h**b); inf
+    for b < 1 when c * (horizon + 1)**b <= 1/b - 1.  e**shift is never
+    formed, so it may lie far outside the float range."""
     if c <= 0.0 or b <= 0.0:
         raise ValueError("series parameters must satisfy c > 0 and b > 0")
     if b >= 1.0:
-        return _tail_bound_b_ge1(c, b, horizon)
-    return _tail_bound_b_lt1(c, b, horizon)
+        return _tail_bound_b_ge1(c, b, horizon, shift)
+    return _tail_bound_b_lt1(c, b, horizon, shift)
 
 def _cap_error(tol: float) -> SummationCapError:
     return SummationCapError(f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}")
@@ -331,26 +331,35 @@ def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
     _check_tol(tol)
     if b >= 1.0:
         q = math.exp(-c)
-        target = tol * -math.expm1(-c) / q
-        if target >= 1.0:
+        # past c ~ 745 q underflows to 0, and the tail past h = 1, below
+        # the least positive float, meets every tol
+        if q == 0.0 or (target := tol * -math.expm1(-c) / q) >= 1.0:
             horizon = 1
         else:
             horizon = math.ceil((math.log(1.0 / target) / c) ** (1.0 / b))
             horizon = max(horizon, 1)
         if horizon > SUM_TERM_CAP:
             raise _cap_error(tol)
-        return horizon, series_tail_bound(c, b, horizon)
-    # Double from 16 until the bound certifies, then bisect the horizons
-    # between the last failing one (0 if 16 certifies) and that one: the
-    # result certifies and the horizon below it does not.
+    else:
+        horizon = _least_horizon(c, b, tol)
+    return horizon, series_tail_bound(c, b, horizon)
+
+
+def _least_horizon(c: float, b: float, tol: float, shift: float = 0.0) -> int:
+    """Smallest H >= 1 with ``series_tail_bound(c, b, H, shift)`` <= tol,
+    which must decrease in H; :class:`SummationCapError` past the term cap.
+
+    Doubles from 16 until the bound certifies, then bisects the horizons
+    between the last failing one (0 if 16 certifies) and that one: the
+    result certifies and the horizon below it does not.
+    """
     failing, horizon = 0, 16
-    while series_tail_bound(c, b, horizon) > tol:
+    while series_tail_bound(c, b, horizon, shift) > tol:
         if horizon >= SUM_TERM_CAP:
             raise _cap_error(tol)
         failing, horizon = horizon, min(horizon * 2, SUM_TERM_CAP)
     between = range(failing + 1, horizon)
-    horizon = between.start + bisect_left(between, True, key=lambda h: series_tail_bound(c, b, h) <= tol)
-    return horizon, series_tail_bound(c, b, horizon)
+    return between.start + bisect_left(between, True, key=lambda h: series_tail_bound(c, b, h, shift) <= tol)
 
 
 def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -376,27 +385,26 @@ def theta_majorant(w: np.ndarray, tail: float) -> float:
 
 def theta_factors(
     model: WeightModel, d: int, tol: float = DEFAULT_TOL
-) -> tuple[list[np.ndarray], list[float], float]:
+) -> tuple[list[np.ndarray], float]:
     """The truncated theta series of coordinates 1..d and their product
     certificate, for ``wce2_kernel_double_sum`` and ``kernel_with_bound``.
 
-    Returns ``(terms, majors, bound)``: the ``theta_terms`` weights of each
-    coordinate, their ``theta_majorant``s (tau_j = 2 * tail_j is the row's
-    per-evaluation truncation bound), and the first-order bound
-    sum_j tau_j * prod_{i != j} major_i <= ``tol`` on the truncation error
-    of any product of one evaluation per coordinate.  Every coordinate,
-    b_j = 1 included, is a series here; ``theta_rows`` evaluates the
-    b_j = 1 ones in closed form.
+    Returns ``(terms, bound)``: the ``theta_terms`` weights of each
+    coordinate and the first-order bound sum_j tau_j * prod_{i != j} major_i
+    <= ``tol`` on the truncation error of any product of one evaluation per
+    coordinate, with tau_j = 2 * tail_j and major_i a ``theta_majorant``.
+    Every coordinate, b_j = 1 included, is a series here; ``theta_rows``
+    evaluates the b_j = 1 ones in closed form.
     """
-    series, majors, bound = _share_tolerance(model, d, tol, {})
-    return [series[j][0] for j in range(d)], majors, bound
+    series, bound = _share_tolerance(model, d, tol, {})
+    return [series[j][0] for j in range(d)], bound
 
 
 def _share_tolerance(
     model: WeightModel, d: int, tol: float, exact: dict[int, float]
-) -> tuple[dict[int, tuple[np.ndarray, float]], list[float], float]:
-    """``theta_terms`` rows of the coordinates 0..d-1 not in ``exact``, the
-    majorants of all d coordinates and the product certificate.
+) -> tuple[dict[int, tuple[np.ndarray, float]], float]:
+    """``theta_terms`` rows of the coordinates 0..d-1 not in ``exact`` and
+    the product certificate over the majorants of all d coordinates.
 
     ``exact`` maps the coordinates evaluated without truncation to their
     theta_j(0): they have tau_j = 0 and take no share of ``tol``, and the
@@ -410,7 +418,7 @@ def _share_tolerance(
     rows = {j: theta_terms(j + 1, model, tol) for j in range(d) if j not in exact}
     majors = [exact[j] if j in exact else theta_majorant(*rows[j]) for j in range(d)]
     if not rows:
-        return rows, majors, 0.0
+        return rows, 0.0
     k = len(rows)
     pad = [m + tol / k if j in rows else m for j, m in enumerate(majors)]
     shares = {j: tol / (k * math.prod(pad[:j] + pad[j + 1 :])) for j in rows}
@@ -427,7 +435,7 @@ def _share_tolerance(
         majors = [theta_majorant(*rows[j]) if j in rows else m for j, m in enumerate(majors)]
         bound = sum(2.0 * tail * math.prod(majors[:j] + majors[j + 1 :]) for j, (_, tail) in rows.items())
         if bound <= tol:
-            return rows, majors, bound
+            return rows, bound
         shares = {j: share / 2.0 for j, share in shares.items()}
 
 
@@ -483,28 +491,28 @@ def _poisson_row(c: float, n: int) -> np.ndarray:
 
 def theta_rows(
     model: WeightModel, n: int, d: int, tol: float = DEFAULT_TOL
-) -> tuple[list[np.ndarray], list[float], float]:
-    """theta_j(r/n) for r = 0..n-1 and j = 1..d, with majorants and the
-    product certificate: the rows of the theta table of ``wce``.
+) -> tuple[list[np.ndarray], float]:
+    """theta_j(r/n) for r = 0..n-1 and j = 1..d, with the product
+    certificate: the rows of the theta table of ``wce``.
 
     A coordinate with b_j = 1 is the Poisson kernel in closed form
     (``_poisson_row``), exact up to rounding: no series, no fold and no
-    FFT, tau_j = 0 and major_j = theta_j(0), its entry at r = 0.  Every
+    FFT, tau_j = 0 and its majorant theta_j(0), its entry at r = 0.  Every
     other row is its truncated series, folded by ``fold_terms`` and put
-    through one FFT of length n, with major_j = theta_j(0) + tau_j.  The
-    certificate covers the series rows only, and their shares of ``tol``
-    (``_share_tolerance``); it is 0 when every b_j = 1.
+    through one FFT of length n, with the majorant theta_j(0) + tau_j.
+    The certificate covers the series rows only, and their shares of
+    ``tol`` (``_share_tolerance``); it is 0 when every b_j = 1.
     """
     closed = {
         j: _poisson_row(model.a_j(j + 1) * model.rate, n) for j in range(d) if model.b_j(j + 1) == 1.0
     }
     exact = {j: float(row[0]) for j, row in closed.items()}
-    series, majors, bound = _share_tolerance(model, d, tol, exact)
+    series, bound = _share_tolerance(model, d, tol, exact)
     values = [
         closed[j] if j in closed else 1.0 + 2.0 * np.real(np.fft.fft(fold_terms(series[j][0], n)))
         for j in range(d)
     ]
-    return values, majors, bound
+    return values, bound
 
 
 def _theta_at(w: np.ndarray, t: float) -> float:
@@ -665,16 +673,18 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
 
     The h = 1 term equals 1, so the result is always >= 1.  With
     c = lam * a_star * (-log omega) it is A = e^c * sum_h exp(-c * h**b),
-    with a truncation error of at most ``tol``.  For b_star = 1 the series
-    is geometric and is returned in closed form.  For b_star > 1 the terms
-    up to the minimal horizon of the geometric tail bound are summed
-    directly, and :class:`SummationCapError` is raised when that horizon
-    exceeds ``SUM_TERM_CAP``.  For b_star < 1:
+    with a truncation error of at most ``tol``.  Its tail past H is e^c
+    times that of sum_h exp(-c * h**b), so every tail bound takes
+    shift = c: e^c, which overflows past c ~ 709, is never formed.  For
+    b_star = 1 the series is geometric and is returned in closed form.  For
+    b_star > 1 the terms up to the minimal horizon of the geometric tail
+    bound are summed directly, and :class:`SummationCapError` is raised
+    when that horizon exceeds ``SUM_TERM_CAP``.  For b_star < 1:
 
     - the series needs more than ``SUM_TERM_CAP`` terms, and
       :class:`SummationCapError` is raised, exactly when the tail bound at
-      the cap exceeds tol / e^c, since the b < 1 bound decreases in the
-      horizon wherever it is finite; one bound evaluation decides it;
+      the cap exceeds tol, since the b < 1 bound decreases in the horizon
+      wherever it is finite; one bound evaluation decides it;
     - when ``_EM_SPLIT`` terms already certify tol, the terms up to the
       minimal horizon are summed directly;
     - otherwise the terms below ``_EM_SPLIT`` are summed directly and the
@@ -697,15 +707,14 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     c = lam * model.a_star * model.rate
     if b == 1.0:
         return 1.0 / -math.expm1(-c)
-    budget = _check_tol(tol / math.exp(c))  # A = e^c * sum_h exp(-c h^b)
     if b < 1.0:
-        if series_tail_bound(c, b, SUM_TERM_CAP) > budget:
-            raise _cap_error(budget)
-        if series_tail_bound(c, b, _EM_SPLIT) > budget:
+        if series_tail_bound(c, b, SUM_TERM_CAP, c) > tol:
+            raise _cap_error(tol)
+        if series_tail_bound(c, b, _EM_SPLIT, c) > tol:
             tail = _em_tail(c, b, tol)
             if tail is not None:
                 return math.fsum([_direct_sum(c, b, _EM_SPLIT - 1), *tail[0]])
-    return _direct_sum(c, b, truncation_horizon(c, b, budget)[0])
+    return _direct_sum(c, b, _least_horizon(c, b, tol, c))
 
 
 def rho(h, model: WeightModel) -> float:
@@ -737,7 +746,7 @@ def kernel_with_bound(x, y, model: WeightModel, tol: float = DEFAULT_TOL) -> tup
     """
     if len(x) != len(y):
         raise ValueError("points must have equal dimension")
-    terms, _, bound = theta_factors(model, len(x), tol)
+    terms, bound = theta_factors(model, len(x), tol)
     vals = [_theta_at(w, (float(xj) - float(yj)) % 1.0) for w, xj, yj in zip(terms, x, y)]
     return math.prod(vals), bound
 

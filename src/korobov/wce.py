@@ -22,9 +22,9 @@ depend on no generating vector, serves three callers, each forming its
 own residues -h . g mod N: ``wce2_dual_enum`` (sum of rho, each prefix
 completed in coordinate c by one gather), ``dominant_dual_frequency``
 (heaviest dual frequency) and ``korobov_survivors``, the Korobov sieve
-of the prime scans, which walks coordinates 2..d once for every g of a
-family and keeps the g with mu(g) > T, mu(g) the least E(h) over nonzero
-dual h.
+of the prime scans, which walks coordinates 2..d once for every g <= N/2
+of a family and keeps the g with mu(g) > T, mu(g) the least E(h) over
+nonzero dual h: one generator per distinct surviving rule.
 The double sum forms all N^2 pair products, each row of pairs a window of
 one difference table per coordinate, from factors summed term by term off
 one table of N cosines at exact residues: no fold, no FFT.  Every
@@ -34,10 +34,9 @@ most the requested tolerance; the table takes its certificate from
 of it, and the double sum takes a series for every coordinate, and that
 bound, from ``space.theta_factors``; the dual sum's cut reads only the
 majorants ``space.theta_majorant``.
-``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.  The dual sum's
-region threshold ``_enum_cut`` is memoised per (model, d, tol), so a
-scan that calls the dual sum at every prime builds its theta_j(0)
-majorants once.
+``ErrorEstimate.band`` adds ``TIE_SLACK`` to the bound.  Each memo keeps
+one entry, the latest key, which is all its callers re-read: a scan that
+calls the dual sum at every prime builds its theta_j(0) majorants once.
 
 Below the public entry points every function takes a space and a
 tolerance only.  The lambda-scaled dual sum of the averaging bounds, with
@@ -134,13 +133,13 @@ class ErrorEstimate:
 class ThetaTable:
     """Per-coordinate theta values at t = r/N for r = 0..N-1.
 
-    The rows, their majorants and their product certificate
-    ``product_bound`` come from ``space.theta_rows``: a row with b_j = 1 is
-    the Poisson kernel in closed form, every other row a truncated series
-    put through one FFT of length N.  ``product_bound`` holds for every k
-    and is 0 when every b_j = 1.  N * d is checked against
-    ``THETA_TABLE_CELL_CAP`` before any allocation.  Read-only after
-    construction, hence safe to share across workers.
+    The rows and their product certificate ``product_bound`` come from
+    ``space.theta_rows``: a row with b_j = 1 is the Poisson kernel in
+    closed form, every other row a truncated series put through one FFT of
+    length N.  ``product_bound`` holds for every k and is 0 when every
+    b_j = 1.  N * d is checked against ``THETA_TABLE_CELL_CAP`` before any
+    allocation.  Read-only after construction, hence safe to share across
+    workers.
     """
 
     def __init__(self, model: WeightModel, n: int, d: int, tol: float):
@@ -150,7 +149,7 @@ class ThetaTable:
             )
         self.n = n
         self.d = d
-        self.values, self.majors, self.product_bound = theta_rows(model, n, d, tol)
+        self.values, self.product_bound = theta_rows(model, n, d, tol)
 
     def eval_vectors(self, vectors: np.ndarray) -> np.ndarray:
         """Squared errors for a block of generating vectors, shape (m, d).
@@ -166,9 +165,10 @@ class ThetaTable:
         return acc.mean(axis=1) - 1.0
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def theta_table(model: WeightModel, n: int, d: int, tol: float) -> ThetaTable:
-    """Memoized table build; identical inputs share one read-only table."""
+    """Memoized table build; a call with the inputs of the last shares its
+    read-only table."""
     return ThetaTable(model, n, d, tol)
 
 
@@ -193,10 +193,10 @@ def wce2_theta_product(
 # Dual-lattice enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _enum_cut(model: WeightModel, d: int, tol: float) -> tuple[float, float]:
     """Region threshold T of the dual sum at tolerance ``tol``, with its tail
-    certificate; memoised per (model, d, tol).
+    certificate; memoised.
 
     T makes the mass outside {h : sum_j a_j*|h_j|**b_j <= T}, bounded by
     omega**(T/2) * prod_j theta_j(0) in the space at base omega**(1/2)
@@ -418,15 +418,15 @@ def _dominant_within(rule: LatticeRule, model: WeightModel, t_cut: float) -> tup
 
 def _sieve_walk(model: WeightModel, d: int, t_cut: float):
     """Blocks ``(h_2..h_d, E, H_1)`` of the prefixes of
-    :func:`korobov_survivors` in walk order: the rows of {E(h) <= t_cut,
-    h_1 = 0} whose first nonzero entry is positive (h and -h complete
-    alike, and the zero prefix goes), with H_1 the largest |h_1| that keeps
-    E(h) <= t_cut, clipped at 2**40."""
+    :func:`korobov_survivors` in walk order, d >= 2: the rows of
+    {E(h) <= t_cut, h_1 = 0} whose first nonzero entry is positive (h and
+    -h complete alike, and the zero prefix goes), with H_1 the largest
+    |h_1| that keeps E(h) <= t_cut, clipped at 2**40."""
     weights = _weights(model, d)
     a, b = weights[0]
     for h, expo in _dual_walk(t_cut, weights, 0, 0, _sieve_estimate(weights, t_cut)):
         h = h[:, 1:]
-        keep = h[np.arange(len(h)), (h != 0).argmax(axis=1)] > 0 if d > 1 else np.zeros(len(h), dtype=bool)
+        keep = h[np.arange(len(h)), (h != 0).argmax(axis=1)] > 0
         room = np.minimum((np.maximum(t_cut - expo[keep], 0.0) / a) ** (1.0 / b), 2.0**40)
         yield h[keep], expo[keep], np.floor(room).astype(np.int64)
 
@@ -436,7 +436,7 @@ def _sieve_estimate(weights: list[tuple[float, float]], t_cut: float) -> float:
     return math.exp(log_region_volume(t_cut, weights[1:]))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _sieve_rows(model: WeightModel, d: int, t_cut: float):
     """``(h_2..h_d, H_1)`` of every prefix of :func:`_sieve_walk`, read-only
     and in ascending E, or None when the region's estimate exceeds
@@ -452,25 +452,27 @@ def _sieve_rows(model: WeightModel, d: int, t_cut: float):
 
 
 def korobov_survivors(n: int, d: int, model: WeightModel, t_cut: float) -> np.ndarray:
-    """Every g in [0, n), ascending, for which no nonzero dual h of the
+    """Every g <= n / 2, ascending, for which no nonzero dual h of the
     Korobov vector (1, g, ..., g**(d-1)) has E(h) <= ``t_cut``: the g with
-    mu(g) > t_cut, where mu(g) is the least E(h) over nonzero dual h.
+    mu(g) > t_cut, where mu(g) is the least E(h) over nonzero dual h.  g
+    and n - g give the same rule (negate the even-indexed h_j), so this is
+    one generator per distinct surviving rule.
 
     h = n e_1 is dual to every such vector, so no g survives when
-    a_1 n**b_1 <= t_cut.  Otherwise the sieve walks coordinates 2..d with
+    a_1 n**b_1 <= t_cut.  Otherwise g = 0 alone comes back at d = 1, where
+    every g gives (1), and at d >= 2 the sieve walks coordinates 2..d with
     c = 1, since g_1 = 1: a prefix (h_2..h_d) with E <= t_cut completes to a
     dual h with E(h) <= t_cut exactly when |h_1| = min(r, n - r), at
     r = -sum_j h_j g**(j-1) mod n, fits the budget
     a_1 |h_1|**b_1 <= t_cut - E, and each g is dropped at the first
     prefix that does so.  Where the prefix region holds at most
     ``CHUNK_CELLS`` rows the prefixes come in ascending E, so most g go at
-    the first few; the rows are memoised per (model, d, t_cut), as they
-    depend on neither n nor g.  h and -h complete alike, as do g and n - g
-    (negate the even-indexed h_j), so only prefixes whose first nonzero
-    entry is positive and g <= n // 2 are walked.  Each block of prefixes
-    times live generators holds at most about ``SIEVE_CELLS`` cells.  E is
-    summed in floating point, so a dual h within a few ulps of t_cut may
-    fall on either side; the walk counts against ``ENUM_CAP`` and raises
+    the first few; the rows are memoised, as they depend on neither n nor
+    g.  h and -h complete alike, so only prefixes whose first nonzero entry
+    is positive are walked.  Each block of prefixes times live generators
+    holds at most about ``SIEVE_CELLS`` cells.  E is summed in floating
+    point, so a dual h within a few ulps of t_cut may fall on either side;
+    the walk counts against ``ENUM_CAP`` and raises
     :class:`OracleInfeasibleError` as :func:`wce2_dual_enum` does.  The
     modulus must pass ``check_modulus`` and d be at least 1.
     """
@@ -479,6 +481,8 @@ def korobov_survivors(n: int, d: int, model: WeightModel, t_cut: float) -> np.nd
     a_1, b_1 = model.a_j(1), model.b_j(1)
     if a_1 * float(n) ** b_1 <= t_cut:
         return np.empty(0, dtype=np.int64)
+    if d == 1:
+        return np.zeros(1, dtype=np.int64)
     rows = _sieve_rows(model, d, t_cut)
     blocks = [rows] if rows else ((h, limit) for h, _, limit in _sieve_walk(model, d, t_cut))
     reach = max(int((t_cut / a) ** (1.0 / b)) for a, b in _weights(model, d))
@@ -495,7 +499,7 @@ def korobov_survivors(n: int, d: int, model: WeightModel, t_cut: float) -> np.nd
             lo = hi
         if not alive.size:
             break
-    return np.concatenate([alive, n - alive[(alive > 0) & (2 * alive < n)][::-1]])
+    return alive
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +528,7 @@ def wce2_kernel_double_sum(
     n, d = rule.n, rule.d
     if n * n > DOUBLE_SUM_WORK_CAP:
         raise CapExceededError(f"kernel double sum needs {n * n} pairs, cap is {DOUBLE_SUM_WORK_CAP}")
-    terms, _, bound = theta_factors(model, d, tol)
+    terms, bound = theta_factors(model, d, tol)
     if (cells := n * sum(w.size for w in terms)) > DOUBLE_SUM_WORK_CAP:
         raise CapExceededError(f"kernel double sum needs {cells} factor cells, cap is {DOUBLE_SUM_WORK_CAP}")
     cosines = np.cos(2.0 * math.pi / n * np.arange(n, dtype=np.int64))

@@ -414,3 +414,20 @@ def test_one_dimensional_scan_evaluates_one_generator_per_prime(monkeypatch):
         tracemalloc.stop()
     assert sizes and set(sizes) == {1}
     assert peak < 8 * 2**20, peak
+
+
+def test_scan_memo_holds_one_theta_table(linear_model):
+    # a scan builds a table at every prime it keeps and re-reads none: the
+    # memo keeps the last, and what the scan leaves held is about its size
+    for memo in (korobov.wce.theta_table, korobov.wce._enum_cut, korobov.wce._sieve_rows):
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        [n] = empirical_info_complexity([1e-4], 3, linear_model)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    info = korobov.wce.theta_table.cache_info()
+    assert n == 937 and info.misses >= 2 and info.currsize == 1, info
+    assert held <= 8 * n * 3 + 64 * 2**10, held

@@ -822,3 +822,62 @@ def test_slow_model_bound_outputs_are_pinned(tmp_path):
     result = json.loads(out.read_text())["result"]
     assert result["lambda"] == 1.0
     assert abs(result["a_lambda"] - 402.8820034071716) <= 32 * 2.0**-52 * 402.9
+
+
+# ---------------------------------------------------------------------------
+# Fast decay and large d: the series underflow instead of overflowing
+# ---------------------------------------------------------------------------
+
+def _write_model(tmp_path, omega, a, b):
+    model = make_model(omega=omega, a=a, b=("constant", b))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model.to_dict()))
+    return str(path), model
+
+
+def test_search_past_the_underflow_of_the_theta_series(tmp_path):
+    # at d = 1075 on the linear model, c = a_j log 2 passes 745, where
+    # exp(-c) underflows to 0: the row's tail past h = 1 is below every tol
+    model, _ = _write_model(tmp_path, 0.5, ("linear", 1.0), 2.0)
+    out = tmp_path / "search.json"
+    assert run_cli(["search", "--model", model, "--n", "101", "--d", "1075", "--out", str(out)]) == 0
+    best = json.loads(out.read_text())["result"]["best_e2"]
+    assert 0.0 < best["e2"] < 1.0 and math.isfinite(best["trunc_bound"])
+
+
+def test_kernel_double_sum_past_the_underflow_of_the_theta_series(tmp_path):
+    # the kernel double sum's series at d = 1076 (b = 1) meet the same
+    # underflow and agree with the closed-form theta product
+    model, _ = _write_model(tmp_path, 0.5, ("linear", 1.0), 1.0)
+    e2 = {}
+    for method in ("kernel_double_sum", "theta_product"):
+        out = tmp_path / f"{method}.json"
+        argv = ["wce", "--model", model, "--n", "101", "--g-scalar", "3", "--d", "1076", "--method", method]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert math.isfinite(result["trunc_bound"])
+        e2[method] = result["e2"]
+    assert 0.07 < e2["theta_product"] < 0.08
+    assert e2["kernel_double_sum"] == pytest.approx(e2["theta_product"], abs=1e-14)
+
+
+@pytest.mark.parametrize("b", [0.5, 2.0])
+def test_bounds_where_the_lambda_grid_passes_the_overflow_of_exp_c(tmp_path, b):
+    # omega = 0.01, a = 200: c = lam * 200 * log 100 passes 709.8, where
+    # e**c overflows, for lam above 0.77, which the lambda grid probes
+    model_path, model = _write_model(tmp_path, 0.01, ("constant", 200.0), b)
+    out = tmp_path / "out"
+    assert run_cli(["bound", "--model", model_path, "--n", "101", "--d", "3", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert all(math.isfinite(result[key]) for key in ("a_lambda", "bound_value", "lambda", "product_term"))
+    assert run_cli(["nofe", "--model", model_path, "--epsilon", "1e-3", "--d", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["n_upper"] > 0
+    assert run_cli(["tract", "--model", model_path, "--d-list", "1,2", "--eps-list", "0.1",
+                    "--source", "bound", "--out", str(out)]) == 0
+    _, rows = read_csv_rows(out)
+    assert len(rows) == 2 and all(math.isfinite(float(row[3])) for row in rows)
+    # A_lambda = sum_h exp(-c (h**b - 1)), here within 1e-14 after 10**4 terms
+    for lam in (result["lambda"], 0.5, 0.8, 1.0):
+        c = lam * 200.0 * math.log(100.0)
+        direct = math.fsum(math.exp(-c * (h**b - 1.0)) for h in range(1, 10**4))
+        assert a_lambda(lam, model) == pytest.approx(direct, rel=0, abs=2e-14), lam

@@ -146,7 +146,7 @@ def _pairwise_modulo_double_sum(rule, model, tol=korobov.space.DEFAULT_TOL):
     """Frozen reference: factors from np.cos of the reduced angle matrix and
     a gather of factors[j][(k - l) g_j mod N] for every pair, block by block."""
     n, d = rule.n, rule.d
-    terms, _, bound = korobov.space.theta_factors(model, d, tol)
+    terms, bound = korobov.space.theta_factors(model, d, tol)
     chunk_cells = korobov.space.CHUNK_CELLS
     factors = []
     for w in terms:
@@ -600,16 +600,23 @@ def _sieve_cases(count, seed):
         yield n, d, model, t_cut
 
 
+def _distinct_rules(n, d, survivors):
+    """One generator per distinct rule of a full survivor list: g <= n/2,
+    and at d = 1, where every g gives (1), the first."""
+    return survivors[:1] if d == 1 else [g for g in survivors if 2 * g <= n]
+
+
 def test_korobov_survivors_match_box_enumeration():
     # a generator survives exactly when every nonzero dual h of E(h) <= t_cut
     # is missing from a box that holds that region
     seen = {"d=1": 0, "g=0 kept": 0, "g=0 dropped": 0, "some dropped": 0}
     for n, d, model, t_cut in _sieve_cases(240, 11):
         got = korobov_survivors(n, d, model, t_cut).tolist()
-        assert got == brute_korobov_survivors(n, d, model, t_cut), (n, d, model, t_cut)
+        brute = brute_korobov_survivors(n, d, model, t_cut)
+        assert got == _distinct_rules(n, d, brute), (n, d, model, t_cut)
         seen["d=1"] += d == 1
         seen["g=0 kept" if 0 in got else "g=0 dropped"] += 1
-        seen["some dropped"] += 0 < len(got) < n
+        seen["some dropped"] += 0 < len(brute) < n
     assert min(seen.values()) >= 10, seen
 
 
@@ -620,10 +627,47 @@ def test_korobov_survivors_walk_order_matches(monkeypatch):
     korobov.wce._sieve_rows.cache_clear()
     walked = 0
     for n, d, model, t_cut in _sieve_cases(60, 12):
-        assert korobov_survivors(n, d, model, t_cut).tolist() == brute_korobov_survivors(n, d, model, t_cut)
-        walked += korobov.wce._sieve_rows(model, d, t_cut) is None
+        brute = brute_korobov_survivors(n, d, model, t_cut)
+        assert korobov_survivors(n, d, model, t_cut).tolist() == _distinct_rules(n, d, brute)
+        walked += d > 1 and korobov.wce._sieve_rows(model, d, t_cut) is None
     korobov.wce._sieve_rows.cache_clear()
     assert walked >= 20
+
+
+@pytest.mark.parametrize("n, d, t_cut", [(1009, 2, 50.0), (1009, 3, 20.0), (4001, 4, 30.0)])
+def test_korobov_survivors_never_return_both_g_and_its_mirror(n, d, t_cut):
+    # g and N - g give one rule up to a reflection: one generator per rule
+    got = korobov_survivors(n, d, make_model(a=("linear", 1.0)), t_cut)
+    assert got.size and np.all(np.diff(got) > 0)
+    assert not np.isin(n - got, got).any()
+
+
+def _refuse_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sieve walked")
+
+    monkeypatch.setattr(korobov.wce, "_sieve_rows", refuse)
+    monkeypatch.setattr(korobov.wce, "_sieve_walk", refuse)
+
+
+@pytest.mark.parametrize("n", [2, 7, 1009])
+def test_korobov_survivors_at_d1_is_g0_without_a_walk(monkeypatch, n):
+    # every g gives the vector (1), whose nonzero dual h have |h_1| >= n
+    _refuse_the_walk(monkeypatch)
+    for model in (make_model(a=("linear", 1.0)), make_model(a=("constant", 2.0), b=("constant", 0.5))):
+        t_cut = 0.99 * model.a_j(1) * n ** model.b_j(1)
+        got = korobov_survivors(n, 1, model, t_cut)
+        assert got.tolist() == [0] and got.dtype == np.int64
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_korobov_survivors_empty_once_n_e1_is_in_the_region(monkeypatch, d):
+    # h = n e_1 is dual to every Korobov vector, with E(h) = a_1 n**b_1
+    _refuse_the_walk(monkeypatch)
+    for model in (make_model(a=("linear", 1.0)), make_model(a=("constant", 2.0), b=("constant", 0.5))):
+        for n in (2, 7, 1009):
+            got = korobov_survivors(n, d, model, model.a_j(1) * n ** model.b_j(1))
+            assert got.size == 0 and got.dtype == np.int64
 
 
 def test_korobov_survivors_rejects_bad_sizes():
