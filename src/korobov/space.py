@@ -34,7 +34,11 @@ tail certificate is at most the requested tolerance, so the value differs
 from the exact series by at most that.  The tail certificate of
 sum_{h > H} exp(-c * h**b) is closed form: a geometric series for b >= 1,
 and for b < 1, with y = H + 1, x = c * y**b > 1/b - 1, the bound
-e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).
+e^-x * (1 + y**(1-b) / (b*c*(1 - (1/b-1)/x))).  One search,
+``truncation_horizon``, finds that horizon for every b and for every
+caller: the theta rows, the kernel factors, the Rankin cut of the dual
+sum and the long sums of ``a_lambda``.  Where e^-c underflows (c past
+about 745) the certificate is 0 and the horizon is 1.
 A hard cap of 10**7 terms per one-dimensional sum turns uncertifiable
 parameter ranges into an explicit error rather than a silent inaccuracy.
 
@@ -253,10 +257,16 @@ class WeightModel:
     def scaled(self, lam: float) -> "WeightModel":
         """The same space at base omega**lam, whose Fourier mass is
         rho(h)**lam: the lambda-scaled dual sums of the averaging bounds are
-        ordinary dual sums there.  Returns ``self`` at lam = 1."""
+        ordinary dual sums there.  Returns ``self`` at lam = 1; a lam so
+        small that omega**lam rounds to 1 is rejected."""
         if not (0.0 < lam <= 1.0):
             raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-        return self if lam == 1.0 else dataclasses.replace(self, omega=self.omega**lam)
+        if lam == 1.0:
+            return self
+        omega = self.omega**lam
+        if omega == 1.0:
+            raise ValueError(f"lambda = {lam} is too small: omega**lambda rounds to 1 at omega = {self.omega}")
+        return dataclasses.replace(self, omega=omega)
 
     def to_dict(self) -> dict:
         out = {"omega": self.omega, "a": self.a.to_dict(), "b": self.b.to_dict()}
@@ -322,51 +332,34 @@ def series_tail_bound(c: float, b: float, horizon: int, shift: float = 0.0) -> f
 def _cap_error(tol: float) -> SummationCapError:
     return SummationCapError(f"series needs more than {SUM_TERM_CAP} terms to certify tail < {tol}")
 
-def truncation_horizon(c: float, b: float, tol: float) -> tuple[int, float]:
-    """Smallest horizon H >= 1 whose certified tail is at most ``tol``.
+def truncation_horizon(c: float, b: float, tol: float, shift: float = 0.0) -> tuple[int, float]:
+    """Smallest horizon H >= 1 with ``series_tail_bound(c, b, H, shift)``
+    <= ``tol``, for every b > 0: the one horizon search of the package.
 
-    Returns ``(H, tail_bound)``.  Raises :class:`SummationCapError` when no
-    horizon within the term cap can be certified.
+    Returns ``(H, tail_bound)``.  The bound decreases in H, so H doubles
+    from 1 until it certifies, and the horizons between the last failing
+    one and that one are bisected: H certifies and H - 1 does not, and no
+    probe reaches 2H.  Where e^-c underflows (c past about 745) the bound
+    is 0 and H = 1.  Raises :class:`SummationCapError` when the bound at
+    ``SUM_TERM_CAP`` misses ``tol``.
     """
     _check_tol(tol)
-    if b >= 1.0:
-        q = math.exp(-c)
-        # past c ~ 745 q underflows to 0, and the tail past h = 1, below
-        # the least positive float, meets every tol
-        if q == 0.0 or (target := tol * -math.expm1(-c) / q) >= 1.0:
-            horizon = 1
-        else:
-            horizon = math.ceil((math.log(1.0 / target) / c) ** (1.0 / b))
-            horizon = max(horizon, 1)
-        if horizon > SUM_TERM_CAP:
-            raise _cap_error(tol)
-    else:
-        horizon = _least_horizon(c, b, tol)
-    return horizon, series_tail_bound(c, b, horizon)
-
-
-def _least_horizon(c: float, b: float, tol: float, shift: float = 0.0) -> int:
-    """Smallest H >= 1 with ``series_tail_bound(c, b, H, shift)`` <= tol,
-    which must decrease in H; :class:`SummationCapError` past the term cap.
-
-    Doubles from 16 until the bound certifies, then bisects the horizons
-    between the last failing one (0 if 16 certifies) and that one: the
-    result certifies and the horizon below it does not.
-    """
-    failing, horizon = 0, 16
+    failing, horizon = 0, 1
     while series_tail_bound(c, b, horizon, shift) > tol:
         if horizon >= SUM_TERM_CAP:
             raise _cap_error(tol)
         failing, horizon = horizon, min(horizon * 2, SUM_TERM_CAP)
     between = range(failing + 1, horizon)
-    return between.start + bisect_left(between, True, key=lambda h: series_tail_bound(c, b, h, shift) <= tol)
+    horizon = between.start + bisect_left(between, True, key=lambda h: series_tail_bound(c, b, h, shift) <= tol)
+    return horizon, series_tail_bound(c, b, horizon, shift)
 
 
 def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Coefficients w_h = omega**(a_j * h**b_j) for h = 1..H.
 
-    H is chosen so the truncation error of any theta evaluation built from
-    these terms, namely 2 * sum_{h > H} w_h, is at most ``tol``.  Returns
+    H is the ``truncation_horizon`` at ``tol / 2``, the least whose
+    certified truncation error of any theta evaluation built from these
+    terms, 2 * sum_{h > H} w_h, is at most ``tol``.  Returns
     ``(weights, tail)`` with ``2 * tail <= tol``.
     """
     c = model.a_j(j) * model.rate
@@ -677,16 +670,17 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     times that of sum_h exp(-c * h**b), so every tail bound takes
     shift = c: e^c, which overflows past c ~ 709, is never formed.  For
     b_star = 1 the series is geometric and is returned in closed form.  For
-    b_star > 1 the terms up to the minimal horizon of the geometric tail
-    bound are summed directly, and :class:`SummationCapError` is raised
-    when that horizon exceeds ``SUM_TERM_CAP``.  For b_star < 1:
+    b_star > 1 the terms up to the ``truncation_horizon`` of the geometric
+    tail bound at shift c are summed directly, and
+    :class:`SummationCapError` is raised when that horizon exceeds
+    ``SUM_TERM_CAP``.  For b_star < 1:
 
     - the series needs more than ``SUM_TERM_CAP`` terms, and
       :class:`SummationCapError` is raised, exactly when the tail bound at
       the cap exceeds tol, since the b < 1 bound decreases in the horizon
       wherever it is finite; one bound evaluation decides it;
     - when ``_EM_SPLIT`` terms already certify tol, the terms up to the
-      minimal horizon are summed directly;
+      ``truncation_horizon`` are summed directly;
     - otherwise the terms below ``_EM_SPLIT`` are summed directly and the
       rest is the certified Euler-Maclaurin tail of :func:`_em_tail`; the
       head and the tail's terms are added in one ``math.fsum``.  It costs
@@ -694,7 +688,7 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
       terms, and on the bench's slow model (omega = 0.9, logarithmic a,
       b = 1/2) it is within 0.65 ulp of mpmath fed the same c for lam in
       [0.2, 1].  Where it certifies nothing (only for tolerances far below
-      rounding), the direct sum runs to the minimal horizon.
+      rounding), the direct sum runs to the ``truncation_horizon``.
 
     Direct sums run ``CHUNK_CELLS`` terms at a time through one buffer, so
     memory stays constant in the horizon.  Nothing is memoised: no path but
@@ -714,7 +708,7 @@ def a_lambda(lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
             tail = _em_tail(c, b, tol)
             if tail is not None:
                 return math.fsum([_direct_sum(c, b, _EM_SPLIT - 1), *tail[0]])
-    return _direct_sum(c, b, _least_horizon(c, b, tol, c))
+    return _direct_sum(c, b, truncation_horizon(c, b, tol, c)[0])
 
 
 def rho(h, model: WeightModel) -> float:

@@ -881,3 +881,21 @@ def test_bounds_where_the_lambda_grid_passes_the_overflow_of_exp_c(tmp_path, b):
         c = lam * 200.0 * math.log(100.0)
         direct = math.fsum(math.exp(-c * (h**b - 1.0)) for h in range(1, 10**4))
         assert a_lambda(lam, model) == pytest.approx(direct, rel=0, abs=2e-14), lam
+
+
+def test_bound_at_a_large_b_star(tmp_path):
+    # b* = 300: the horizon search forms no h**b past twice the least
+    # horizon, so it never reaches 16**300, which is outside the float range
+    model_path, _ = _write_model(tmp_path, 0.5, ("constant", 1.0), 300.0)
+    out = tmp_path / "bound.json"
+    assert run_cli(["bound", "--model", model_path, "--n", "101", "--d", "3", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["a_lambda"] == 1.0 and math.isfinite(result["product_term"])
+
+
+def test_wce_lambda_that_rounds_omega_to_one_names_lambda(model_path, capsys):
+    # omega**1e-300 rounds to 1: the message names lambda, not an omega of 1
+    argv = ["wce", "--model", model_path, "--lambda", "1e-300", "--g-scalar", "3", "--d", "2", "--n", "7"]
+    assert main(argv) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "lambda" in message and "must lie in (0, 1)" not in message

@@ -14,6 +14,7 @@ from korobov import (
     WeightModel,
     a_lambda,
     kernel,
+    mean_pow_error,
     rho,
     theta,
 )
@@ -46,6 +47,14 @@ def test_scaled_model_has_mass_rho_to_the_lambda():
 def test_scaled_rejects_bad_lambda(lam, unit_model):
     with pytest.raises(ValueError):
         unit_model.scaled(lam)
+
+
+def test_scaled_rejects_a_lambda_that_rounds_omega_to_one(unit_model):
+    with pytest.raises(ValueError, match="lambda = 1e-300"):
+        unit_model.scaled(1e-300)
+    with pytest.raises(ValueError, match="lambda"):
+        mean_pow_error(7, 2, 1e-300, unit_model)
+    assert unit_model.scaled(1e-15).omega < 1.0
 
 
 def test_equal_scaled_models_share_one_theta_table(linear_model):
@@ -387,6 +396,27 @@ def test_truncation_horizon_b_lt1_is_minimal():
                 assert series_tail_bound(c, b, horizon - 1) > tol, (c, b, tol, horizon)
                 checked += 1
     assert checked >= 40, checked
+
+
+def test_truncation_horizon_b_ge1_is_minimal():
+    # the same search serves b >= 1, including c = 800, where e^-c
+    # underflows to 0 and the tail past h = 1 certifies every tol
+    for b, c, tol in itertools.product((1.0, 1.5, 2.0), (0.01, math.log(2.0), 3.0, 800.0), (1e-3, 1e-14, 1e-30)):
+        horizon, bound = truncation_horizon(c, b, tol)
+        assert bound == series_tail_bound(c, b, horizon) <= tol, (c, b, tol)
+        if horizon > 1:
+            assert series_tail_bound(c, b, horizon - 1) > tol, (c, b, tol, horizon)
+    assert all(truncation_horizon(800.0, b, 1e-30) == (1, 0.0) for b in (1.0, 1.5, 2.0))
+
+
+def test_truncation_horizon_at_exact_integer_levels():
+    # omega = 1/2, a_1 = 1, b = 1: the tail past H is exactly 2**-H, so
+    # rounding decides at tol = 2**-k: the computed bound at H = 24 lies 7
+    # ulps above 2**-24, and the one at H = 47 meets 2**-47
+    c = math.log(2.0)
+    horizon, bound = truncation_horizon(c, 1.0, 2.0**-24)
+    assert bound <= 2.0**-24 and horizon == 25
+    assert truncation_horizon(c, 1.0, 2.0**-47) == (47, series_tail_bound(c, 1.0, 47))
 
 
 def test_tail_bound_b_lt1_covers_mpmath_tail():
