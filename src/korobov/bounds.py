@@ -34,7 +34,7 @@ from .errors import CapExceededError, CertificateError, OracleInfeasibleError, S
 from .lattice import check_dimension, next_prime
 from .space import DEFAULT_TOL, WeightModel, a_lambda, log_region_volume
 # search_korobov is not called here: bench/run.py's self-test wraps this import site
-from .search import check_family, korobov_errors, search_korobov
+from .search import check_family, family_errors, search_korobov
 from .wce import ErrorEstimate, korobov_survivors
 
 # Geometric lambda grid 1, 1/2, ..., 2**-20; a golden-section refinement
@@ -367,9 +367,9 @@ def empirical_info_complexity(
     nonzero dual h of E(h) at most that has e^2 > eps^2 for every pending
     eps.  A prime with no survivor is infeasible for all of them and is
     skipped before any theta table is built.  Otherwise the least e^2 of
-    ``search.korobov_errors`` at the survivors decides it: the sieve
-    returns one g per distinct surviving rule.  A sieve walk over the
-    enumeration cap raises
+    ``search.family_errors`` at ``members=survivors`` decides it: the
+    sieve returns one g per distinct surviving rule.  A sieve walk over
+    the enumeration cap raises
     :class:`OracleInfeasibleError` naming the prime and eps.
 
     Feasibility is decided on the certified interval value +- band of that
@@ -395,7 +395,7 @@ def empirical_info_complexity(
             raise OracleInfeasibleError(f"prime {n}, eps = {pending[-1]:.6g}: sieve {exc}") from exc
         if not survivors.size:
             continue
-        e2, bound = korobov_errors(n, d, model, survivors, tol)
+        e2, bound = family_errors(n, d, model, tol, members=survivors)
         best = ErrorEstimate(float(e2.min()), bound, "theta_product")
         lo, hi = best.value - best.band, best.value + best.band
         while pending and start[pending[-1]] < n and pending[-1] ** 2 >= lo:

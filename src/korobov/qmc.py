@@ -70,10 +70,13 @@ class FourierPolynomial:
         return 0j
 
     def norm(self, model: WeightModel) -> float:
-        """Space norm (sum_h |coeff(h)|^2 / rho(h))**(1/2)."""
-        return math.sqrt(
-            math.fsum(abs(c) ** 2 / rho(h, model) for h, c in self.terms)
-        )
+        """Space norm (sum_h |coeff(h)|^2 / rho(h))**(1/2); inf when a
+        nonzero coefficient sits at an h whose rho(h) underflows to 0."""
+        squares = []
+        for h, c in self.terms:
+            mass = rho(h, model)
+            squares.append(abs(c) ** 2 / mass if mass > 0.0 else math.inf if c else 0.0)
+        return math.sqrt(math.fsum(squares))
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Values sum_h coeff(h) * exp(2 pi i h . x) at rows of ``points``."""

@@ -4,13 +4,13 @@ This module owns the families: their names (``FAMILIES``, which the
 CLI reads, and ``check_family``, the one check of a family or variant
 name, which the bounds call) and the layout of the general family, whose
 index i is the vector ``general_vectors(n, d, i)`` in C order.  Every
-family is evaluated here, in chunks over ``threads`` workers: all N
-scalar Korobov generators by ``_eval_korobov``, O(N^2 d / 4) as products
-of strided windows over tiles of a primitive-root-permuted theta table,
-in chunks of rows that depend on N and d, and all N^d vectors of a tiny
-instance by ``ThetaTable.eval_vectors``, which also evaluates the Korobov
-generators of ``korobov_errors``: the generators that the sieve of a
-prime scan returns, one per distinct surviving rule.  Both searches
+family is evaluated here by ``family_errors``, whole or at a list of
+member indices (such as the sieve survivors of a prime scan, one g per
+distinct rule), in chunks over ``threads`` workers: Korobov generators
+by ``_eval_korobov``, O(N^2 d / 4) for all N as products of windows over
+tiles of a primitive-root-permuted theta table, in chunks of rows that
+depend on N and d, and the vectors of a tiny general instance by
+``ThetaTable.eval_vectors``.  Both searches
 select the lambda = 1 error minimizer on one path: members within
 ``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
 order (smallest scalar / lexicographically smallest vector) wins, so
@@ -83,43 +83,50 @@ def general_vectors(n: int, d: int, idx) -> np.ndarray:
     return np.stack(np.unravel_index(idx, (n,) * d), axis=-1)
 
 
-def _eval_korobov(table, threads: int = 1) -> np.ndarray:
-    """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for
-    every scalar g = 0..N-1, in O(N^2 d / 4).
+def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
+    """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for the
+    scalar ``generators`` (every g = 0..N-1 when None), O(N^2 d / 4) for all.
 
     Rader's reindexing, as in fast CBC: with a primitive root gamma,
     k = gamma^a and g = gamma^b, coordinate j reads theta_j at
     gamma^(a + j b) / N.  theta is even and gamma^m = -1 for
     m = (N-1)/2, so the permuted table T_j[a] = theta_j(gamma^a / N) has
-    period m and the k != 0 terms of candidate b sum to
-    2 * sum_{a<m} prod_j T_j[(a + j b) mod m].  Across a block of rows
-    the start of coordinate j's slice moves by s_j = j mod m, so T_j is
-    tiled once to 2m + s_j (chunk - 1) cells, viewed as its windows by
-    one strided view, and the block reads a strided run of them, with no
-    gather (s_j = 0 reads T_j[:m]).  The powers gamma^a come by doubling:
-    gamma^(s + i) = gamma^s gamma^i fills the next s of them at once.
-    With chunk = CHUNK_CELLS // (m + sum_j s_j) the tiled tables hold at
-    most N d + CHUNK_CELLS cells.  The first product goes into one block
-    buffer that the blocks reuse (a new array per block when threads > 1),
-    and the other coordinates multiply into it in place.  g = gamma^b and
-    N - g = gamma^(b+m) share a row, so they tie exactly.  The k = 0 term
-    prod_j theta_j(0) is added separately.  g = 0, the vector
-    (1, 0, ..., 0), d = 1 and N < 5 are evaluated by
-    :meth:`ThetaTable.eval_vectors`.  Each row is reduced on its own and
-    chunks depend only on N and d, so results do not depend on
-    ``threads``.
+    period m and the k != 0 terms of row b sum to
+    2 * sum_{a<m} prod_j T_j[(a + j b) mod m]; g = gamma^b and N - g share
+    row b (the table ``log`` maps g to it), so they tie exactly.  Row b
+    reads T_j from (s_j b) mod m, s_j = j mod m, so T_j is tiled once to
+    2m + s_j (chunk - 1) cells and viewed as its windows by one strided
+    view: a block of consecutive rows reads a strided run of them when
+    every row is wanted, and the wanted rows by plain indexing otherwise,
+    multiplied in the same order (s_j = 0 reads T_j[:m]).  The powers
+    gamma^a come by doubling: gamma^(s + i) = gamma^s gamma^i fills the
+    next s of them at once.  With chunk = CHUNK_CELLS // (m + sum_j s_j)
+    the tiled tables hold at most N d + CHUNK_CELLS cells.  The first
+    product goes into one block buffer that the blocks reuse (a new array
+    per block when threads > 1), and the other coordinates multiply into
+    it in place.  The k = 0 term prod_j theta_j(0) is added separately.
+    g = 0, the vector (1, 0, ..., 0), if wanted, d = 1 and N < 5 are
+    evaluated by :meth:`ThetaTable.eval_vectors`.  Each row is reduced on
+    its own and chunks depend only on N and d, so a row's value depends
+    neither on ``threads`` nor on the other rows wanted.
     """
     n, d = table.n, table.d
+    gens = np.arange(n) if generators is None else np.asarray(generators, dtype=np.int64)
     if d == 1:
-        return np.full(n, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
+        return np.full(gens.size, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
     if n < 5:
-        return table.eval_vectors(korobov_vectors(n, d, np.arange(n)))
+        return table.eval_vectors(korobov_vectors(n, d, gens))
     m = (n - 1) // 2
     gamma, powers, size = primitive_root(n), np.ones(m, dtype=np.int64), 1
     while size < m:  # gamma^(size + i) = gamma^size * gamma^i, doubling the run
         step = min(size, m - size)
         powers[size : size + step] = powers[:step] * pow(gamma, size, n) % n
         size += step
+    log = np.full(n, m)  # g = 0 reads slot m, after the m rows
+    log[powers] = log[n - powers] = np.arange(m)
+    wanted = np.zeros(m + 1, dtype=bool)
+    wanted[log[gens]] = True
+    rows = np.flatnonzero(wanted[:m])
     steps = [j % m for j in range(d)]
     chunk = max(1, CHUNK_CELLS // (m + sum(steps)))
     # row b of a block starting at lo reads T_j from (s_j lo) mod m +
@@ -131,25 +138,27 @@ def _eval_korobov(table, threads: int = 1) -> np.ndarray:
         windows.append(as_strided(tile, (tile.size - m + 1, m), tile.strides * 2, writeable=False))
     k0 = math.prod(vals[0] for vals in table.values)
     # one block buffer, reused when the blocks run one after another
-    buffer = np.empty((min(chunk, m), m)) if threads == 1 else None
+    buffer = np.empty((min(chunk, rows.size), m)) if threads == 1 else None
 
     def factor(j: int, lo: int, hi: int) -> np.ndarray:
         s = steps[j]
-        return windows[j][s * lo % m :: s][: hi - lo] if s else windows[j][0]
+        if not s:
+            return windows[j][0]
+        return windows[j][s * lo % m :: s][: hi - lo] if rows.size == m else windows[j][s * rows[lo:hi] % m]
 
-    def rows(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int) -> np.ndarray:
         out = None if buffer is None else buffer[: hi - lo]
         acc = np.multiply(factor(1, lo, hi), factor(0, lo, hi), out=out)
         for j in range(2, d):
             acc *= factor(j, lo, hi)
         return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
 
-    half = _map_chunks(rows, m, chunk, threads)
-    e2 = np.empty(n, dtype=np.float64)
-    e2[powers] = half
-    e2[n - powers] = half
-    e2[0] = table.eval_vectors(korobov_vectors(n, d, [0]))[0]
-    return e2
+    half = np.empty(m + 1)
+    if rows.size:
+        half[rows] = _map_chunks(block, rows.size, chunk, threads)
+    if wanted[m]:
+        half[m] = table.eval_vectors(korobov_vectors(n, d, [0]))[0]
+    return half[log[gens]]
 
 
 def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:
@@ -164,14 +173,16 @@ def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _eval_all(table, threads: int) -> np.ndarray:
-    """Errors of all N^d vectors in lexicographic order."""
+def _eval_all(table, threads: int, members=None) -> np.ndarray:
+    """Errors of the general vectors at indices ``members``, all N^d when None."""
     n, d = table.n, table.d
+    count = n**d if members is None else len(members)
 
     def run(lo: int, hi: int) -> np.ndarray:
-        return table.eval_vectors(general_vectors(n, d, np.arange(lo, hi)))
+        idx = np.arange(lo, hi) if members is None else members[lo:hi]
+        return table.eval_vectors(general_vectors(n, d, idx))
 
-    return _map_chunks(run, n**d, max(1, CHUNK_CELLS // n), threads)
+    return _map_chunks(run, count, max(1, CHUNK_CELLS // n), threads)
 
 
 def family_errors(
@@ -181,11 +192,12 @@ def family_errors(
     tol: float = DEFAULT_TOL,
     family: str = "korobov",
     threads: int = 1,
+    members=None,
 ) -> tuple[np.ndarray, float]:
-    """Squared errors of every member of a family, in enumeration order
-    (scalar g, or lexicographic vectors), with their shared truncation
-    bound.  The modulus must pass ``check_modulus``, d and ``threads`` be
-    at least 1."""
+    """Squared errors of the members at indices ``members`` into the
+    family's enumeration order (scalar g, or lexicographic vectors), of
+    all in that order when None, with their shared truncation bound.  The
+    modulus must pass ``check_modulus``, d and ``threads`` be at least 1."""
     check_modulus(n)
     check_dimension(d)
     if threads < 1:
@@ -194,26 +206,8 @@ def family_errors(
     if family == "general" and n**d > GENERAL_SEARCH_CAP:
         raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
     table = theta_table(model, n, d, tol)
-    e2 = (_eval_korobov if family == "korobov" else _eval_all)(table, threads)
+    e2 = (_eval_korobov if family == "korobov" else _eval_all)(table, threads, members)
     return e2, table.product_bound
-
-
-def korobov_errors(
-    n: int, d: int, model: WeightModel, generators, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
-    """Squared errors of the Korobov vectors of ``generators`` (at least
-    one integer in [0, n)) by ``ThetaTable.eval_vectors`` in blocks of at
-    most ``CHUNK_CELLS`` cells, with the table's truncation bound: O(N d)
-    per generator, where ``family_errors`` costs O(N^2 d / 4) for all N."""
-    check_modulus(n)
-    check_dimension(d)
-    table = theta_table(model, n, d, tol)
-    generators = np.asarray(generators, dtype=np.int64)
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        return table.eval_vectors(korobov_vectors(n, d, generators[lo:hi]))
-
-    return _map_chunks(run, generators.size, max(1, CHUNK_CELLS // n), 1), table.product_bound
 
 
 def _select(n: int, d: int, model: WeightModel, tol: float, family: str, threads: int) -> SearchResult:

@@ -84,6 +84,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
 
+def pow_or_inf(x: float, b: float) -> float:
+    """x**b for floats x >= 0 and b > 0, and inf where it overflows the
+    float range (Python's ``**`` raises there), so an h**b past the range
+    gives the Fourier mass 0, as numpy's array powers do."""
+    try:
+        return x**b
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class WeightFamily:
     """A rule producing a weight value for every coordinate index j >= 1.
@@ -251,7 +261,7 @@ class WeightModel:
         """E(h) = sum_j a_j * |h_j|**b_j, summed in coordinate order."""
         total = 0.0
         for j, hj in enumerate(h, start=1):
-            total += self.a_j(j) * abs(float(hj)) ** self.b_j(j)
+            total += self.a_j(j) * pow_or_inf(abs(float(hj)), self.b_j(j))
         return total
 
     def scaled(self, lam: float) -> "WeightModel":
@@ -301,7 +311,7 @@ def _tail_bound_b_ge1(c: float, b: float, horizon: int, shift: float) -> float:
     # h**b - H**b >= h - H for h > H >= 1 and b >= 1, so the tail is
     # dominated by a geometric series with ratio exp(-c).
     q = math.exp(-c)
-    return math.exp(shift - c * float(horizon) ** b) * q / -math.expm1(-c)
+    return math.exp(shift - c * pow_or_inf(float(horizon), b)) * q / -math.expm1(-c)
 
 def _tail_bound_b_lt1(c: float, b: float, horizon: int, shift: float) -> float:
     # f(t) = exp(-c * t**b) decreases, so with y = H + 1 the tail is at most
@@ -366,7 +376,8 @@ def theta_terms(j: int, model: WeightModel, tol: float = DEFAULT_TOL) -> tuple[n
     b = model.b_j(j)
     horizon, tail = truncation_horizon(c, b, tol / 2.0)
     h = np.arange(1, horizon + 1, dtype=np.float64)
-    return np.exp(-c * h**b), tail
+    with np.errstate(over="ignore"):  # an h**b past the float range gives w_h = 0
+        return np.exp(-c * h**b), tail
 
 
 def theta_majorant(w: np.ndarray, tail: float) -> float:
@@ -652,8 +663,10 @@ def _direct_sum(c: float, b: float, horizon: int) -> float:
     for lo in range(0, horizon, ramp.size):
         x = buf[: min(ramp.size, horizon - lo)]
         np.add(ramp[: x.size], lo, out=x)
-        # in-place **= keeps numpy's square-root fast path for b = 1/2
-        x **= b
+        # in-place **= keeps numpy's square-root fast path for b = 1/2; an
+        # h**b past the float range gives the term 0
+        with np.errstate(over="ignore"):
+            x **= b
         x -= 1.0
         x *= -c
         np.exp(x, out=x)

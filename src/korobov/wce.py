@@ -62,6 +62,7 @@ from .space import (
     WeightModel,
     fold_terms,
     log_region_volume,
+    pow_or_inf,
     theta_factors,
     theta_majorant,
     theta_rows,
@@ -381,11 +382,11 @@ def dominant_dual_frequency(rule: LatticeRule, model: WeightModel) -> tuple[int,
     {E(h) <= that least E + 1} (the + 1 absorbs rounding).
     """
     n, weights = rule.n, _weights(model, rule.d)
-    known = [a * float(n) ** b for a, b in weights]
+    known = [a * pow_or_inf(float(n), b) for a, b in weights]
     for (j, (a_j, _)), (i, (a_i, b_i)) in itertools.permutations(enumerate(weights), 2):
         if rule.g[i]:
             r = rule.g[j] * pow(rule.g[i], -1, n) % n
-            known.append(a_j + a_i * float(min(r, n - r)) ** b_i)
+            known.append(a_j + a_i * pow_or_inf(float(min(r, n - r)), b_i))
     return _dominant_within(rule, model, min(known) + 1.0)
 
 
@@ -479,7 +480,7 @@ def korobov_survivors(n: int, d: int, model: WeightModel, t_cut: float) -> np.nd
     check_modulus(n)
     check_dimension(d)
     a_1, b_1 = model.a_j(1), model.b_j(1)
-    if a_1 * float(n) ** b_1 <= t_cut:
+    if a_1 * pow_or_inf(float(n), b_1) <= t_cut:
         return np.empty(0, dtype=np.int64)
     if d == 1:
         return np.zeros(1, dtype=np.int64)

@@ -400,10 +400,13 @@ def test_one_dimensional_scan_evaluates_one_generator_per_prime(monkeypatch):
     # at d = 1 every g gives the vector (1), so each kept prime is decided
     # on one generator: near omega = 1 each kept family keeps every g
     model = make_model(omega=0.999)
-    evaluate, sizes = korobov.bounds.korobov_errors, []
-    monkeypatch.setattr(
-        korobov.bounds, "korobov_errors", lambda n, d, m, gens, *args: sizes.append(len(gens)) or evaluate(n, d, m, gens, *args)
-    )
+    evaluate, sizes = korobov.bounds.family_errors, []
+
+    def recording(*args, members, **kwargs):
+        sizes.append(len(members))
+        return evaluate(*args, members=members, **kwargs)
+
+    monkeypatch.setattr(korobov.bounds, "family_errors", recording)
     tracemalloc.start()
     try:
         assert empirical_info_complexity([1e-4], 1, model) == [19121]
@@ -414,6 +417,21 @@ def test_one_dimensional_scan_evaluates_one_generator_per_prime(monkeypatch):
         tracemalloc.stop()
     assert sizes and set(sizes) == {1}
     assert peak < 8 * 2**20, peak
+
+
+def test_many_survivor_scan_reads_rows_of_the_family_kernel(monkeypatch):
+    # the sieve keeps about N/2 generators at each prime here; the scan reads
+    # them as rows of the primitive-root kernel, so none reaches eval_vectors
+    model = make_model(omega=0.7, b=("constant", 0.5))
+    evaluate, rows = korobov.wce.ThetaTable.eval_vectors, []
+
+    def recording(table, vectors):
+        rows.append(len(vectors))
+        return evaluate(table, vectors)
+
+    monkeypatch.setattr(korobov.wce.ThetaTable, "eval_vectors", recording)
+    assert empirical_info_complexity([0.7], 2, model) == [1399]
+    assert sum(rows) == 0, (sum(rows), len(rows))
 
 
 def test_scan_memo_holds_one_theta_table(linear_model):

@@ -27,7 +27,7 @@ from korobov.qmc import convergence_study
 from korobov.search import family_errors
 from korobov.tract import ALG_D_MAX_CAP, alg_classify
 
-from conftest import first_sieved_prime, make_model
+from conftest import brute_dual_e2, first_sieved_prime, make_model
 
 MODEL = {"omega": 0.5, "a": {"kind": "linear", "kappa": 1.0}, "b": {"kind": "constant", "kappa": 1.0}}
 
@@ -891,6 +891,61 @@ def test_bound_at_a_large_b_star(tmp_path):
     assert run_cli(["bound", "--model", model_path, "--n", "101", "--d", "3", "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
     assert result["a_lambda"] == 1.0 and math.isfinite(result["product_term"])
+
+
+# b = 2000: h**b is past the float range for every |h| >= 2, so those h carry
+# mass 0 and e^2 is the dual sum over h in {-1, 0, 1}^d
+B_PAST_RANGE = 2000.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["theta_product", "dual_enum", "kernel_double_sum"])
+def test_wce_at_a_weight_exponent_past_the_float_range(tmp_path, method):
+    # the dual h = +-(1, -1, 1) of (1, 3, 2) mod 7 carry all the mass, 2 omega^3
+    model_path, model = _write_model(tmp_path, 0.5, ("constant", 1.0), B_PAST_RANGE)
+    out = tmp_path / "wce.json"
+    argv = ["wce", "--model", model_path, "--g-scalar", "3", "--d", "3", "--n", "7", "--method", method]
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    e2 = json.loads(out.read_text())["result"]["e2"]
+    assert e2 == pytest.approx(brute_dual_e2(7, (1, 3, 2), model, box=1), abs=1e-14) == 0.25
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_search_at_a_weight_exponent_past_the_float_range(tmp_path):
+    model_path, model = _write_model(tmp_path, 0.5, ("constant", 1.0), B_PAST_RANGE)
+    out = tmp_path / "search.json"
+    assert run_cli(["search", "--model", model_path, "--n", "101", "--d", "3", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    rule, best = result["best_rule"], result["best_e2"]
+    assert best["e2"] == pytest.approx(brute_dual_e2(rule["n"], rule["g"], model, box=1), abs=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--n", "101", "--d", "3"],
+        ["nofe", "--epsilon", "0.1", "--d", "2"],
+        ["tract", "--source", "empirical", "--mode", "wt", "--d-list", "1,2,3", "--eps-list", "0.1,0.01"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_at_a_weight_exponent_past_the_float_range(tmp_path, argv):
+    model_path, _ = _write_model(tmp_path, 0.5, ("constant", 1.0), B_PAST_RANGE)
+    assert run_cli([*argv, "--model", model_path, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integrate_at_a_weight_exponent_past_the_float_range(tmp_path):
+    # rho(2, 1, 0) underflows to 0, so the polynomial's norm and bound are inf
+    model_path, _ = _write_model(tmp_path, 0.5, ("constant", 1.0), B_PAST_RANGE)
+    pp, rp, out = tmp_path / "poly.json", tmp_path / "rule.json", tmp_path / "int.json"
+    pp.write_text(json.dumps({"terms": [{"h": [2, 1, 0], "re": 1.0, "im": 0.0}]}))
+    rp.write_text(json.dumps({"n": 7, "g": [1, 3, 2]}))
+    argv = ["integrate", "--poly", str(pp), "--rule", str(rp), "--model", model_path, "--out", str(out)]
+    assert run_cli(argv) == 0
+    vs_wce = json.loads(out.read_text())["result"]["vs_wce"]
+    assert vs_wce["bound"] == math.inf and vs_wce["ratio"] == 0.0
 
 
 def test_wce_lambda_that_rounds_omega_to_one_names_lambda(model_path, capsys):

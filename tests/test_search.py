@@ -170,6 +170,8 @@ def test_ties_follow_the_band(linear_model, monkeypatch, family, n, d):
         best = LatticeRule(n, tuple(general_vectors(n, d, tied[:1])[0]))
     assert res.best_rule == best
     assert res.best_e2.value == e2[tied[0]]
+    # the tied members alone read the same values
+    assert np.array_equal(family_errors(n, d, linear_model, family=family, members=tied)[0], e2[tied])
 
 
 KERNEL_MODELS = {
@@ -252,12 +254,25 @@ def test_eval_korobov_bitwise_when_steps_wrap(n, d):
         assert np.array_equal(_eval_korobov(table), _gather_korobov_errors(table)), lam
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_eval_korobov_bitwise_thread_invariant(d):
-    n, m = 1009, 504
-    assert CHUNK_CELLS // (m + d * (d - 1) // 2) < m  # several chunks
-    table = theta_table(KERNEL_MODELS["linear"], n, d, DEFAULT_TOL)
-    assert np.array_equal(_eval_korobov(table, threads=1), _eval_korobov(table, threads=2))
+    # every thread count and every member list reads the rows of the whole
+    # family bitwise: random lists with repeats, g = 0 alone, g with N - g,
+    # and every g; a list that leaves rows out reads its rows gathered
+    assert CHUNK_CELLS // (504 + d * (d - 1) // 2) < 504  # several chunks at N = 1009
+    rng = np.random.default_rng(d)
+    for b in (0.5, 1.0, 2.0):
+        model = make_model(a=("linear", 1.0), b=("constant", b))
+        for n in (2, 3, 5, 7, 101, 1009):
+            table = theta_table(model, n, d, DEFAULT_TOL)
+            full = _eval_korobov(table)
+            g = int(rng.integers(1, n))
+            member_lists = (rng.integers(0, n, size=n + 3), [0], [g, n - g], np.arange(n))
+            for threads in (1, 2):
+                assert np.array_equal(_eval_korobov(table, threads), full), (b, n, threads)
+                for members in member_lists:
+                    got = _eval_korobov(table, threads, members)
+                    assert np.array_equal(got, full[members]), (b, n, threads, members)
 
 
 def test_eval_korobov_tables_stay_bounded():
