@@ -20,15 +20,16 @@ modulus up to ``minkowski_start(eps, d, model)`` is infeasible for every
 rank-1 rule.  Every prime takes one path: the Korobov sieve of ``wce``
 drops every generator with a nonzero dual h of E(h) <= T', the exponent
 that ``minkowski_start`` reads too; one g per surviving rule decides the prime.
-The lambda minimisations check their inputs once; each of their lambda
-probes is one ``log_product_bound`` call.
+The lambda minimisations check their inputs once.  The product term does
+not read N, so ``error_bound_min`` keeps it per (model, d, tol) in one
+bounded table across calls, and a scan's primes share their lambda probes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .errors import CapExceededError, CertificateError, OracleInfeasibleError, SummationCapError
 from .lattice import check_dimension, next_prime
@@ -44,6 +45,10 @@ LAMBDA_GRID = tuple(0.5**k for k in range(21))
 _OVERFLOW_LOG = 62.0 * math.log(2.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Entries of the lambda table of error_bound_min, about 0.35 MB when full:
+# one call probes at most 54 lambdas, and a scan repeats the 21 grid ones.
+_LAMBDA_TABLE_CAP = 4096
 
 # Largest prime modulus the empirical information-complexity scan searches.
 SCAN_N_CAP = 100_000
@@ -94,11 +99,23 @@ class BoundReport:
 
 def log_product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """log of prod_{j<=d} (1 + 2 * A_lam * omega**(lam * a_j))."""
+    return _log_product(lam, model, [model.a_j(j) for j in range(1, d + 1)], tol)
+
+
+def _log_product(lam: float, model: WeightModel, a: list[float], tol: float) -> float:
+    """:func:`log_product_bound` over the weights ``a`` = [a_1, ..., a_d]."""
     a_lam = a_lambda(lam, model, tol)
-    return math.fsum(
-        math.log1p(2.0 * a_lam * model.omega ** (lam * model.a_j(j)))
-        for j in range(1, d + 1)
-    )
+    return math.fsum(math.log1p(2.0 * a_lam * model.omega ** (lam * a_j)) for a_j in a)
+
+
+@lru_cache(maxsize=1)
+def _lambda_table(model: WeightModel, d: int, tol: float) -> tuple[list[float], dict[float, float]]:
+    """a_1..a_d and the table lambda -> ``log_product_bound(d, lambda, model,
+    tol)`` that ``error_bound_min`` fills; memoised.  The product does not
+    read N, so a prime scan re-reads the grid lambdas and the first
+    golden-section points of a shared bracket at every prime.  The table
+    holds at most ``_LAMBDA_TABLE_CAP`` entries: it is emptied when full."""
+    return [model.a_j(j) for j in range(1, d + 1)], {}
 
 
 def product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
@@ -127,9 +144,11 @@ def error_bound(
 
 
 def _error_bound(n: int, d: int, lam: float, variant: str, log_product: float) -> float:
+    """exp of the bound's log; past exp's underflow (log_val below about
+    -745) the least positive float, so a positive error never reads 0."""
     c = 1.0 if variant == "general" or d == 1 else float(d - 1)
     log_val = (math.log(c / n) + log_product) / (2.0 * lam)
-    return math.inf if log_val > 700.0 else math.exp(log_val)
+    return math.inf if log_val > 700.0 else math.exp(log_val) or math.ulp(0.0)
 
 
 def bound_report(
@@ -216,12 +235,22 @@ def error_bound_min(
 ) -> BoundReport:
     """Smallest error bound over the lambda grid, reported at its lambda.
 
-    The inputs are checked once; each lambda probe is one
-    ``log_product_bound`` call, and the report reads the winning probe's.
+    The inputs are checked once.  Each lambda probe reads the product term
+    from ``_lambda_table``, which holds it across calls at one
+    (model, d, tol), and the report reads the winning probe's.
     """
     check_family(variant)
     _check_size(n, d)
-    log_product = cache(lambda lam: log_product_bound(d, lam, model, tol))
+    a, table = _lambda_table(model, d, tol)
+
+    def log_product(lam: float) -> float:
+        value = table.get(lam)
+        if value is None:
+            if len(table) >= _LAMBDA_TABLE_CAP:
+                table.clear()
+            value = table[lam] = _log_product(lam, model, a, tol)
+        return value
+
     value, lam = _minimize_lambda(lambda l: _error_bound(n, d, l, variant, log_product(l)))
     if math.isfinite(value):
         return _report(n, d, lam, model, variant, tol, log_product(lam))

@@ -22,6 +22,11 @@ MODULUS_CAP = 2**31
 # Deterministic Miller-Rabin witness set, valid for all 64-bit integers.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Below this bound the witnesses 2, 3, 5 and 7 are deterministic: it is the
+# least strong pseudoprime to all four (Jaeschke 1993), and it lies above
+# MODULUS_CAP, so every admissible modulus takes four witnesses.
+_MR_SMALL_BOUND = 3_215_031_751
+
 
 def as_int(value, name: str) -> int:
     """``value`` as an int if it is an integral number; ``ValueError`` for
@@ -83,7 +88,9 @@ def check_modulus(n: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for 64-bit integers."""
+    """Deterministic Miller-Rabin primality test for 64-bit integers: the
+    witnesses 2, 3, 5 and 7 below 3,215,031,751, all of ``_MR_WITNESSES``
+    above."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -94,7 +101,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: 4 if n < _MR_SMALL_BOUND else None]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -255,11 +255,13 @@ def convergence_study(
     raise :class:`CapExceededError` before any search runs.
 
     Per prime only the work that depends on N runs: the theta table and
-    its Korobov kernel, the dual walk and the lambda probes of the bound.
-    What does not is built once per call: the dual sum's region threshold
-    and its theta_j(0) majorants (memoised per model, d and tol) and the
-    model's ``rate``, ``a_star`` and ``b_star``; ``error_bound_min``
-    checks its inputs once per prime, not once per lambda probe.
+    its Korobov kernel, the dual walk and the lambda minimisation of the
+    bound.  What does not is built once per call: the dual sum's region
+    threshold and its theta_j(0) majorants, the series rows of the tables
+    and the bound's product term at every lambda probed (all memoised per
+    model, d and tol) and the model's ``rate``, ``a_star`` and ``b_star``;
+    ``error_bound_min`` checks its inputs once per prime, not once per
+    lambda probe.
     """
     primes = list(primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):

@@ -27,12 +27,12 @@ the errors of the space at base omega**lam.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapExceededError
 from .lattice import (
@@ -93,58 +93,68 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     m = (N-1)/2, so the permuted table T_j[a] = theta_j(gamma^a / N) has
     period m and the k != 0 terms of row b sum to
     2 * sum_{a<m} prod_j T_j[(a + j b) mod m]; g = gamma^b and N - g share
-    row b (the table ``log`` maps g to it), so they tie exactly.  Row b
-    reads T_j from (s_j b) mod m, s_j = j mod m, so T_j is tiled once to
-    2m + s_j (chunk - 1) cells and viewed as its windows by one strided
-    view: a block of consecutive rows reads a strided run of them when
-    every row is wanted, and the wanted rows by plain indexing otherwise,
-    multiplied in the same order (s_j = 0 reads T_j[:m]).  The powers
-    gamma^a come by doubling: gamma^(s + i) = gamma^s gamma^i fills the
-    next s of them at once.  With chunk = CHUNK_CELLS // (m + sum_j s_j)
-    the tiled tables hold at most N d + CHUNK_CELLS cells.  The first
-    product goes into one block buffer that the blocks reuse (a new array
-    per block when threads > 1), and the other coordinates multiply into
-    it in place.  The k = 0 term prod_j theta_j(0) is added separately.
-    g = 0, the vector (1, 0, ..., 0), if wanted, d = 1 and N < 5 are
-    evaluated by :meth:`ThetaTable.eval_vectors`.  Each row is reduced on
-    its own and chunks depend only on N and d, so a row's value depends
-    neither on ``threads`` nor on the other rows wanted.
+    row b, so they tie exactly.  The whole family is written out through
+    the powers gamma^b and N - gamma^b; any other list reads its rows
+    through the table ``log`` that maps g to b.  Row b reads T_j from
+    (s_j b) mod m, s_j = j mod m, so T_j is tiled once to 2m + s_j (chunk - 1)
+    cells and viewed as its windows by one strided view: a block of
+    consecutive rows reads a strided run of them when every row is wanted,
+    and the wanted rows by plain indexing otherwise, multiplied in the same
+    order (s_j = 0 reads T_j[:m]).  The powers gamma^a are the products
+    gamma^(q c) gamma^r of two runs of about sqrt(m) powers.  With
+    chunk = CHUNK_CELLS // (m + sum_j s_j), at most the number of rows
+    wanted, the tiled tables hold at most N d + CHUNK_CELLS cells.  The
+    first product goes into one block buffer that the blocks reuse (a new
+    array per block when threads > 1), and the other coordinates multiply
+    into it in place.  The k = 0 term prod_j theta_j(0) is added separately.
+    g = 0, the vector (1, 0, ..., 0), takes the operations of
+    :meth:`ThetaTable.eval_vectors` in their order: theta_1(k/N) times each
+    theta_j(0) in turn, then the mean.  d = 1 and N < 5 are evaluated by
+    ``eval_vectors``.  Each row is reduced on its own, so a row's value
+    depends neither on ``threads`` nor on the other rows wanted.
     """
     n, d = table.n, table.d
-    gens = np.arange(n) if generators is None else np.asarray(generators, dtype=np.int64)
+    whole = generators is None
+    gens = np.arange(n) if whole else np.asarray(generators, dtype=np.int64)
     if d == 1:
         return np.full(gens.size, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
     if n < 5:
         return table.eval_vectors(korobov_vectors(n, d, gens))
     m = (n - 1) // 2
-    gamma, powers, size = primitive_root(n), np.ones(m, dtype=np.int64), 1
-    while size < m:  # gamma^(size + i) = gamma^size * gamma^i, doubling the run
-        step = min(size, m - size)
-        powers[size : size + step] = powers[:step] * pow(gamma, size, n) % n
-        size += step
-    log = np.full(n, m)  # g = 0 reads slot m, after the m rows
-    log[powers] = log[n - powers] = np.arange(m)
-    wanted = np.zeros(m + 1, dtype=bool)
-    wanted[log[gens]] = True
-    rows = np.flatnonzero(wanted[:m])
+    # gamma^(q c + r) = (gamma^c)^q gamma^r: two runs of about sqrt(m) powers
+    gamma, c = primitive_root(n), math.isqrt(m - 1) + 1  # c * c >= m
+    runs = [
+        np.fromiter(itertools.accumulate(range(size - 1), lambda x, _: x * base % n, initial=1), np.int64, size)
+        for base, size in ((pow(gamma, c, n), -(-m // c)), (gamma, c))
+    ]
+    powers = (np.multiply.outer(*runs) % n).ravel()[:m]
+    if whole:
+        rows, zero = np.arange(m), True
+    else:
+        log = np.full(n, m)  # g = 0 reads slot m, after the m rows
+        log[powers] = log[n - powers] = np.arange(m)
+        wanted = np.zeros(m + 1, dtype=bool)
+        wanted[log[gens]] = True
+        rows, zero = np.flatnonzero(wanted[:m]), wanted[m]
     steps = [j % m for j in range(d)]
-    chunk = max(1, CHUNK_CELLS // (m + sum(steps)))
+    chunk = max(1, min(rows.size, CHUNK_CELLS // (m + sum(steps))))
     # row b of a block starting at lo reads T_j from (s_j lo) mod m +
     # s_j (b - lo): a strided run of the windows of T_j tiled to cover it
     tiled = np.resize(powers, 2 * m + max(steps) * (chunk - 1))
     windows = []
     for vals, s in zip(table.values, steps):
         tile = vals[tiled[: 2 * m + s * (chunk - 1)]]
-        windows.append(as_strided(tile, (tile.size - m + 1, m), tile.strides * 2, writeable=False))
+        # the windows tile[i : i + m] as rows of one strided view
+        windows.append(np.ndarray((tile.size - m + 1, m), tile.dtype, tile, 0, tile.strides * 2))
     k0 = math.prod(vals[0] for vals in table.values)
     # one block buffer, reused when the blocks run one after another
-    buffer = np.empty((min(chunk, rows.size), m)) if threads == 1 else None
+    buffer = np.empty((chunk, m)) if threads == 1 else None
 
     def factor(j: int, lo: int, hi: int) -> np.ndarray:
         s = steps[j]
         if not s:
             return windows[j][0]
-        return windows[j][s * lo % m :: s][: hi - lo] if rows.size == m else windows[j][s * rows[lo:hi] % m]
+        return windows[j][s * lo % m :: s][: hi - lo] if whole else windows[j][s * rows[lo:hi] % m]
 
     def block(lo: int, hi: int) -> np.ndarray:
         out = None if buffer is None else buffer[: hi - lo]
@@ -156,9 +166,16 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     half = np.empty(m + 1)
     if rows.size:
         half[rows] = _map_chunks(block, rows.size, chunk, threads)
-    if wanted[m]:
-        half[m] = table.eval_vectors(korobov_vectors(n, d, [0]))[0]
-    return half[log[gens]]
+    if zero:
+        acc = table.values[0].copy()
+        for vals in table.values[1:]:
+            acc *= vals[0]
+        half[m] = acc.mean() - 1.0
+    if not whole:
+        return half[log[gens]]
+    e2 = np.empty(n)
+    e2[0], e2[powers], e2[n - powers] = half[m], half[:m], half[:m]
+    return e2
 
 
 def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:

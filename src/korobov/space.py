@@ -58,7 +58,7 @@ import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -443,6 +443,19 @@ def _share_tolerance(
         shares = {j: share / 2.0 for j, share in shares.items()}
 
 
+@lru_cache(maxsize=1)
+def _series_rows(
+    model: WeightModel, d: int, tol: float, exact: tuple[tuple[int, float], ...]
+) -> tuple[dict[int, tuple[np.ndarray, float]], float]:
+    """``_share_tolerance`` at the exact coordinates ``exact``, (j, theta_j(0))
+    pairs, memoised for ``theta_rows``; the rows are read-only, as every
+    later table of the same space shares them."""
+    rows, bound = _share_tolerance(model, d, tol, dict(exact))
+    for w, _ in rows.values():
+        w.flags.writeable = False
+    return rows, bound
+
+
 def fold_terms(w: np.ndarray, n: int) -> np.ndarray:
     """Bucket series terms w_h (h = 1..H) by h mod n, pairwise-summed.
 
@@ -505,13 +518,14 @@ def theta_rows(
     other row is its truncated series, folded by ``fold_terms`` and put
     through one FFT of length n, with the majorant theta_j(0) + tau_j.
     The certificate covers the series rows only, and their shares of
-    ``tol`` (``_share_tolerance``); it is 0 when every b_j = 1.
+    ``tol`` (``_share_tolerance``); it is 0 when every b_j = 1.  The series
+    rows and the certificate do not read n, and are memoised
+    (``_series_rows``): a prime scan builds them once.
     """
     closed = {
         j: _poisson_row(model.a_j(j + 1) * model.rate, n) for j in range(d) if model.b_j(j + 1) == 1.0
     }
-    exact = {j: float(row[0]) for j, row in closed.items()}
-    series, bound = _share_tolerance(model, d, tol, exact)
+    series, bound = _series_rows(model, d, tol, tuple((j, float(row[0])) for j, row in closed.items()))
     values = [
         closed[j] if j in closed else 1.0 + 2.0 * np.real(np.fft.fft(fold_terms(series[j][0], n)))
         for j in range(d)

@@ -308,12 +308,31 @@ def _residues(h: np.ndarray, g: np.ndarray, modulus: int, reach: int, shift=0) -
     [0, modulus); 0 <= shift <= modulus.  With shift = 0 it is the residue
     class that a dual completion h_c of each row must lie in.
 
-    Where k * reach * modulus < 2**62 no product or partial sum can
-    overflow int64, and h . g is one matrix product reduced once (an int64
-    modulo costs several times a product).  Otherwise each h_j is reduced
-    mod ``modulus`` before it multiplies g_j, so every product is below
-    2**62, and the sum is reduced after each term.
+    For a matrix g with (k * reach + 1) * modulus < 2**51, the Korobov
+    sieve's case, every product, partial sum and r = shift - h . g is an
+    integer below 2**51 in magnitude, so one float64 matrix product gives
+    them exactly, and so does r - q * modulus; the residues come back as
+    float64.  q = floor((r + 1/2) / modulus) is exact although the quotient
+    is taken by the rounded reciprocal: (r + 1/2) / modulus lies at least
+    1/(2 modulus) from an integer, and two roundings move it by at most
+    (2**-52 + 2**-106) |r + 1/2| / modulus < 1/(2 modulus), as
+    |r + 1/2| <= 2**51 - 1/2.  That costs about half the int64 modulo;
+    for a vector g, the dual sum's case, the int64 path is the faster.
+    Otherwise, where k * reach * modulus < 2**62, no product or partial
+    sum can overflow int64, and h . g is one matrix product reduced once
+    (an int64 modulo costs several times a product).  Past that each h_j
+    is reduced mod ``modulus`` before it multiplies g_j, so every product
+    is below 2**62, and the sum is reduced after each term.
     """
+    if g.ndim == 2 and (h.shape[1] * reach + 1) * modulus < 2**51:
+        r = h.astype(np.float64) @ g.astype(np.float64)
+        np.subtract(shift, r, out=r)
+        q = r + 0.5
+        q *= 1.0 / modulus
+        np.floor(q, out=q)
+        q *= modulus
+        r -= q
+        return r
     if h.shape[1] * reach * modulus < 2**62:
         return (shift - h @ g) % modulus
     acc = shift

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import korobov.bounds
+import korobov.space
 import korobov.wce
 from korobov import (
     LAMBDA_GRID,
@@ -84,13 +85,49 @@ def test_error_bound_min_is_the_report_at_its_lambda(linear_model):
 
 def test_error_bound_min_reports_its_winning_probe(linear_model, monkeypatch):
     # at N = 1009 the minimum lies inside the grid; the report reads the
-    # winning probe's product term instead of evaluating it a second time
-    probes, product = [], korobov.bounds.log_product_bound
-    monkeypatch.setattr(korobov.bounds, "log_product_bound", lambda d, lam, *args: probes.append(lam) or product(d, lam, *args))
+    # winning probe's product term instead of evaluating it a second time,
+    # and a second call reads every probe from the lambda table
+    korobov.bounds._lambda_table.cache_clear()
+    probes, product = [], korobov.bounds._log_product
+    monkeypatch.setattr(korobov.bounds, "_log_product", lambda lam, *args: probes.append(lam) or product(lam, *args))
     rep = error_bound_min(1009, 3, linear_model, "korobov")
     assert 0.5 < rep.lam < 1.0 and len(set(probes)) == len(probes) <= 54
+    assert error_bound_min(1009, 3, linear_model, "korobov") == rep and len(probes) == len(set(probes))
     monkeypatch.undo()
     assert rep == bound_report(1009, 3, rep.lam, linear_model, "korobov")
+
+
+def _report_bits(rep):
+    return [float(v).hex() for v in (rep.lam, rep.a_lam, rep.product_term, rep.bound_value)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_error_bound_min_reads_the_lambda_table_bitwise(linear_model, d):
+    # the table holds log_product_bound per lambda across primes; each
+    # report equals the report of a call that starts from an empty table,
+    # whichever primes filled it before, in ascending and descending order
+    primes = [p for p in range(2, 2000) if is_prime(p)]
+    fresh = {}
+    for n in primes:
+        korobov.bounds._lambda_table.cache_clear()
+        fresh[n] = _report_bits(error_bound_min(n, d, linear_model))
+    korobov.bounds._lambda_table.cache_clear()
+    for n in primes + primes[::-1]:
+        assert _report_bits(error_bound_min(n, d, linear_model)) == fresh[n], n
+    assert len(korobov.bounds._lambda_table(linear_model, d, korobov.bounds.DEFAULT_TOL)[1]) > 21
+
+
+def test_lambda_table_stays_within_its_cap(linear_model):
+    # about 20 lambdas per prime are new: 5,000 primes would hold 10**5
+    korobov.bounds._lambda_table.cache_clear()
+    table = korobov.bounds._lambda_table(linear_model, 2, korobov.bounds.DEFAULT_TOL)[1]
+    n, sizes = 1, [0]
+    for _ in range(5000):
+        n = next_prime(n + 1)
+        error_bound_min(n, 2, linear_model)
+        sizes.append(len(table))
+    assert max(sizes) <= korobov.bounds._LAMBDA_TABLE_CAP
+    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied when full
 
 
 @pytest.mark.parametrize(
@@ -432,6 +469,25 @@ def test_many_survivor_scan_reads_rows_of_the_family_kernel(monkeypatch):
     monkeypatch.setattr(korobov.wce.ThetaTable, "eval_vectors", recording)
     assert empirical_info_complexity([0.7], 2, model) == [1399]
     assert sum(rows) == 0, (sum(rows), len(rows))
+
+
+def test_scan_builds_its_theta_series_once(monkeypatch):
+    # the series rows of a b = 1/2 table and their tolerance shares depend
+    # on the model, d and tol, not on N: a scan that keeps more primes calls
+    # theta_terms no more often
+    model = make_model(omega=0.6, b=("constant", 0.5))
+    terms, rows, calls, tables = korobov.space.theta_terms, korobov.wce.theta_rows, [], []
+    monkeypatch.setattr(korobov.space, "theta_terms", lambda *args: calls.append(args) or terms(*args))
+    monkeypatch.setattr(korobov.wce, "theta_rows", lambda *args: tables.append(args) or rows(*args))
+    seen = []
+    for eps in (0.8, 0.6):
+        korobov.space._series_rows.cache_clear()
+        calls.clear()
+        tables.clear()
+        empirical_info_complexity([eps], 2, model)
+        seen.append((len(tables), len(calls)))
+    (few, few_calls), (many, many_calls) = seen
+    assert 0 < few < many and 0 < few_calls == many_calls, seen
 
 
 def test_scan_memo_holds_one_theta_table(linear_model):

@@ -885,12 +885,15 @@ def test_bounds_where_the_lambda_grid_passes_the_overflow_of_exp_c(tmp_path, b):
 
 def test_bound_at_a_large_b_star(tmp_path):
     # b* = 300: the horizon search forms no h**b past twice the least
-    # horizon, so it never reaches 16**300, which is outside the float range
+    # horizon, so it never reaches 16**300, which is outside the float range.
+    # The least bound lies below exp's underflow, about e**-745, and reads
+    # as the least positive float, an upper bound on it, not as 0
     model_path, _ = _write_model(tmp_path, 0.5, ("constant", 1.0), 300.0)
     out = tmp_path / "bound.json"
     assert run_cli(["bound", "--model", model_path, "--n", "101", "--d", "3", "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
     assert result["a_lambda"] == 1.0 and math.isfinite(result["product_term"])
+    assert result["bound_value"] == math.ulp(0.0) > 0.0
 
 
 # b = 2000: h**b is past the float range for every |h| >= 2, so those h carry

@@ -59,10 +59,18 @@ def test_next_prime_bertrand_and_minimality(m):
 
 
 def test_is_prime_matches_trial_division():
-    for n in range(2, 2000):
-        assert is_prime(n) == trial_division_is_prime(n)
-    assert is_prime(2**31 - 1)  # Mersenne prime
-    # strong pseudoprimes to small witness sets are still rejected
+    # the four witnesses 2, 3, 5, 7 decide every n below 3,215,031,751;
+    # vectorised trial division by every f <= sqrt(n) is the reference
+    n = np.arange(200_001)
+    composite = n < 2
+    for f in range(2, int(200_000**0.5) + 1):
+        composite |= (n % f == 0) & (n != f)
+    assert [is_prime(int(k)) for k in n] == (~composite).tolist()
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(2_147_483_000, 2_147_483_648))
+    assert is_prime(2**31 - 1)  # Mersenne prime, the largest admissible modulus
+    # 3,215,031,751 is the least strong pseudoprime to 2, 3, 5 and 7, and
+    # 3,825,123,056,546,413,051 to every prime witness up to 23: the larger
+    # witness set still rejects both
     for n in (3215031751, 3825123056546413051):
         assert not is_prime(n)
 

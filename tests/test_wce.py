@@ -566,21 +566,67 @@ def test_dominant_dual_frequency_pinned_across_the_walk():
         assert dominant_dual_frequency(LatticeRule(n, g), model) == h_star, (n, g)
 
 
+def _python_residues(h, g, n, shift):
+    """(shift_i - h_i . g_c) mod n in Python integers: rows i of h, columns c
+    of the matrix g."""
+    return [[(s - sum(int(x) * int(y) for x, y in zip(row, col))) % n for col in g.T] for row, s in zip(h, shift)]
+
+
+# (n, k, reach, path) of _residues: k columns of h, |h_j| <= reach
+RESIDUE_CASES = [
+    (1009, 4, 50, "float"),
+    # (k reach + 1) n just below and just above 2**51, where the float path
+    # ends; at 65521 a quotient taken without the 1/2 offset floors wrong
+    (65521, 4, (2**51 // 65521 - 2) // 4, "float"),
+    (65521, 4, (2**51 // 65521) // 4, "int64"),
+    (2_147_483_647, 4, (2**51 // 2_147_483_647 - 2) // 4, "float"),
+    (2_147_483_647, 4, (2**51 // 2_147_483_647) // 4, "int64"),
+    # k reach n just below 2**53, past the float path: one int64 product
+    (2_147_483_647, 4, 2**53 // (4 * 2_147_483_647), "int64"),
+    (2_147_483_647, 4, 10**6, "int64"),
+    # past 2**62 each h_j is reduced before it multiplies g_j
+    (2_147_483_647, 4, 2**62 // (4 * 2_147_483_647) + 1, "reduced"),
+    (2_147_483_647, 2, 2**40, "reduced"),
+]
+
+
 def test_residues_reduce_before_they_overflow():
-    # near the modulus cap the products h_j g_j and their sum leave int64,
-    # so each h_j is reduced first; both paths agree with Python integers
-    rng = np.random.default_rng(5)
-    for n, reach in ((2147483647, 10**6), (1009, 50)):
-        h = rng.integers(-reach, reach + 1, size=(64, 4))
-        g = rng.integers(0, n, size=4)
-        shift = int(rng.integers(0, n))
-        got = korobov.wce._residues(h, g, n, reach, shift)
-        ref = [(shift - sum(int(x) * int(y) for x, y in zip(row, g))) % n for row in h]
-        assert got.tolist() == ref
-        # a matrix of generators, as the Korobov sieve passes them
-        gs = rng.integers(0, n, size=(4, 3))
-        got = korobov.wce._residues(h, gs, n, reach)
-        assert got.tolist() == [[-sum(int(x) * int(y) for x, y in zip(row, col)) % n for col in gs.T] for row in h]
+    # every path of _residues agrees with Python integers: a matrix of
+    # generators, as the Korobov sieve passes them, takes the float64 path
+    # while (k reach + 1) n < 2**51, and a vector, as the dual sum passes
+    # it, the int64 product; from k reach n >= 2**62 both reduce each h_j
+    # first.  Rows at the reach in every sign pattern give the largest
+    # |shift - h . g|, and rows whose shift - h . g is a multiple of n, zero
+    # included, the residue 0
+    for case in RESIDUE_CASES:
+        _check_residues(*case)
+
+
+def _check_residues(n, k, reach, path):
+    assert ((k * reach + 1) * n < 2**51) == (path == "float")
+    assert (k * reach * n >= 2**62) == (path == "reduced")
+    rng = np.random.default_rng(reach)
+    gs = rng.integers(0, n, size=(k, 3))
+    gs[:, 0] = n - 1
+    h = np.concatenate([np.array(list(itertools.product((-reach, reach), repeat=k))), rng.integers(-reach, reach + 1, size=(256, k))])
+    h[-1] = 0
+    # residues 0, 1, n - 1 and n - 2 in column 1, and g = 0 with shift n
+    near = rng.choice([0, 1, n - 1, n - 2], size=len(h))
+    shift = (h @ gs[:, 1].astype(object) + near) % n
+    shift[:4], shift[-1] = (h[:4] @ gs[:, 1].astype(object)) % n, n
+    shift = shift.astype(np.int64)
+    assert max(abs(int(s) - sum(int(x) * int(y) for x, y in zip(row, gs[:, 0]))) for row, s in zip(h, shift)) >= k * reach * (n - 1)
+    got = korobov.wce._residues(h, gs, n, reach, shift[:, None])
+    assert got.dtype == (np.float64 if path == "float" else np.int64)
+    want = _python_residues(h, gs, n, shift.tolist())
+    assert got.tolist() == want, (n, k, reach)
+    assert [row[1] for row in want[:4]] == [0] * 4 and want[-1] == [0, 0, 0]
+    assert [row[1] for row in want[4:-1]] == [x % n for x in near[4:-1].tolist()]
+    vector_want = _python_residues(h, gs, n, [int(shift[0])] * len(h))
+    for j in range(3):
+        got = korobov.wce._residues(h, gs[:, j], n, reach, int(shift[0]))
+        assert got.dtype == np.int64
+        assert got.tolist() == [row[j] for row in vector_want]
 
 
 def _sieve_cases(count, seed):
