@@ -21,8 +21,8 @@ rank-1 rule.  Every prime takes one path: the Korobov sieve of ``wce``
 drops every generator with a nonzero dual h of E(h) <= T', the exponent
 that ``minkowski_start`` reads too; one g per surviving rule decides the prime.
 The lambda minimisations check their inputs once.  The product term does
-not read N, so ``error_bound_min`` keeps it per (model, d, tol) in one
-bounded table across calls, and a scan's primes share their lambda probes.
+not read N or eps, so both minimisations read it from one bounded memo per
+(model, d, tol), and a scan's primes share their lambda probes.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _OVERFLOW_LOG = 62.0 * math.log(2.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Entries of the lambda table of error_bound_min, about 0.35 MB when full:
-# one call probes at most 54 lambdas, and a scan repeats the 21 grid ones.
+# Lambdas kept by _product_term's memo, about 0.8 MB when full (then the least
+# recently used goes): a minimisation probes at most 54, a scan re-reads 21.
 _LAMBDA_TABLE_CAP = 4096
 
 # Largest prime modulus the empirical information-complexity scan searches.
@@ -99,23 +99,19 @@ class BoundReport:
 
 def log_product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
     """log of prod_{j<=d} (1 + 2 * A_lam * omega**(lam * a_j))."""
-    return _log_product(lam, model, [model.a_j(j) for j in range(1, d + 1)], tol)
-
-
-def _log_product(lam: float, model: WeightModel, a: list[float], tol: float) -> float:
-    """:func:`log_product_bound` over the weights ``a`` = [a_1, ..., a_d]."""
     a_lam = a_lambda(lam, model, tol)
-    return math.fsum(math.log1p(2.0 * a_lam * model.omega ** (lam * a_j)) for a_j in a)
+    return math.fsum(
+        math.log1p(2.0 * a_lam * model.omega ** (lam * model.a_j(j))) for j in range(1, d + 1)
+    )
 
 
 @lru_cache(maxsize=1)
-def _lambda_table(model: WeightModel, d: int, tol: float) -> tuple[list[float], dict[float, float]]:
-    """a_1..a_d and the table lambda -> ``log_product_bound(d, lambda, model,
-    tol)`` that ``error_bound_min`` fills; memoised.  The product does not
-    read N, so a prime scan re-reads the grid lambdas and the first
-    golden-section points of a shared bracket at every prime.  The table
-    holds at most ``_LAMBDA_TABLE_CAP`` entries: it is emptied when full."""
-    return [model.a_j(j) for j in range(1, d + 1)], {}
+def _product_term(model: WeightModel, d: int, tol: float):
+    """lambda -> ``log_product_bound(d, lambda, model, tol)`` for both lambda
+    minimisations, memoised: the product reads neither N nor eps, so a scan's
+    primes re-read the grid lambdas and the first golden-section points of a
+    shared bracket.  At most ``_LAMBDA_TABLE_CAP`` lambdas; a raise is not kept."""
+    return lru_cache(maxsize=_LAMBDA_TABLE_CAP)(lambda lam: log_product_bound(d, lam, model, tol))
 
 
 def product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
@@ -183,28 +179,29 @@ def _minimize_lambda(fn):
     Each step keeps one interior point and its value and evaluates one new
     point, so fn runs at most 21 + 33 = 54 times, never twice at one lambda.
     Lambdas where fn raises SummationCapError count as inf (the others still
-    give a valid upper bound).  Returns (best_value, best_lambda).
+    give a valid upper bound); when every grid value is inf, no step runs.
+    Returns (best_value, best_lambda), the least value at its largest lambda.
     """
-    seen: list[tuple[float, float]] = []  # (value, lambda) of every evaluation
+    best = (math.inf, -LAMBDA_GRID[0])  # (value, -lambda) of the best probe
 
     def probe(lam: float) -> float:
+        nonlocal best
         try:
             value = fn(lam)
         except SummationCapError:
             value = math.inf
-        seen.append((value, lam))
+        key = (value, -lam)
+        if key < best:
+            best = key
         return value
 
-    grid_vals = [(probe(lam), lam) for lam in LAMBDA_GRID]
-    finite = [(v, lam) for v, lam in grid_vals if math.isfinite(v)]
-    if not finite:
-        return math.inf, grid_vals[0][1]
-    _, lam_mid = min(finite, key=lambda pair: (pair[0], -pair[1]))
-    idx = LAMBDA_GRID.index(lam_mid)
-    hi = LAMBDA_GRID[idx - 1] if idx > 0 else lam_mid
-    lo = LAMBDA_GRID[idx + 1] if idx + 1 < len(LAMBDA_GRID) else lam_mid
+    for lam in LAMBDA_GRID:
+        probe(lam)
+    idx = LAMBDA_GRID.index(-best[1])
+    hi = LAMBDA_GRID[max(idx - 1, 0)]
+    lo = LAMBDA_GRID[min(idx + 1, len(LAMBDA_GRID) - 1)]
     m1 = m2 = None  # interior points; the one kept carries its value f1 or f2
-    for _ in range(32):
+    for _ in range(32 if best[0] < math.inf else 0):
         if hi - lo < 1e-12:
             break
         if m1 is None:
@@ -223,7 +220,7 @@ def _minimize_lambda(fn):
             m1 = m2
             f1 = f2
             m2 = None
-    return min(seen, key=lambda pair: (pair[0], -pair[1]))
+    return best[0], -best[1]
 
 
 def error_bound_min(
@@ -236,21 +233,12 @@ def error_bound_min(
     """Smallest error bound over the lambda grid, reported at its lambda.
 
     The inputs are checked once.  Each lambda probe reads the product term
-    from ``_lambda_table``, which holds it across calls at one
+    from the memo of ``_product_term``, which holds it across calls at one
     (model, d, tol), and the report reads the winning probe's.
     """
     check_family(variant)
     _check_size(n, d)
-    a, table = _lambda_table(model, d, tol)
-
-    def log_product(lam: float) -> float:
-        value = table.get(lam)
-        if value is None:
-            if len(table) >= _LAMBDA_TABLE_CAP:
-                table.clear()
-            value = table[lam] = _log_product(lam, model, a, tol)
-        return value
-
+    log_product = _product_term(model, d, tol)
     value, lam = _minimize_lambda(lambda l: _error_bound(n, d, l, variant, log_product(l)))
     if math.isfinite(value):
         return _report(n, d, lam, model, variant, tol, log_product(lam))
@@ -259,14 +247,10 @@ def error_bound_min(
     )
 
 
-def _log_m(eps: float, d: int, lam: float, model: WeightModel, variant: str, tol: float) -> float:
+def _log_m(eps: float, d: int, lam: float, variant: str, log_product: float) -> float:
     """log of c_d * eps**(-2*lam) * product term; its callers check the inputs."""
     c_d = 1.0 if variant == "general" else float(d)
-    return (
-        math.log(c_d)
-        + 2.0 * lam * math.log(1.0 / eps)
-        + log_product_bound(d, lam, model, tol)
-    )
+    return math.log(c_d) + 2.0 * lam * math.log(1.0 / eps) + log_product
 
 
 def m_lambda(
@@ -286,7 +270,7 @@ def m_lambda(
     _check_eps(eps)
     check_family(variant)
     check_dimension(d)
-    return exp_or_inf(_log_m(eps, d, lam, model, variant, tol), count=True)
+    return exp_or_inf(_log_m(eps, d, lam, variant, log_product_bound(d, lam, model, tol)), count=True)
 
 
 def log_info_complexity_bound(
@@ -300,15 +284,14 @@ def log_info_complexity_bound(
 
     Stays finite where the exponentiated count would overflow the 2**62
     sentinel threshold; ratio diagnostics are computed from this form.
+    Each lambda probe reads the product term from the memo of
+    ``_product_term`` that ``error_bound_min`` reads too.
     """
     _check_eps(eps)
     check_family(variant)
     check_dimension(d)
-
-    def log_bound(lam: float) -> float:
-        return math.log(4.0) + _log_m(eps, d, lam, model, variant, tol)
-
-    return _minimize_lambda(log_bound)
+    log_product = _product_term(model, d, tol)
+    return _minimize_lambda(lambda l: math.log(4.0) + _log_m(eps, d, l, variant, log_product(l)))
 
 
 def info_complexity_bound(

@@ -19,10 +19,10 @@ rejected, never accepted and then ignored.  Handlers only compute: a rule
 document is read by ``LatticeRule.from_dict``, and the family names and
 the general-family layout are those of ``search``.
 
-Exit codes: 0 success, 2 configuration error (argument errors included),
-3 size cap exceeded, 4 numerical certificate failure (``CertificateError``:
-an uncertifiable series, or a scanned prime whose certified interval
-straddles eps^2).  Errors are reported as one JSON object on stderr.  The
+Exit codes: 0 success, 2 configuration error (argument errors and an --out
+that cannot be written included), 3 size cap exceeded, 4 numerical
+certificate failure (``CertificateError``: an uncertifiable series, or a
+scanned prime whose certified interval straddles eps^2).  Errors are reported as one JSON object on stderr.  The
 parser is built once per process, on the first call of ``main``.
 """
 
@@ -90,15 +90,18 @@ def _atomic_write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".korobov-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".korobov-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # named without the temp file's random name
+        raise ValueError(f"cannot write output to {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(args, config: dict, result, header: list[str] | None = None) -> None:

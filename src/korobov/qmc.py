@@ -259,9 +259,10 @@ def convergence_study(
     bound.  What does not is built once per call: the dual sum's region
     threshold and its theta_j(0) majorants, the series rows of the tables
     and the bound's product term at every lambda probed (all memoised per
-    model, d and tol) and the model's ``rate``, ``a_star`` and ``b_star``;
-    ``error_bound_min`` checks its inputs once per prime, not once per
-    lambda probe.
+    model, d and tol; the product-term memo keeps the 4,096 most recently
+    used lambdas) and the model's ``rate``, ``a_star`` and ``b_star``;
+    ``error_bound_min`` checks its inputs once per prime and looks up its
+    memo once per prime, not once per lambda probe.
     """
     primes = list(primes)
     if any(b <= a for a, b in zip(primes, primes[1:])):

@@ -86,10 +86,10 @@ def test_error_bound_min_is_the_report_at_its_lambda(linear_model):
 def test_error_bound_min_reports_its_winning_probe(linear_model, monkeypatch):
     # at N = 1009 the minimum lies inside the grid; the report reads the
     # winning probe's product term instead of evaluating it a second time,
-    # and a second call reads every probe from the lambda table
-    korobov.bounds._lambda_table.cache_clear()
-    probes, product = [], korobov.bounds._log_product
-    monkeypatch.setattr(korobov.bounds, "_log_product", lambda lam, *args: probes.append(lam) or product(lam, *args))
+    # and a second call reads every probe from the product-term memo
+    korobov.bounds._product_term.cache_clear()
+    probes, product = [], korobov.bounds.log_product_bound
+    monkeypatch.setattr(korobov.bounds, "log_product_bound", lambda d, lam, *args: probes.append(lam) or product(d, lam, *args))
     rep = error_bound_min(1009, 3, linear_model, "korobov")
     assert 0.5 < rep.lam < 1.0 and len(set(probes)) == len(probes) <= 54
     assert error_bound_min(1009, 3, linear_model, "korobov") == rep and len(probes) == len(set(probes))
@@ -103,31 +103,60 @@ def _report_bits(rep):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_error_bound_min_reads_the_lambda_table_bitwise(linear_model, d):
-    # the table holds log_product_bound per lambda across primes; each
-    # report equals the report of a call that starts from an empty table,
+    # the memo holds log_product_bound per lambda across primes; each
+    # report equals the report of a call that starts from an empty memo,
     # whichever primes filled it before, in ascending and descending order
     primes = [p for p in range(2, 2000) if is_prime(p)]
     fresh = {}
     for n in primes:
-        korobov.bounds._lambda_table.cache_clear()
+        korobov.bounds._product_term.cache_clear()
         fresh[n] = _report_bits(error_bound_min(n, d, linear_model))
-    korobov.bounds._lambda_table.cache_clear()
+    korobov.bounds._product_term.cache_clear()
     for n in primes + primes[::-1]:
         assert _report_bits(error_bound_min(n, d, linear_model)) == fresh[n], n
-    assert len(korobov.bounds._lambda_table(linear_model, d, korobov.bounds.DEFAULT_TOL)[1]) > 21
+    memo = korobov.bounds._product_term(linear_model, d, korobov.bounds.DEFAULT_TOL)
+    assert memo.cache_info().currsize > 21
 
 
 def test_lambda_table_stays_within_its_cap(linear_model):
     # about 20 lambdas per prime are new: 5,000 primes would hold 10**5
-    korobov.bounds._lambda_table.cache_clear()
-    table = korobov.bounds._lambda_table(linear_model, 2, korobov.bounds.DEFAULT_TOL)[1]
+    korobov.bounds._product_term.cache_clear()
+    memo = korobov.bounds._product_term(linear_model, 2, korobov.bounds.DEFAULT_TOL)
     n, sizes = 1, [0]
     for _ in range(5000):
         n = next_prime(n + 1)
         error_bound_min(n, 2, linear_model)
-        sizes.append(len(table))
-    assert max(sizes) <= korobov.bounds._LAMBDA_TABLE_CAP
-    assert any(after < before for before, after in zip(sizes, sizes[1:]))  # emptied when full
+        sizes.append(memo.cache_info().currsize)
+    assert max(sizes) == sizes[-1] == korobov.bounds._LAMBDA_TABLE_CAP  # full, then evicting
+    assert korobov.bounds._product_term(linear_model, 2, korobov.bounds.DEFAULT_TOL) is memo
+
+
+SLOW_MODEL = make_model(omega=0.9, a=("logarithmic", 1.0), b=("constant", 0.5))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_info_complexity_bound_reads_the_product_memo_bitwise(d, monkeypatch):
+    # the information-complexity minimisation reads the memo that
+    # error_bound_min fills; a warm memo gives the bits of an empty one
+    eps_list = [0.5, 0.1, 1e-2, 1e-4, 1e-8]
+    fresh = {}
+    for eps in eps_list:
+        korobov.bounds._product_term.cache_clear()
+        fresh[eps] = [v.hex() for v in korobov.bounds.log_info_complexity_bound(eps, d, SLOW_MODEL)]
+    korobov.bounds._product_term.cache_clear()
+    for n in (101, 503, 1009):
+        error_bound_min(n, d, SLOW_MODEL)
+    # a term is recorded once computed: a probe whose A_lam has no
+    # certificate raises, is not kept, and is tried again by the next call
+    probes, product = [], korobov.bounds.log_product_bound
+    monkeypatch.setattr(korobov.bounds, "log_product_bound", lambda d, lam, *args: (product(d, lam, *args), probes.append(lam))[0])
+    for eps in eps_list + eps_list[::-1]:
+        assert [v.hex() for v in korobov.bounds.log_info_complexity_bound(eps, d, SLOW_MODEL)] == fresh[eps], eps
+    computed = len(probes)
+    assert len(set(probes)) == computed and all(lam not in LAMBDA_GRID for lam in probes)
+    for eps in eps_list:
+        korobov.bounds.log_info_complexity_bound(eps, d, SLOW_MODEL)
+    assert len(probes) == computed  # a repeated minimisation is read from the memo alone
 
 
 @pytest.mark.parametrize(
@@ -164,7 +193,9 @@ def _capped_below(lam_cap, objective):
         lambda lam: 1.0 + math.log(lam / 2.0) ** 2,
         lambda lam: 1.0 + math.log(lam / 2.0**-21) ** 2,
         _capped_below(1e-3, lambda lam: 1.0 + math.log(lam / 0.0015) ** 2),
-        lambda lam: korobov.bounds._log_m(1e-3, 3, lam, make_model(a=("linear", 1.0)), "korobov", 1e-14),
+        lambda lam: korobov.bounds._log_m(
+            1e-3, 3, lam, "korobov", korobov.bounds.log_product_bound(3, lam, make_model(a=("linear", 1.0)), 1e-14)
+        ),
     ],
     ids=["interior", "grid-end-one", "grid-end-small", "capped", "linear-model-bound"],
 )

@@ -957,3 +957,134 @@ def test_wce_lambda_that_rounds_omega_to_one_names_lambda(model_path, capsys):
     assert main(argv) == 2
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert "lambda" in message and "must lie in (0, 1)" not in message
+
+
+# ---------------------------------------------------------------------------
+# output destinations, unreadable inputs and the input checks of the models,
+# flags and files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_exits_two_naming_it(model_path, tmp_path, capsys, target):
+    out = tmp_path / "taken" if target == "directory" else tmp_path / "missing" / "x.json"
+    if target == "directory":
+        out.mkdir()
+    assert main(["bound", "--model", model_path, "--n", "101", "--d", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.err)["error"]
+    assert captured.out == "" and error["type"] == "config"
+    assert error["message"].startswith(f"cannot write output to {out}: ")
+    assert not list(tmp_path.rglob(".korobov-*"))
+
+
+def test_stdout_output_equals_the_out_file(model_path, tmp_path, capsys):
+    argv = ["bound", "--model", model_path, "--n", "101", "--d", "2"]
+    out = tmp_path / "bound.json"
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+def test_unreadable_model_file_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["bound", "--model", str(path), "--n", "13", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot read JSON from {path}: " in json.loads(captured.err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["tract", "--d-list", "1,x", "--eps-list", "0.1"], "--d-list must be a comma-separated int list", id="d-list"),
+        pytest.param(["tract", "--d-list", "1", "--eps-list", "0.1,x"], "--eps-list must be a comma-separated float list", id="eps-list"),
+        pytest.param(["convergence", "--d", "1", "--primes", "2,x"], "--primes must be a comma-separated int list", id="primes"),
+        pytest.param(["wce", "--n", "13", "--g", "1,x"], "--g must be a comma-separated int list", id="g"),
+    ],
+)
+def test_malformed_list_exits_two(model_path, capsys, argv, message):
+    assert main([argv[0], "--model", model_path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {"type": "config", "message": message}
+
+
+LINEAR_FAMILY = '{"kind": "linear", "kappa": 1.0}'
+CONSTANT_FAMILY = '{"kind": "constant", "kappa": 1.0}'
+
+
+def _model_text(a=LINEAR_FAMILY, b=CONSTANT_FAMILY, extra=""):
+    return f'{{"omega": 0.5, "a": {a}, "b": {b}{extra}}}'
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        pytest.param(
+            {"model": _model_text(a='{"kind": "cubic", "kappa": 1.0}')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: unknown weight family kind 'cubic'", id="family-unknown-kind",
+        ),
+        pytest.param(
+            {"model": _model_text(a='{"kind": "explicit", "values": []}')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: explicit weight family needs a nonempty values list", id="family-explicit-empty",
+        ),
+        pytest.param(
+            {"model": _model_text(a='{"kind": "explicit", "values": [1.0, -2.0]}')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: explicit weight values must be positive", id="family-explicit-negative",
+        ),
+        pytest.param(
+            {"model": _model_text(a='{"kind": "power", "kappa": 1.0, "p": 1e400}')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: power family exponent must be finite", id="family-power-p-past-float-range",
+        ),
+        pytest.param(
+            {"model": _model_text(a='{"kappa": 1.0}')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: weight family must be an object with a 'kind' field", id="family-no-kind",
+        ),
+        pytest.param(
+            {"model": _model_text(extra=', "prefix_a": [2.0, 1.0]')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: a-weight prefix must be nondecreasing", id="prefix-a-decreasing",
+        ),
+        pytest.param(
+            {"model": _model_text(extra=', "prefix_a": [1.0, -1.0]')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: a-weight prefix values must be positive", id="prefix-a-negative",
+        ),
+        pytest.param(
+            {"model": _model_text(extra=', "prefix_b": [0]')}, ["bound", "--n", "13", "--d", "2"],
+            "invalid weight model: b-weight prefix values must be positive", id="prefix-b-zero",
+        ),
+        pytest.param(
+            {"model": _model_text()}, ["bound", "--n", "13", "--d", "2", "--tol", "0"],
+            "tolerance must be positive, got 0.0", id="tol-zero",
+        ),
+        pytest.param(
+            {"model": _model_text()}, ["wce", "--n", "7", "--g-scalar", "9", "--d", "2"],
+            "scalar generator must lie in {0, ..., n-1}, got 9", id="wce-g-scalar-past-n",
+        ),
+        pytest.param(
+            {"model": _model_text()}, ["tract", "--mode", "st", "--s", "0", "--d-list", "2", "--eps-list", "0.1"],
+            "s must be positive, got 0.0", id="tract-st-s-zero",
+        ),
+        pytest.param(
+            {"poly": '{"terms": []}', "rule": json.dumps(RULE)}, ["integrate"],
+            "a Fourier polynomial needs at least one term", id="integrate-no-terms",
+        ),
+        pytest.param(
+            {"poly": '{"terms": [{"h": [1, 0], "re": 1.0}, {"h": [1, 0, 2], "re": 1.0}]}', "rule": json.dumps(RULE)},
+            ["integrate"], "all frequency vectors must share one dimension", id="integrate-mixed-lengths",
+        ),
+    ],
+)
+def test_input_checks_exit_two_with_their_message(tmp_path, capsys, files, argv, message):
+    flags = []
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+        flags += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert main([argv[0], *flags, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {"type": "config", "message": message}

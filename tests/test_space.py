@@ -207,6 +207,21 @@ def test_a_lambda_direct_sum_where_euler_maclaurin_certifies_nothing():
     assert got == pytest.approx(math.fsum(np.exp(-c * (h**0.5 - 1.0))), rel=4e-16, abs=0.0)
 
 
+def test_a_lambda_euler_maclaurin_fallback_is_the_pinned_direct_sum():
+    # a short horizon past the Euler-Maclaurin split: the fallback is the
+    # chunked direct sum, pinned to the bit and within 2 ulps of fsum
+    model = make_model(omega=0.3, a=("constant", 1.0), b=("constant", 0.5))
+    tol, c = 1e-40, model.rate
+    assert space._em_tail(c, 0.5, tol) is None
+    assert series_tail_bound(c, 0.5, space._EM_SPLIT, c) > tol
+    horizon, _ = truncation_horizon(c, 0.5, tol, c)
+    assert horizon == 6657
+    got = a_lambda(1.0, model, tol)
+    assert got == space._direct_sum(c, 0.5, horizon) == 3.589649539730732
+    exact = math.fsum(math.exp(-c * (math.sqrt(h) - 1.0)) for h in range(1, horizon + 1))
+    assert abs(got - exact) <= 2 * math.ulp(exact)
+
+
 @pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
 def test_a_lambda_rejects_bad_lambda_whatever_is_cached(lam):
     a_lambda(1.0, SLOW)
