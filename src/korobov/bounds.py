@@ -110,8 +110,17 @@ def _product_term(model: WeightModel, d: int, tol: float):
     """lambda -> ``log_product_bound(d, lambda, model, tol)`` for both lambda
     minimisations, memoised: the product reads neither N nor eps, so a scan's
     primes re-read the grid lambdas and the first golden-section points of a
-    shared bracket.  At most ``_LAMBDA_TABLE_CAP`` lambdas; a raise is not kept."""
-    return lru_cache(maxsize=_LAMBDA_TABLE_CAP)(lambda lam: log_product_bound(d, lam, model, tol))
+    shared bracket.  At most ``_LAMBDA_TABLE_CAP`` lambdas; a lambda whose
+    A_lam has no certificate is kept as inf, so it is tried once and loses
+    to every certified lambda."""
+
+    def term(lam: float) -> float:
+        try:
+            return log_product_bound(d, lam, model, tol)
+        except SummationCapError:
+            return math.inf
+
+    return lru_cache(maxsize=_LAMBDA_TABLE_CAP)(term)
 
 
 def product_bound(d: int, lam: float, model: WeightModel, tol: float = DEFAULT_TOL) -> float:
@@ -178,18 +187,16 @@ def _minimize_lambda(fn):
 
     Each step keeps one interior point and its value and evaluates one new
     point, so fn runs at most 21 + 33 = 54 times, never twice at one lambda.
-    Lambdas where fn raises SummationCapError count as inf (the others still
-    give a valid upper bound); when every grid value is inf, no step runs.
+    fn is inf at lambdas with no certified A_lam (``_product_term`` reads
+    them so; the others still give a valid upper bound); when every grid
+    value is inf, no step runs.
     Returns (best_value, best_lambda), the least value at its largest lambda.
     """
     best = (math.inf, -LAMBDA_GRID[0])  # (value, -lambda) of the best probe
 
     def probe(lam: float) -> float:
         nonlocal best
-        try:
-            value = fn(lam)
-        except SummationCapError:
-            value = math.inf
+        value = fn(lam)
         key = (value, -lam)
         if key < best:
             best = key

@@ -32,6 +32,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
@@ -63,11 +64,9 @@ _TRACT_FLAG_MODES = {
 }
 
 
-def _fmt(x) -> str:
-    """CSV cell: '.' decimal point, 17 significant digits for floats."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _cells(column: list) -> list[str]:
+    """CSV cells of one column: '.' decimal point, 17 significant digits for floats."""
+    return [f"{x:.17g}" if isinstance(x, float) else str(x) for x in column]
 
 
 def _load_json(path: str) -> dict:
@@ -105,9 +104,11 @@ def _atomic_write(path: str | None, text: str) -> None:
 
 
 def _emit(args, config: dict, result, header: list[str] | None = None) -> None:
-    """Write the JSON payload, or, given a ``header``, ``result`` (a list of
-    dicts keyed by the header's columns) as CSV.  Only CSV cells that hold
-    a comma, a quote or a line break are quoted."""
+    """Write the JSON payload, or, given a ``header``, ``result`` as CSV: the
+    table's columns in the header's order, each a list of cells or one
+    value that every row shares, formatted once (at least one column is a
+    list).  Only CSV cells that hold a comma, a quote or a line break are
+    quoted."""
     if header is None:
         payload = {"schema": SCHEMA, "config": config, "result": result}
         _atomic_write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -116,8 +117,18 @@ def _emit(args, config: dict, result, header: list[str] | None = None) -> None:
     text.write(f"# schema: {SCHEMA}\n# config: {json.dumps(config, sort_keys=True)}\n")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_fmt(row[col]) for col in header] for row in result)
+    columns = [_cells(col) if isinstance(col, list) else itertools.repeat(_cells([col])[0]) for col in result]
+    writer.writerows(zip(*columns))
     _atomic_write(args.out, text.getvalue())
+
+
+def _emit_rows(args, config: dict, rows: list[dict], header: list[str]) -> None:
+    """``rows`` as the JSON payload under --format json, else the CSV table
+    of their values under the header's keys."""
+    if args.format == "json":
+        _emit(args, config, rows)
+    else:
+        _emit(args, config, [[row[col] for row in rows] for col in header], header)
 
 
 def _parse_list(raw: str, kind: type, name: str) -> list:
@@ -148,12 +159,11 @@ def _cmd_search(args, model: WeightModel, config: dict) -> None:
     if args.format == "csv":
         e2, bound = search.family_errors(args.n, args.d, model, args.tol, args.variant, args.threads)
         if args.variant == "korobov":
-            labels = range(e2.size)
+            labels = list(range(e2.size))
         else:
             vectors = search.general_vectors(args.n, args.d, np.arange(e2.size)).tolist()
-            labels = (";".join(map(str, g)) for g in vectors)
-        rows = [{"g": label, "e2": float(v), "trunc_bound": bound} for label, v in zip(labels, e2)]
-        _emit(args, config, rows, ["g", "e2", "trunc_bound"])
+            labels = [";".join(map(str, g)) for g in vectors]
+        _emit(args, config, [labels, e2.tolist(), bound], ["g", "e2", "trunc_bound"])
         return
     fn = search.search_korobov if args.variant == "korobov" else search.search_general
     res = fn(args.n, args.d, model, args.tol, threads=args.threads)
@@ -201,9 +211,8 @@ def _cmd_tract(args, model: WeightModel, config: dict) -> None:
     t = 1.0 if args.t is None else args.t
     if args.mode == "st":
         config.update({"s": s, "t": t})
-    trace = tract.st_ratio_trace(s, t, d_list, eps_list, model, source, args.tol)
-    header = None if args.format == "json" else ["d", "epsilon", "n", "ratio", "mode", "source"]
-    _emit(args, config, trace.rows(), header)
+    rows = tract.st_ratio_trace(s, t, d_list, eps_list, model, source, args.tol).rows()
+    _emit_rows(args, config, rows, ["d", "epsilon", "n", "ratio", "mode", "source"])
 
 
 def _cmd_integrate(args, model: WeightModel | None, config: dict) -> None:
@@ -241,8 +250,7 @@ def _cmd_convergence(args, model: WeightModel, config: dict) -> None:
         primes = [p for p in range(2, args.primes_up_to + 1) if is_prime(p)]
     config.update({"d": args.d, "primes": primes})
     rows = qmc.convergence_study(args.d, model, primes, args.tol)
-    header = None if args.format == "json" else ["n", "e", "n_e", "n2_e", "n4_e", "bound"]
-    _emit(args, config, rows, header)
+    _emit_rows(args, config, rows, ["n", "e", "n_e", "n2_e", "n4_e", "bound"])
 
 
 # ---------------------------------------------------------------------------

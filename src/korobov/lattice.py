@@ -13,6 +13,7 @@ until a single final division, so point sets are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # least strong pseudoprime to all four (Jaeschke 1993), and it lies above
 # MODULUS_CAP, so every admissible modulus takes four witnesses.
 _MR_SMALL_BOUND = 3_215_031_751
+
+# Verdicts kept by is_prime's memo: a prime scan checks each modulus in
+# several places (the family, the sieve, the rule and its primitive root).
+_PRIME_MEMO_CAP = 1024
 
 
 def as_int(value, name: str) -> int:
@@ -87,10 +92,11 @@ def check_modulus(n: int) -> None:
         raise ValueError(f"modulus must be prime, got {n}")
 
 
+@lru_cache(maxsize=_PRIME_MEMO_CAP)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for 64-bit integers: the
     witnesses 2, 3, 5 and 7 below 3,215,031,751, all of ``_MR_WITNESSES``
-    above."""
+    above.  The last ``_PRIME_MEMO_CAP`` verdicts are memoised."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:

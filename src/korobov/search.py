@@ -6,11 +6,13 @@ name, which the bounds call) and the layout of the general family, whose
 index i is the vector ``general_vectors(n, d, i)`` in C order.  Every
 family is evaluated here by ``family_errors``, whole or at a list of
 member indices (such as the sieve survivors of a prime scan, one g per
-distinct rule), in chunks over ``threads`` workers: Korobov generators
-by ``_eval_korobov``, O(N^2 d / 4) for all N as products of windows over
-tiles of a primitive-root-permuted theta table, in chunks of rows that
-depend on N and d, and the vectors of a tiny general instance by
-``ThetaTable.eval_vectors``.  Both searches
+distinct rule): Korobov generators by ``_eval_korobov`` on a
+primitive-root-permuted theta table, at d = 2 as one FFT cross-correlation
+in O(N log N), whose rounding bound its docstring states, and for d >= 3
+in O(N^2 d / 4) as products of windows over tiles of the table, in chunks
+of rows that depend on N and d over ``threads`` workers, and the vectors
+of a tiny general instance by ``ThetaTable.eval_vectors``, in chunks over
+``threads`` workers.  Both searches
 select the lambda = 1 error minimizer on one path: members within
 ``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
 order (smallest scalar / lexicographically smallest vector) wins, so
@@ -85,7 +87,8 @@ def general_vectors(n: int, d: int, idx) -> np.ndarray:
 
 def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for the
-    scalar ``generators`` (every g = 0..N-1 when None), O(N^2 d / 4) for all.
+    scalar ``generators`` (every g = 0..N-1 when None): O(N log N) at
+    d = 2 and O(N^2 d / 4) for d >= 3, for all.
 
     Rader's reindexing, as in fast CBC: with a primitive root gamma,
     k = gamma^a and g = gamma^b, coordinate j reads theta_j at
@@ -95,22 +98,49 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     2 * sum_{a<m} prod_j T_j[(a + j b) mod m]; g = gamma^b and N - g share
     row b, so they tie exactly.  The whole family is written out through
     the powers gamma^b and N - gamma^b; any other list reads its rows
-    through the table ``log`` that maps g to b.  Row b reads T_j from
-    (s_j b) mod m, s_j = j mod m, so T_j is tiled once to 2m + s_j (chunk - 1)
-    cells and viewed as its windows by one strided view: a block of
-    consecutive rows reads a strided run of them when every row is wanted,
-    and the wanted rows by plain indexing otherwise, multiplied in the same
-    order (s_j = 0 reads T_j[:m]).  The powers gamma^a are the products
-    gamma^(q c) gamma^r of two runs of about sqrt(m) powers.  With
+    through the table ``log`` that maps g to b.  The powers gamma^a are the
+    products gamma^(q c) gamma^r of two runs of about sqrt(m) powers.  The
+    k = 0 term prod_j theta_j(0) is added separately.  g = 0, the vector
+    (1, 0, ..., 0), takes the operations of :meth:`ThetaTable.eval_vectors`
+    in their order: theta_1(k/N) times each theta_j(0) in turn, then the
+    mean.  d = 1 and N < 5 are evaluated by ``eval_vectors``.
+
+    At d = 2 row b is sum_{a<m} T_0[a] T_1[(a + b) mod m], a cyclic
+    cross-correlation: every row comes from irfft(conj(rfft(T_0)) rfft(T_1))
+    in one pass, whichever rows are wanted, so a member list reads the
+    rows of the whole family bitwise and ``threads`` has nothing to split.
+    Rounding, to first order in u (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 24.1): a transform of length L
+    whose butterflies round within eta = mu + gamma_4 (sqrt(2) + mu) <= 8u
+    (twiddles within mu <= 2u) is off by at most log2(L) eta ||input||_2
+    normwise (Theorem 24.2) and, taken stage by stage, by at most
+    log2(L) eta ||input||_1 in any one output.  Cauchy-Schwarz carries each
+    forward error into a row as log2(L) eta ||T_0||_2 ||T_1||_2, and the
+    inverse transform, whose input has ||.||_1 / m <= ||T_0||_2 ||T_1||_2,
+    adds a third such share; the products and the 1/m scaling add
+    sqrt(2) gamma_2 + u <= 4u times the norm product.  So each row is within
+    28 u log2(L) ||T_0||_2 ||T_1||_2 of the exact correlation of the float
+    tables.  pocketfft transforms a length m with a large prime factor by
+    Bluestein's algorithm, three transforms of length
+    L = good_size(2m - 1) < 4m, which triples that factor; the same
+    tripled factor covers its generic radix-p passes, direct sums of p
+    terms, for the moderate p it takes them for.  Taking L = 4m for every
+    plan, each e^2 is within
+
+        2 C u log2(4m) ||T_0||_2 ||T_1||_2 / N + 4u (1 + |e^2|),  C = 84,
+
+    the last term the rounding of k0 and of (k0 + 2 row) / N - 1.
+
+    For d >= 3, row b reads T_j from (s_j b) mod m, s_j = j mod m, so T_j
+    is tiled once to 2m + s_j (chunk - 1) cells and viewed as its windows
+    by one strided view: a block of consecutive rows reads a strided run of
+    them when every row is wanted, and the wanted rows by plain indexing
+    otherwise, multiplied in the same order (s_j = 0 reads T_j[:m]).  With
     chunk = CHUNK_CELLS // (m + sum_j s_j), at most the number of rows
     wanted, the tiled tables hold at most N d + CHUNK_CELLS cells.  The
     first product goes into one block buffer that the blocks reuse (a new
     array per block when threads > 1), and the other coordinates multiply
-    into it in place.  The k = 0 term prod_j theta_j(0) is added separately.
-    g = 0, the vector (1, 0, ..., 0), takes the operations of
-    :meth:`ThetaTable.eval_vectors` in their order: theta_1(k/N) times each
-    theta_j(0) in turn, then the mean.  d = 1 and N < 5 are evaluated by
-    ``eval_vectors``.  Each row is reduced on its own, so a row's value
+    into it in place.  Each row is reduced on its own, so a row's value
     depends neither on ``threads`` nor on the other rows wanted.
     """
     n, d = table.n, table.d
@@ -136,7 +166,35 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
         wanted = np.zeros(m + 1, dtype=bool)
         wanted[log[gens]] = True
         rows, zero = np.flatnonzero(wanted[:m]), wanted[m]
-    steps = [j % m for j in range(d)]
+    if d == 2:  # one pass computes every row, whichever are wanted
+        rows = np.arange(m)
+        spectra = [np.fft.rfft(vals[powers]) for vals in table.values]
+        sums = np.fft.irfft(spectra[0].conj() * spectra[1], m)
+    else:
+        sums = _window_sums(table, powers, rows, whole, threads)
+    half = np.empty(m + 1)
+    half[rows] = (math.prod(vals[0] for vals in table.values) + 2.0 * sums) / n - 1.0
+    if zero:
+        acc = table.values[0].copy()
+        for vals in table.values[1:]:
+            acc *= vals[0]
+        half[m] = acc.mean() - 1.0
+    if not whole:
+        return half[log[gens]]
+    e2 = np.empty(n)
+    e2[0], e2[powers], e2[n - powers] = half[m], half[:m], half[:m]
+    return e2
+
+
+def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool, threads: int) -> np.ndarray:
+    """The sums sum_{a<m} prod_j T_j[(a + j b) mod m] of the rows b in
+    ``rows`` (every row when ``whole``) of ``_eval_korobov`` for d >= 3:
+    products of windows of the tiled tables, in blocks over ``threads``
+    workers."""
+    if not rows.size:
+        return np.empty(0)
+    m = powers.size
+    steps = [j % m for j in range(table.d)]
     chunk = max(1, min(rows.size, CHUNK_CELLS // (m + sum(steps))))
     # row b of a block starting at lo reads T_j from (s_j lo) mod m +
     # s_j (b - lo): a strided run of the windows of T_j tiled to cover it
@@ -146,7 +204,6 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
         tile = vals[tiled[: 2 * m + s * (chunk - 1)]]
         # the windows tile[i : i + m] as rows of one strided view
         windows.append(np.ndarray((tile.size - m + 1, m), tile.dtype, tile, 0, tile.strides * 2))
-    k0 = math.prod(vals[0] for vals in table.values)
     # one block buffer, reused when the blocks run one after another
     buffer = np.empty((chunk, m)) if threads == 1 else None
 
@@ -159,23 +216,11 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     def block(lo: int, hi: int) -> np.ndarray:
         out = None if buffer is None else buffer[: hi - lo]
         acc = np.multiply(factor(1, lo, hi), factor(0, lo, hi), out=out)
-        for j in range(2, d):
+        for j in range(2, table.d):
             acc *= factor(j, lo, hi)
-        return (k0 + 2.0 * acc.sum(axis=1)) / n - 1.0
+        return acc.sum(axis=1)
 
-    half = np.empty(m + 1)
-    if rows.size:
-        half[rows] = _map_chunks(block, rows.size, chunk, threads)
-    if zero:
-        acc = table.values[0].copy()
-        for vals in table.values[1:]:
-            acc *= vals[0]
-        half[m] = acc.mean() - 1.0
-    if not whole:
-        return half[log[gens]]
-    e2 = np.empty(n)
-    e2[0], e2[powers], e2[n - powers] = half[m], half[:m], half[:m]
-    return e2
+    return _map_chunks(block, rows.size, chunk, threads)
 
 
 def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:

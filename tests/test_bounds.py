@@ -27,7 +27,6 @@ from korobov import (
     KorobovParam,
     LatticeRule,
     OracleInfeasibleError,
-    SummationCapError,
 )
 
 from korobov.bounds import MINKOWSKI_MARGIN, bound_report
@@ -146,10 +145,10 @@ def test_info_complexity_bound_reads_the_product_memo_bitwise(d, monkeypatch):
     korobov.bounds._product_term.cache_clear()
     for n in (101, 503, 1009):
         error_bound_min(n, d, SLOW_MODEL)
-    # a term is recorded once computed: a probe whose A_lam has no
-    # certificate raises, is not kept, and is tried again by the next call
+    # every term is computed once: a probe whose A_lam has no certificate
+    # raises once and is kept as inf, so no grid lambda is tried again
     probes, product = [], korobov.bounds.log_product_bound
-    monkeypatch.setattr(korobov.bounds, "log_product_bound", lambda d, lam, *args: (product(d, lam, *args), probes.append(lam))[0])
+    monkeypatch.setattr(korobov.bounds, "log_product_bound", lambda d, lam, *args: probes.append(lam) or product(d, lam, *args))
     for eps in eps_list + eps_list[::-1]:
         assert [v.hex() for v in korobov.bounds.log_info_complexity_bound(eps, d, SLOW_MODEL)] == fresh[eps], eps
     computed = len(probes)
@@ -176,12 +175,11 @@ def test_error_bound_min_all_infinite(model, d):
 
 
 def _capped_below(lam_cap, objective):
-    """objective, raising SummationCapError below lam_cap as A_lam does."""
+    """objective, inf below lam_cap as the product memo reads a lambda whose
+    A_lam has no certificate."""
 
     def capped(lam):
-        if lam < lam_cap:
-            raise SummationCapError(f"no certificate at lambda {lam}")
-        return objective(lam)
+        return math.inf if lam < lam_cap else objective(lam)
 
     return capped
 
@@ -200,21 +198,15 @@ def _capped_below(lam_cap, objective):
     ids=["interior", "grid-end-one", "grid-end-small", "capped", "linear-model-bound"],
 )
 def test_minimize_lambda_evaluates_each_lambda_once(objective):
-    def value(lam):
-        try:
-            return objective(lam)
-        except SummationCapError:
-            return math.inf
-
     calls = []
     best, lam = korobov.bounds._minimize_lambda(lambda l: calls.append(l) or objective(l))
     assert len(calls) <= 21 + 33 and len(set(calls)) == len(calls)
-    assert best == value(lam)
+    assert best == objective(lam)
     # the golden-section steps search between the grid minimum's neighbours;
     # a dense scan of that bracket finds nothing smaller
-    k = min(range(len(LAMBDA_GRID)), key=lambda i: (value(LAMBDA_GRID[i]), -LAMBDA_GRID[i]))
+    k = min(range(len(LAMBDA_GRID)), key=lambda i: (objective(LAMBDA_GRID[i]), -LAMBDA_GRID[i]))
     lo, hi = LAMBDA_GRID[min(k + 1, len(LAMBDA_GRID) - 1)], LAMBDA_GRID[max(k - 1, 0)]
-    assert best <= min(map(value, np.linspace(lo, hi, 10**4))) * (1.0 + 1e-12)
+    assert best <= min(map(objective, np.linspace(lo, hi, 10**4))) * (1.0 + 1e-12)
 
 
 def test_error_bound_nonincreasing_in_n(linear_model):

@@ -190,7 +190,7 @@ def _oracle_korobov_errors(table):
 
 
 def _gather_korobov_errors(table):
-    """The gather formulation of the Korobov kernel (N >= 5, d >= 2): every
+    """The gather formulation of the Korobov kernel (N >= 5, d >= 3): every
     coordinate's rows are gathered out of the doubled permuted table at
     j * b mod m into a new array, in chunks of CHUNK_CELLS // m rows."""
     n, d = table.n, table.d
@@ -231,9 +231,10 @@ def test_eval_korobov_matches_eval_vectors(name):
                 assert np.max(np.abs(fast - _oracle_korobov_errors(table))) <= tol, (n, d, lam)
                 # g and N - g share one evaluation, so they tie bitwise
                 assert all(fast[g] == fast[n - g] for g in range(1, n)), (n, d, lam)
-                if n >= 5 and d >= 2:
+                if n >= 5 and d >= 3:
                     # the strided windows multiply the same factors in the
-                    # same order and reduce each row the same way
+                    # same order and reduce each row the same way; d = 2
+                    # rows come from an FFT (see the rounding-bound test)
                     assert np.array_equal(fast, _gather_korobov_errors(table)), (n, d, lam)
 
 
@@ -273,6 +274,57 @@ def test_eval_korobov_bitwise_thread_invariant(d):
                 for members in member_lists:
                     got = _eval_korobov(table, threads, members)
                     assert np.array_equal(got, full[members]), (b, n, threads, members)
+
+
+def _correlation_reference(table):
+    """Every d = 2 error in long double: the Rader rows sum_a T_0[a]
+    T_1[(a + b) mod m] of the float tables, summed directly, and the g = 0
+    mean, with the norm product ||T_0||_2 ||T_1||_2."""
+    n = table.n
+    m = (n - 1) // 2
+    gamma = primitive_root(n)
+    powers = np.array([pow(gamma, a, n) for a in range(m)], dtype=np.int64)
+    t0, t1 = (vals[powers].astype(np.longdouble) for vals in table.values)
+    sums = sliding_window_view(np.tile(t1, 2), m)[:m] @ t0
+    first, second = (np.longdouble(vals[0]) for vals in table.values)
+    e2 = np.empty(n, dtype=np.longdouble)
+    e2[powers] = e2[n - powers] = (first * second + 2 * sums) / n - 1
+    e2[0] = table.values[0].astype(np.longdouble).sum() * second / n - 1
+    norms = float(np.linalg.norm(table.values[0][powers]) * np.linalg.norm(table.values[1][powers]))
+    return e2, norms
+
+
+@pytest.mark.parametrize(
+    "omega, b",
+    [(omega, b) for omega in (0.1, 0.5, 0.9, 0.99) for b in (0.5, 1.0, 2.0) if b != 0.5 or omega <= 0.9],
+)
+def test_eval_korobov_d2_rows_within_the_fft_bound(omega, b):
+    # the bound of _eval_korobov's docstring, with C = 84 and L = 4m, on
+    # radix-2..5 lengths, generic-radix ones (m = 86 = 2 * 43, m = 111 =
+    # 3 * 37) and Bluestein ones (m = 509 and m = 1019 are prime)
+    assert np.finfo(np.longdouble).eps < 1e-18  # the reference's rounding is negligible
+    u = 2.0**-53
+    for a in ("constant", "linear"):
+        model = make_model(omega=omega, a=(a, 1.0), b=("constant", b))
+        for n in (5, 7, 101, 173, 223, 1019, 2039, 4001, 9973):
+            table = theta_table(model, n, 2, DEFAULT_TOL)
+            exact, norms = _correlation_reference(table)
+            m = (n - 1) // 2
+            bound = 2 * 84 * u * math.log2(4 * m) * norms / n + 4 * u * (1 + np.abs(exact))
+            assert np.all(np.abs(_eval_korobov(table) - exact) <= bound), (a, n)
+
+
+def test_eval_korobov_d2_member_lists_read_the_family_bitwise():
+    # every member list, at Bluestein lengths too, reads the rows of the
+    # whole family; g and N - g share a row
+    rng = np.random.default_rng(2)
+    for n in (5, 1019, 2039, 4001):
+        table = theta_table(KERNEL_MODELS["slow_decay"], n, 2, DEFAULT_TOL)
+        full = _eval_korobov(table)
+        assert all(full[g] == full[n - g] for g in range(1, n)), n
+        for members in (rng.integers(0, n, size=50), [0], [3, n - 3], np.arange(n)[::-1]):
+            assert np.array_equal(_eval_korobov(table, 1, members), full[members]), (n, members)
+        assert np.array_equal(family_errors(n, 2, KERNEL_MODELS["slow_decay"])[0], full), n
 
 
 def test_eval_korobov_tables_stay_bounded():
