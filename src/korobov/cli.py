@@ -3,7 +3,8 @@
 Subcommands: wce, search, bound, nofe, tract, integrate, convergence.
 Every subcommand takes --model, --tol and --out (``integrate`` reads --tol
 only with --model, which it makes optional, and ``tract --mode alg`` does
-not read --tol); ``search`` also takes --threads, and ``search``,
+not read --tol); ``search`` also takes --threads, the most worker threads
+it may use (only the general family splits over them), and ``search``,
 ``tract`` and ``convergence`` take --format (json or csv; the others always
 write JSON).  Outputs are written atomically (temp file + rename) and embed
 the resolved configuration (tol only where it is read) plus a schema
@@ -155,6 +156,7 @@ def _cmd_wce(args, model: WeightModel, config: dict) -> None:
 
 
 def _cmd_search(args, model: WeightModel, config: dict) -> None:
+    search.check_threads(args.threads)
     config.update({"n": args.n, "d": args.d, "variant": args.variant})
     if args.format == "csv":
         e2, bound = search.family_errors(args.n, args.d, model, args.tol, args.variant, args.threads)
@@ -165,8 +167,10 @@ def _cmd_search(args, model: WeightModel, config: dict) -> None:
             labels = [";".join(map(str, g)) for g in vectors]
         _emit(args, config, [labels, e2.tolist(), bound], ["g", "e2", "trunc_bound"])
         return
-    fn = search.search_korobov if args.variant == "korobov" else search.search_general
-    res = fn(args.n, args.d, model, args.tol, threads=args.threads)
+    if args.variant == "korobov":
+        res = search.search_korobov(args.n, args.d, model, args.tol)
+    else:
+        res = search.search_general(args.n, args.d, model, args.tol, args.threads)
     _emit(args, config, res.to_dict())
 
 

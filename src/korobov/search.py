@@ -7,16 +7,16 @@ index i is the vector ``general_vectors(n, d, i)`` in C order.  Every
 family is evaluated here by ``family_errors``, whole or at a list of
 member indices (such as the sieve survivors of a prime scan, one g per
 distinct rule): Korobov generators by ``_eval_korobov`` on a
-primitive-root-permuted theta table, at d = 2 as one FFT cross-correlation
-in O(N log N), whose rounding bound its docstring states, and for d >= 3
-in O(N^2 d / 4) as products of windows over tiles of the table, in chunks
-of rows that depend on N and d over ``threads`` workers, and the vectors
-of a tiny general instance by ``ThetaTable.eval_vectors``, in chunks over
-``threads`` workers.  Both searches
-select the lambda = 1 error minimizer on one path: members within
-``ErrorEstimate.band`` of the minimum tie, and the first in enumeration
-order (smallest scalar / lexicographically smallest vector) wins, so
-results do not depend on chunking or thread count.
+primitive-root-permuted theta table on one thread, at d = 2 as one FFT
+cross-correlation of centred tables in O(N log N), whose rounding bound
+its docstring states, and for d >= 3 in O(N^2 d / 4) as products of
+windows over tiles of the table, and the vectors of a tiny general
+instance by ``ThetaTable.eval_vectors``, in blocks split over at most
+``threads`` worker threads.  Both searches select the lambda = 1 error
+minimizer on one path: members within ``ErrorEstimate.band`` of the
+minimum tie, and the first in enumeration order (smallest scalar /
+lexicographically smallest vector) wins, so results do not depend on
+blocking or thread count.
 Korobov generators g and N - g give the same rule up to a reflection and
 get bitwise equal errors: ``ties`` counts both members of each pair, and
 the smaller g wins.  The shared truncation bound of a family is the
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +77,12 @@ def check_family(family: str) -> None:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
 
 
+def check_threads(threads: int) -> None:
+    """``ValueError`` naming the count unless at least one thread."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def general_vectors(n: int, d: int, idx) -> np.ndarray:
     """The general-family members at indices ``idx``: lexicographic
     vectors, g_1 most significant (C order), one row per index, or one
@@ -85,7 +90,7 @@ def general_vectors(n: int, d: int, idx) -> np.ndarray:
     return np.stack(np.unravel_index(idx, (n,) * d), axis=-1)
 
 
-def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
+def _eval_korobov(table, generators=None) -> np.ndarray:
     """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for the
     scalar ``generators`` (every g = 0..N-1 when None): O(N log N) at
     d = 2 and O(N^2 d / 4) for d >= 3, for all.
@@ -100,36 +105,42 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     the powers gamma^b and N - gamma^b; any other list reads its rows
     through the table ``log`` that maps g to b.  The powers gamma^a are the
     products gamma^(q c) gamma^r of two runs of about sqrt(m) powers.  The
-    k = 0 term prod_j theta_j(0) is added separately.  g = 0, the vector
-    (1, 0, ..., 0), takes the operations of :meth:`ThetaTable.eval_vectors`
-    in their order: theta_1(k/N) times each theta_j(0) in turn, then the
-    mean.  d = 1 and N < 5 are evaluated by ``eval_vectors``.
+    k = 0 term k0 = prod_j theta_j(0) is added separately.  g = 0, the
+    vector (1, 0, ..., 0), d = 1 and N < 5 are evaluated by
+    :meth:`ThetaTable.eval_vectors`.
 
     At d = 2 row b is sum_{a<m} T_0[a] T_1[(a + b) mod m], a cyclic
-    cross-correlation: every row comes from irfft(conj(rfft(T_0)) rfft(T_1))
-    in one pass, whichever rows are wanted, so a member list reads the
-    rows of the whole family bitwise and ``threads`` has nothing to split.
+    cross-correlation, taken of the centred tables: with P_j = T_j - 1,
+    delta_j = mean(P_j), mu_j = 1 + delta_j and t_j = P_j - delta_j, row b
+    less m is m (delta_0 + delta_1 + delta_0 delta_1) plus the correlation
+    of t_0 and t_1, one pass irfft(conj(rfft(t_0)) rfft(t_1)) for every
+    row, whichever rows are wanted (a member list reads the rows of the
+    whole family bitwise).  e^2 = (k0 - 1 + 2 (row - m)) / N cancels no
+    term near 1, so an e^2 far below u keeps its digits.
     Rounding, to first order in u (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., section 24.1): a transform of length L
-    whose butterflies round within eta = mu + gamma_4 (sqrt(2) + mu) <= 8u
-    (twiddles within mu <= 2u) is off by at most log2(L) eta ||input||_2
-    normwise (Theorem 24.2) and, taken stage by stage, by at most
-    log2(L) eta ||input||_1 in any one output.  Cauchy-Schwarz carries each
-    forward error into a row as log2(L) eta ||T_0||_2 ||T_1||_2, and the
-    inverse transform, whose input has ||.||_1 / m <= ||T_0||_2 ||T_1||_2,
-    adds a third such share; the products and the 1/m scaling add
-    sqrt(2) gamma_2 + u <= 4u times the norm product.  So each row is within
-    28 u log2(L) ||T_0||_2 ||T_1||_2 of the exact correlation of the float
-    tables.  pocketfft transforms a length m with a large prime factor by
-    Bluestein's algorithm, three transforms of length
-    L = good_size(2m - 1) < 4m, which triples that factor; the same
-    tripled factor covers its generic radix-p passes, direct sums of p
-    terms, for the moderate p it takes them for.  Taking L = 4m for every
-    plan, each e^2 is within
+    Numerical Algorithms*, 2nd ed., sections 4.2 and 24.1): a transform of
+    length L whose butterflies round within eta = mu + gamma_4 (sqrt(2) + mu)
+    <= 8u (twiddles within mu <= 2u) is off by at most log2(L) eta times
+    ||input||_2 normwise (Theorem 24.2) and ||input||_1 in any one output.
+    By Cauchy-Schwarz the two forward transforms, the inverse one (whose
+    input has ||.||_1 / m <= ||t_0||_2 ||t_1||_2) and the products and 1/m
+    scaling (at most 4u) leave each correlation within
+    28 u log2(L) ||t_0||_2 ||t_1||_2 of the exact one.  pocketfft's
+    Bluestein plans (three transforms of length L = good_size(2m - 1) < 4m)
+    and generic radix-p passes triple that: C = 84.  The subtractions round
+    an entry within u |P_j| + u |t_j|, a row within 4u ||P_0||_2 ||P_1||_2.
+    numpy sums pairwise over blocks of at most 128 terms, each in 8
+    interleaved runs, so the exact sum of t_j is at most gamma_p ||P_j||_1,
+    p = ceil(log2 m) + 21, which a row takes times |mu_(1-j)|.  The rest
+    rounds within 3u (|e^2| + k0 / N + |delta_0| + |delta_1| +
+    |delta_0 delta_1|).  So with L = 4m each e^2 with g != 0 is within
 
-        2 C u log2(4m) ||T_0||_2 ||T_1||_2 / N + 4u (1 + |e^2|),  C = 84,
+        [2 C u log2(4m) ||t_0||_2 ||t_1||_2 + 8u ||P_0||_2 ||P_1||_2
+         + 2 gamma_p (|mu_1| ||P_0||_1 + |mu_0| ||P_1||_1) + 3u k0] / N
+        + 3u (|e^2| + |delta_0| + |delta_1| + |delta_0 delta_1|)
 
-    the last term the rounding of k0 and of (k0 + 2 row) / N - 1.
+    of the exact character sum of the float tables; uncentred, the first
+    term took ||T_0||_2 ||T_1||_2, about N / 2 for tables near 1.
 
     For d >= 3, row b reads T_j from (s_j b) mod m, s_j = j mod m, so T_j
     is tiled once to 2m + s_j (chunk - 1) cells and viewed as its windows
@@ -138,10 +149,10 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     otherwise, multiplied in the same order (s_j = 0 reads T_j[:m]).  With
     chunk = CHUNK_CELLS // (m + sum_j s_j), at most the number of rows
     wanted, the tiled tables hold at most N d + CHUNK_CELLS cells.  The
-    first product goes into one block buffer that the blocks reuse (a new
-    array per block when threads > 1), and the other coordinates multiply
-    into it in place.  Each row is reduced on its own, so a row's value
-    depends neither on ``threads`` nor on the other rows wanted.
+    blocks run in turn on one thread: the first product goes into one
+    buffer that every block reuses, the other coordinates multiply into it
+    in place, and each row is reduced on its own into one output, so a
+    row's value does not depend on the other rows wanted.
     """
     n, d = table.n, table.d
     whole = generators is None
@@ -166,19 +177,19 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
         wanted = np.zeros(m + 1, dtype=bool)
         wanted[log[gens]] = True
         rows, zero = np.flatnonzero(wanted[:m]), wanted[m]
-    if d == 2:  # one pass computes every row, whichever are wanted
-        rows = np.arange(m)
-        spectra = [np.fft.rfft(vals[powers]) for vals in table.values]
-        sums = np.fft.irfft(spectra[0].conj() * spectra[1], m)
+    k0 = math.prod(vals[0] for vals in table.values)
+    if d == 2:  # one pass computes every row less m, whichever are wanted
+        devs = [vals[powers] - 1.0 for vals in table.values]
+        deltas = [float(dev.sum()) / m for dev in devs]
+        spectra = [np.fft.rfft(dev - delta) for dev, delta in zip(devs, deltas)]
+        excess = np.fft.irfft(spectra[0].conj() * spectra[1], m) + m * (deltas[0] + deltas[1] + deltas[0] * deltas[1])
+        rows, values = np.arange(m), (k0 - 1.0 + 2.0 * excess) / n
     else:
-        sums = _window_sums(table, powers, rows, whole, threads)
+        values = (k0 + 2.0 * _window_sums(table, powers, rows, whole)) / n - 1.0
     half = np.empty(m + 1)
-    half[rows] = (math.prod(vals[0] for vals in table.values) + 2.0 * sums) / n - 1.0
+    half[rows] = values
     if zero:
-        acc = table.values[0].copy()
-        for vals in table.values[1:]:
-            acc *= vals[0]
-        half[m] = acc.mean() - 1.0
+        half[m] = table.eval_vectors(korobov_vectors(n, d, [0]))[0]
     if not whole:
         return half[log[gens]]
     e2 = np.empty(n)
@@ -186,13 +197,9 @@ def _eval_korobov(table, threads: int = 1, generators=None) -> np.ndarray:
     return e2
 
 
-def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool, threads: int) -> np.ndarray:
+def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool) -> np.ndarray:
     """The sums sum_{a<m} prod_j T_j[(a + j b) mod m] of the rows b in
-    ``rows`` (every row when ``whole``) of ``_eval_korobov`` for d >= 3:
-    products of windows of the tiled tables, in blocks over ``threads``
-    workers."""
-    if not rows.size:
-        return np.empty(0)
+    ``rows`` (every row when ``whole``) of ``_eval_korobov`` for d >= 3."""
     m = powers.size
     steps = [j % m for j in range(table.d)]
     chunk = max(1, min(rows.size, CHUNK_CELLS // (m + sum(steps))))
@@ -204,8 +211,7 @@ def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool, threa
         tile = vals[tiled[: 2 * m + s * (chunk - 1)]]
         # the windows tile[i : i + m] as rows of one strided view
         windows.append(np.ndarray((tile.size - m + 1, m), tile.dtype, tile, 0, tile.strides * 2))
-    # one block buffer, reused when the blocks run one after another
-    buffer = np.empty((chunk, m)) if threads == 1 else None
+    buffer, sums = np.empty((chunk, m)), np.empty(rows.size)
 
     def factor(j: int, lo: int, hi: int) -> np.ndarray:
         s = steps[j]
@@ -213,38 +219,38 @@ def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool, threa
             return windows[j][0]
         return windows[j][s * lo % m :: s][: hi - lo] if whole else windows[j][s * rows[lo:hi] % m]
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        out = None if buffer is None else buffer[: hi - lo]
-        acc = np.multiply(factor(1, lo, hi), factor(0, lo, hi), out=out)
+    for lo in range(0, rows.size, chunk):
+        hi = min(lo + chunk, rows.size)
+        acc = np.multiply(factor(1, lo, hi), factor(0, lo, hi), out=buffer[: hi - lo])
         for j in range(2, table.d):
             acc *= factor(j, lo, hi)
-        return acc.sum(axis=1)
-
-    return _map_chunks(block, rows.size, chunk, threads)
-
-
-def _map_chunks(fn, count: int, chunk: int, threads: int) -> np.ndarray:
-    """Concatenation of fn(lo, hi) over consecutive chunks of range(count),
-    spread over ``threads`` pool workers when threads > 1."""
-    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda span: fn(*span), spans))
-    else:
-        parts = [fn(lo, hi) for lo, hi in spans]
-    return np.concatenate(parts)
+        acc.sum(axis=1, out=sums[lo:hi])
+    return sums
 
 
 def _eval_all(table, threads: int, members=None) -> np.ndarray:
-    """Errors of the general vectors at indices ``members``, all N^d when None."""
+    """Errors of the general vectors at indices ``members``, all N^d when
+    None, in blocks of CHUNK_CELLS // N vectors over at most ``threads``
+    worker threads; a block writes its own slice, so no value depends on them."""
     n, d = table.n, table.d
     count = n**d if members is None else len(members)
+    chunk = max(1, CHUNK_CELLS // n)
+    e2 = np.empty(count)
 
-    def run(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int) -> None:
+        hi = min(lo + chunk, count)
         idx = np.arange(lo, hi) if members is None else members[lo:hi]
-        return table.eval_vectors(general_vectors(n, d, idx))
+        e2[lo:hi] = table.eval_vectors(general_vectors(n, d, idx))
 
-    return _map_chunks(run, count, max(1, CHUNK_CELLS // n), threads)
+    if threads == 1:
+        for lo in range(0, count, chunk):
+            block(lo)
+    else:  # the only pool: importing it costs every process start about 4 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(block, range(0, count, chunk)))  # re-raises a block's error
+    return e2
 
 
 def family_errors(
@@ -258,17 +264,17 @@ def family_errors(
 ) -> tuple[np.ndarray, float]:
     """Squared errors of the members at indices ``members`` into the
     family's enumeration order (scalar g, or lexicographic vectors), of
-    all in that order when None, with their shared truncation bound.  The
+    all in that order when None, with their shared truncation bound, on at
+    most ``threads`` worker threads (a Korobov family runs on one).  The
     modulus must pass ``check_modulus``, d and ``threads`` be at least 1."""
     check_modulus(n)
     check_dimension(d)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     check_family(family)
     if family == "general" and n**d > GENERAL_SEARCH_CAP:
         raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
     table = theta_table(model, n, d, tol)
-    e2 = (_eval_korobov if family == "korobov" else _eval_all)(table, threads, members)
+    e2 = _eval_korobov(table, members) if family == "korobov" else _eval_all(table, threads, members)
     return e2, table.product_bound
 
 
@@ -287,29 +293,18 @@ def _select(n: int, d: int, model: WeightModel, tol: float, family: str, threads
     return SearchResult(rule, best_e2, evaluated=e2.size, ties=int(tied.size))
 
 
-def search_korobov(
-    n: int,
-    d: int,
-    model: WeightModel,
-    tol: float = DEFAULT_TOL,
-    threads: int = 1,
-) -> SearchResult:
+def search_korobov(n: int, d: int, model: WeightModel, tol: float = DEFAULT_TOL) -> SearchResult:
     """Evaluate every scalar generator g in {0, ..., n-1} and minimize.
 
     g = 0 participates like any other candidate.  For d = 1 every scalar
     expands to the vector (1), so all candidates tie and g = 0 wins.
     """
-    return _select(n, d, model, tol, "korobov", threads)
+    return _select(n, d, model, tol, "korobov", 1)
 
 
-def search_general(
-    n: int,
-    d: int,
-    model: WeightModel,
-    tol: float = DEFAULT_TOL,
-    threads: int = 1,
-) -> SearchResult:
-    """Exhaustive search over all of {0, ..., n-1}^d (tiny instances only)."""
+def search_general(n: int, d: int, model: WeightModel, tol: float = DEFAULT_TOL, threads: int = 1) -> SearchResult:
+    """Exhaustive search over all of {0, ..., n-1}^d (tiny instances only),
+    its blocks of vectors split over at most ``threads`` worker threads."""
     return _select(n, d, model, tol, "general", threads)
 
 
@@ -326,4 +321,4 @@ def mean_pow_error(
     The averaged quantity is the dual-lattice sum of the space at base
     omega**lam (the Jensen majorant of e^(2*lam)), not (e^2)**lam.
     """
-    return float(np.mean(family_errors(n, d, model.scaled(lam), tol, family, 1)[0]))
+    return float(np.mean(family_errors(n, d, model.scaled(lam), tol, family)[0]))

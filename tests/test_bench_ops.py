@@ -4,7 +4,9 @@ package names that the bench's tracer reads.
 ``bench/workloads.py`` is imported read-only.  Every op of every workload at
 seed 1 runs twice in this process: both runs exit 0, their outputs are
 byte-identical (so no result depends on what the memos hold), and the
-workload's own check accepts each output.  ``bench/run.py`` is read with
+workload's own check accepts each output.  The largest search op also runs
+with the two-thread override of the traced bench run, and gives the bytes
+of its one-thread run.  ``bench/run.py`` is read with
 ``ast`` and not imported: each of its ``IMPORT_SITES`` resolves in the
 package, so a deleted import there fails here and not only in the bench.
 """
@@ -49,6 +51,22 @@ def test_bench_ops_run_twice_alike_and_pass_their_checks(name, tmp_path):
         assert first.read_bytes() == second.read_bytes(), op["out"]
         outputs = {o["out"]: runs[0] / o["out"] for o in ops}
         assert workloads.check(op, first, outputs) is None, op["out"]
+
+
+def test_largest_search_at_two_threads_matches_one_thread(tmp_path):
+    # traced bench runs time the search workload's largest op once more with
+    # its --threads value set to 2, as bench/worker.py --threads does
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    [op] = [op for op in _workloads().build("search", 1, inputs) if op["check"].get("largest")]
+    outputs = []
+    for threads in ("1", "2"):
+        argv = list(op["argv"])
+        argv[argv.index("--threads") + 1] = threads
+        out = tmp_path / f"threads{threads}.json"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _import_sites() -> tuple[str, ...]:

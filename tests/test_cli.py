@@ -25,6 +25,7 @@ from korobov.bounds import LAMBDA_GRID, log_info_complexity_bound
 from korobov.cli import main
 from korobov.qmc import convergence_study
 from korobov.search import family_errors
+from korobov.space import CHUNK_CELLS
 from korobov.tract import ALG_D_MAX_CAP, alg_classify
 
 from conftest import brute_dual_e2, first_sieved_prime, make_model
@@ -95,13 +96,15 @@ def test_search_candidate_csv(model_path, tmp_path):
 
 
 def test_search_outputs_thread_invariant(model_path, tmp_path):
-    # N = 1009 spans several evaluation chunks, so every thread count splits work
+    # the general family at N = 13, d = 4 spans six blocks of
+    # CHUNK_CELLS // N vectors, so every thread count splits them
+    assert 13**4 > 5 * (CHUNK_CELLS // 13)
     for fmt in ("csv", "json"):
         outs = []
         for threads in ("1", "2", "3"):
             out = tmp_path / f"s{threads}.{fmt}"
             code = run_cli(
-                ["search", "--model", model_path, "--n", "1009", "--d", "3",
+                ["search", "--model", model_path, "--n", "13", "--d", "4", "--variant", "general",
                  "--format", fmt, "--threads", threads, "--out", str(out)]
             )
             assert code == 0
