@@ -4,16 +4,16 @@ This module owns the families: their names (``FAMILIES``, which the
 CLI reads, and ``check_family``, the one check of a family or variant
 name, which the bounds call) and the layout of the general family, whose
 index i is the vector ``general_vectors(n, d, i)`` in C order.  Every
-family is evaluated here by ``family_errors``, whole or at a list of
-member indices (such as the sieve survivors of a prime scan, one g per
-distinct rule): Korobov generators by ``_eval_korobov`` on a
-primitive-root-permuted theta table on one thread, at d = 2 as one FFT
+family is evaluated here by ``family_errors``, the one check of a list
+of member indices, at such a list: every index for a whole family, the
+sieve survivors (one g per distinct rule) in a prime scan.  Korobov
+generators are evaluated by ``_eval_korobov`` on a primitive-root-permuted theta table on one thread, at d = 2 as one FFT
 cross-correlation of centred tables in O(N log N), whose rounding bound
 its docstring states, and for d >= 3 in O(N^2 d / 4) as products of
 windows over tiles of the table, and the vectors of a tiny general
 instance by ``ThetaTable.eval_vectors``, in blocks split over at most
-``threads`` worker threads.  Both searches select the lambda = 1 error
-minimizer on one path: members within ``ErrorEstimate.band`` of the
+``threads`` worker threads and CPUs.  Both searches select the lambda = 1
+error minimizer on one path: members within ``ErrorEstimate.band`` of the
 minimum tie, and the first in enumeration order (smallest scalar /
 lexicographically smallest vector) wins, so results do not depend on
 blocking or thread count.
@@ -90,10 +90,10 @@ def general_vectors(n: int, d: int, idx) -> np.ndarray:
     return np.stack(np.unravel_index(idx, (n,) * d), axis=-1)
 
 
-def _eval_korobov(table, generators=None) -> np.ndarray:
+def _eval_korobov(table, generators) -> np.ndarray:
     """Squared errors of the Korobov vectors (1, g, ..., g^(d-1)) for the
-    scalar ``generators`` (every g = 0..N-1 when None): O(N log N) at
-    d = 2 and O(N^2 d / 4) for d >= 3, for all.
+    list of scalar ``generators`` in [0, N) (a whole family is every g):
+    O(N log N) at d = 2 and O(N^2 d / 4) for d >= 3, for all.
 
     Rader's reindexing, as in fast CBC: with a primitive root gamma,
     k = gamma^a and g = gamma^b, coordinate j reads theta_j at
@@ -101,9 +101,8 @@ def _eval_korobov(table, generators=None) -> np.ndarray:
     m = (N-1)/2, so the permuted table T_j[a] = theta_j(gamma^a / N) has
     period m and the k != 0 terms of row b sum to
     2 * sum_{a<m} prod_j T_j[(a + j b) mod m]; g = gamma^b and N - g share
-    row b, so they tie exactly.  The whole family is written out through
-    the powers gamma^b and N - gamma^b; any other list reads its rows
-    through the table ``log`` that maps g to b.  The powers gamma^a are the
+    row b, so they tie exactly.  A list reads its rows through the table
+    ``log`` that maps g to b.  The powers gamma^a are the
     products gamma^(q c) gamma^r of two runs of about sqrt(m) powers.  The
     k = 0 term k0 = prod_j theta_j(0) is added separately.  g = 0, the
     vector (1, 0, ..., 0), d = 1 and N < 5 are evaluated by
@@ -145,8 +144,9 @@ def _eval_korobov(table, generators=None) -> np.ndarray:
     For d >= 3, row b reads T_j from (s_j b) mod m, s_j = j mod m, so T_j
     is tiled once to 2m + s_j (chunk - 1) cells and viewed as its windows
     by one strided view: a block of consecutive rows reads a strided run of
-    them when every row is wanted, and the wanted rows by plain indexing
-    otherwise, multiplied in the same order (s_j = 0 reads T_j[:m]).  With
+    them when every row is wanted (a search), and the wanted rows by plain
+    indexing otherwise (sieve survivors), multiplied in the same order
+    (s_j = 0 reads T_j[:m]).  With
     chunk = CHUNK_CELLS // (m + sum_j s_j), at most the number of rows
     wanted, the tiled tables hold at most N d + CHUNK_CELLS cells.  The
     blocks run in turn on one thread: the first product goes into one
@@ -155,8 +155,7 @@ def _eval_korobov(table, generators=None) -> np.ndarray:
     row's value does not depend on the other rows wanted.
     """
     n, d = table.n, table.d
-    whole = generators is None
-    gens = np.arange(n) if whole else np.asarray(generators, dtype=np.int64)
+    gens = np.asarray(generators, dtype=np.int64)
     if d == 1:
         return np.full(gens.size, table.eval_vectors(np.ones((1, 1), dtype=np.int64))[0])
     if n < 5:
@@ -169,37 +168,29 @@ def _eval_korobov(table, generators=None) -> np.ndarray:
         for base, size in ((pow(gamma, c, n), -(-m // c)), (gamma, c))
     ]
     powers = (np.multiply.outer(*runs) % n).ravel()[:m]
-    if whole:
-        rows, zero = np.arange(m), True
-    else:
-        log = np.full(n, m)  # g = 0 reads slot m, after the m rows
-        log[powers] = log[n - powers] = np.arange(m)
-        wanted = np.zeros(m + 1, dtype=bool)
-        wanted[log[gens]] = True
-        rows, zero = np.flatnonzero(wanted[:m]), wanted[m]
+    log = np.full(n, m)  # g = 0 reads slot m, after the m rows
+    log[powers] = log[n - powers] = np.arange(m)
+    wanted = np.zeros(m + 1, dtype=bool)
+    wanted[log[gens]] = True
     k0 = math.prod(vals[0] for vals in table.values)
+    half = np.empty(m + 1)
     if d == 2:  # one pass computes every row less m, whichever are wanted
         devs = [vals[powers] - 1.0 for vals in table.values]
         deltas = [float(dev.sum()) / m for dev in devs]
         spectra = [np.fft.rfft(dev - delta) for dev, delta in zip(devs, deltas)]
         excess = np.fft.irfft(spectra[0].conj() * spectra[1], m) + m * (deltas[0] + deltas[1] + deltas[0] * deltas[1])
-        rows, values = np.arange(m), (k0 - 1.0 + 2.0 * excess) / n
+        half[:m] = (k0 - 1.0 + 2.0 * excess) / n
     else:
-        values = (k0 + 2.0 * _window_sums(table, powers, rows, whole)) / n - 1.0
-    half = np.empty(m + 1)
-    half[rows] = values
-    if zero:
+        rows = np.flatnonzero(wanted[:m])
+        half[rows] = (k0 + 2.0 * _window_sums(table, powers, rows)) / n - 1.0
+    if wanted[m]:
         half[m] = table.eval_vectors(korobov_vectors(n, d, [0]))[0]
-    if not whole:
-        return half[log[gens]]
-    e2 = np.empty(n)
-    e2[0], e2[powers], e2[n - powers] = half[m], half[:m], half[:m]
-    return e2
+    return half[log[gens]]
 
 
-def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool) -> np.ndarray:
+def _window_sums(table, powers: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The sums sum_{a<m} prod_j T_j[(a + j b) mod m] of the rows b in
-    ``rows`` (every row when ``whole``) of ``_eval_korobov`` for d >= 3."""
+    ``rows`` (ascending) of ``_eval_korobov`` for d >= 3."""
     m = powers.size
     steps = [j % m for j in range(table.d)]
     chunk = max(1, min(rows.size, CHUNK_CELLS // (m + sum(steps))))
@@ -217,7 +208,7 @@ def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool) -> np
         s = steps[j]
         if not s:
             return windows[j][0]
-        return windows[j][s * lo % m :: s][: hi - lo] if whole else windows[j][s * rows[lo:hi] % m]
+        return windows[j][s * lo % m :: s][: hi - lo] if rows.size == m else windows[j][s * rows[lo:hi] % m]
 
     for lo in range(0, rows.size, chunk):
         hi = min(lo + chunk, rows.size)
@@ -228,28 +219,28 @@ def _window_sums(table, powers: np.ndarray, rows: np.ndarray, whole: bool) -> np
     return sums
 
 
-def _eval_all(table, threads: int, members=None) -> np.ndarray:
-    """Errors of the general vectors at indices ``members``, all N^d when
-    None, in blocks of CHUNK_CELLS // N vectors over at most ``threads``
-    worker threads; a block writes its own slice, so no value depends on them."""
+def _eval_all(table, threads: int, members: np.ndarray) -> np.ndarray:
+    """Errors of the general vectors at indices ``members``, in blocks of
+    CHUNK_CELLS // N over at most ``threads`` worker threads and CPUs; a
+    block writes its own slice, so no value depends on them."""
     n, d = table.n, table.d
-    count = n**d if members is None else len(members)
     chunk = max(1, CHUNK_CELLS // n)
-    e2 = np.empty(count)
+    e2 = np.empty(len(members))
 
     def block(lo: int) -> None:
-        hi = min(lo + chunk, count)
-        idx = np.arange(lo, hi) if members is None else members[lo:hi]
-        e2[lo:hi] = table.eval_vectors(general_vectors(n, d, idx))
+        e2[lo : lo + chunk] = table.eval_vectors(general_vectors(n, d, members[lo : lo + chunk]))
 
+    starts = range(0, len(members), chunk)
     if threads == 1:
-        for lo in range(0, count, chunk):
+        for lo in starts:
             block(lo)
     else:  # the only pool: importing it costs every process start about 4 ms
+        import os
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(block, range(0, count, chunk)))  # re-raises a block's error
+        # the pool starts a thread per block while none is idle: cap them
+        with ThreadPoolExecutor(min(threads, os.cpu_count() or 1)) as pool:
+            list(pool.map(block, starts))  # re-raises a block's error
     return e2
 
 
@@ -263,16 +254,21 @@ def family_errors(
     members=None,
 ) -> tuple[np.ndarray, float]:
     """Squared errors of the members at indices ``members`` into the
-    family's enumeration order (scalar g, or lexicographic vectors), of
-    all in that order when None, with their shared truncation bound, on at
-    most ``threads`` worker threads (a Korobov family runs on one).  The
-    modulus must pass ``check_modulus``, d and ``threads`` be at least 1."""
+    family's enumeration order (scalar g in [0, N), or lexicographic vectors
+    in [0, N^d)), of every index when None, with their shared truncation
+    bound, on at most ``threads`` worker threads (a Korobov family runs on
+    one).  The modulus must pass ``check_modulus``, d and ``threads`` be at
+    least 1; an index outside the family raises ``ValueError``."""
     check_modulus(n)
     check_dimension(d)
     check_threads(threads)
     check_family(family)
-    if family == "general" and n**d > GENERAL_SEARCH_CAP:
-        raise CapExceededError(f"general search space {n**d} exceeds cap {GENERAL_SEARCH_CAP}")
+    size = n if family == "korobov" else n**d
+    if family == "general" and size > GENERAL_SEARCH_CAP:
+        raise CapExceededError(f"general search space {size} exceeds cap {GENERAL_SEARCH_CAP}")
+    members = np.arange(size) if members is None else np.asarray(members, dtype=np.int64)
+    if members.size and (members.min() < 0 or members.max() >= size):
+        raise ValueError(f"{family} member indices must lie in [0, {size}) at N = {n}, d = {d}")
     table = theta_table(model, n, d, tol)
     e2 = _eval_korobov(table, members) if family == "korobov" else _eval_all(table, threads, members)
     return e2, table.product_bound

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -95,10 +96,11 @@ def test_search_candidate_csv(model_path, tmp_path):
     assert "." in lines[3].split(",")[1]
 
 
-def test_search_outputs_thread_invariant(model_path, tmp_path):
+def test_search_outputs_thread_invariant(model_path, tmp_path, monkeypatch):
     # the general family at N = 13, d = 4 spans six blocks of
     # CHUNK_CELLS // N vectors, so every thread count splits them
     assert 13**4 > 5 * (CHUNK_CELLS // 13)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # three workers on any machine
     for fmt in ("csv", "json"):
         outs = []
         for threads in ("1", "2", "3"):

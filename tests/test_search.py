@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -143,7 +145,8 @@ def test_korobov_root_count_at_most_d_minus_one():
                 assert roots <= d - 1
 
 
-def test_search_deterministic_and_thread_invariant(linear_model):
+def test_search_deterministic_and_thread_invariant(linear_model, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     a = search_korobov(31, 2, linear_model)
     b = search_korobov(31, 2, linear_model)
     assert a == b
@@ -172,6 +175,72 @@ def test_ties_follow_the_band(linear_model, monkeypatch, family, n, d):
     assert res.best_e2.value == e2[tied[0]]
     # the tied members alone read the same values
     assert np.array_equal(family_errors(n, d, linear_model, family=family, members=tied)[0], e2[tied])
+
+
+def test_general_pool_reads_member_lists_bitwise(linear_model, monkeypatch):
+    # a shuffled member list with repeats, its blocks split over two
+    # threads, reads the values of the whole family bitwise
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
+    n, d = 31, 3
+    full = family_errors(n, d, linear_model, family="general")[0]
+    rng = np.random.default_rng(31)
+    members = rng.permutation(np.concatenate([np.arange(n**d), rng.integers(0, n**d, size=997)]))
+    assert members.size > 4 * (CHUNK_CELLS // n)  # several blocks per thread
+    e2 = family_errors(n, d, linear_model, family="general", threads=2, members=members)[0]
+    assert np.array_equal(e2, full[members])
+
+
+def test_general_pool_asks_for_at_most_the_cpu_count(linear_model, monkeypatch):
+    # the pool starts a thread per block while none is idle, so a huge
+    # --threads asks for no more workers than the machine has CPUs
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    n, d = 13, 4
+    assert n**d > 5 * (CHUNK_CELLS // n)  # six blocks
+    one = family_errors(n, d, linear_model, family="general")[0]
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+    many = family_errors(n, d, linear_model, family="general", threads=10**6)[0]
+    assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
+    assert many.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family, n, d, index",
+    [
+        ("korobov", 7, 3, -1),
+        ("korobov", 7, 3, 7),
+        ("korobov", 3, 3, 5),
+        ("korobov", 5, 1, 5),
+        ("korobov", 5, 1, -1),
+        ("general", 7, 3, -1),
+        ("general", 7, 3, 7**3),
+        ("general", 5, 1, 5),
+    ],
+)
+def test_member_indices_outside_the_family_raise(linear_model, family, n, d, index):
+    # one check for every family and size: no index wraps around, aliases
+    # a reflection or reads the one d = 1 vector
+    size = n if family == "korobov" else n**d
+    message = rf"^{family} member indices must lie in \[0, {size}\) at N = {n}, d = {d}$"
+    with pytest.raises(ValueError, match=message):
+        family_errors(n, d, linear_model, family=family, members=[0, index])
+    full = family_errors(n, d, linear_model, family=family)[0]
+    ends = family_errors(n, d, linear_model, family=family, members=[size - 1, 0])[0]
+    assert np.array_equal(ends, full[[size - 1, 0]])
+    assert family_errors(n, d, linear_model, family=family, members=[])[0].shape == (0,)
 
 
 KERNEL_MODELS = {
@@ -221,12 +290,13 @@ def _gather_korobov_errors(table):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_eval_korobov_matches_eval_vectors(name):
+    # N innermost: the one memoised series-row entry serves every N
     model = KERNEL_MODELS[name]
-    for n in (2, 3, 5, 7, 13, 101, 1009):
-        for d in range(1, 7):
-            for lam in (1.0, 0.5):
+    for d in range(1, 7):
+        for lam in (1.0, 0.5):
+            for n in (2, 3, 5, 7, 13, 101, 1009):
                 table = theta_table(model.scaled(lam), n, d, DEFAULT_TOL)
-                fast, oracle = _eval_korobov(table), _oracle_korobov_errors(table)
+                fast, oracle = _eval_korobov(table, range(table.n)), _oracle_korobov_errors(table)
                 tol = 1e-15 * math.prod(v[0] for v in table.values)
                 assert np.max(np.abs(fast - oracle)) <= tol, (n, d, lam)
                 assert fast[0] == oracle[0], (n, d, lam)  # g = 0 is read through eval_vectors
@@ -253,7 +323,7 @@ def test_eval_korobov_bitwise_when_steps_wrap(n, d):
     # d > m = (N - 1) / 2: the step j mod m wraps, and is 0 where m | j
     for lam in (1.0, 0.5):
         table = theta_table(KERNEL_MODELS["linear"].scaled(lam), n, d, DEFAULT_TOL)
-        assert np.array_equal(_eval_korobov(table), _gather_korobov_errors(table)), lam
+        assert np.array_equal(_eval_korobov(table, range(table.n)), _gather_korobov_errors(table)), lam
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -267,7 +337,7 @@ def test_eval_korobov_member_lists_read_the_family_bitwise(d):
         model = make_model(a=("linear", 1.0), b=("constant", b))
         for n in (2, 3, 5, 7, 101, 1009):
             table = theta_table(model, n, d, DEFAULT_TOL)
-            full = _eval_korobov(table)
+            full = _eval_korobov(table, range(table.n))
             g = int(rng.integers(1, n))
             for members in (rng.integers(0, n, size=n + 3), [0], [g, n - g], np.arange(n)):
                 assert np.array_equal(_eval_korobov(table, members), full[members]), (b, n, members)
@@ -337,7 +407,7 @@ def test_eval_korobov_d2_member_lists_read_the_family_bitwise():
     rng = np.random.default_rng(2)
     for n in (5, 1019, 2039, 4001):
         table = theta_table(KERNEL_MODELS["slow_decay"], n, 2, DEFAULT_TOL)
-        full = _eval_korobov(table)
+        full = _eval_korobov(table, range(table.n))
         assert all(full[g] == full[n - g] for g in range(1, n)), n
         for members in (rng.integers(0, n, size=50), [0], [3, n - 3], np.arange(n)[::-1]):
             assert np.array_equal(_eval_korobov(table, members), full[members]), (n, members)
@@ -351,7 +421,7 @@ def test_eval_korobov_tables_stay_bounded():
     table = theta_table(KERNEL_MODELS["linear"], n, d, DEFAULT_TOL)
     tracemalloc.start()
     try:
-        _eval_korobov(table)
+        _eval_korobov(table, range(table.n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
